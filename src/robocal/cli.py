@@ -16,11 +16,12 @@ from . import __version__
 from .errors import RobocalError, ValidationError
 from .geometry import make_rng, matrix_to_quat
 from .handeye import marker_from_base, solve_handeye
-from .mesh import load_obj
+from .mesh import load_obj, sample_surface
 from .metrics import average_precision
 from .pivot import (REFERENCE_TIP_VARIANCE_MM, solve_pivot, tip_variance,
                     DEFAULT_MIN_DIVERSITY_DEG)
-from .registration import IcpParams, icp_refine, initial_pose, recovery_benchmark
+from .registration import (IcpParams, SpatialIndex, icp_refine, initial_pose,
+                           recovery_benchmark)
 from .simulate import (NoiseSpec, SCENE_TEMPLATES, generate_scene,
                        simulate_annotation_error)
 from . import fileio
@@ -151,7 +152,8 @@ def _cmd_annotate(args) -> int:
     if fit_rms > INITIAL_FIT_WARN_MM:
         print(f"warning: keypoint residual exceeds {INITIAL_FIT_WARN_MM} mm; "
               "check the picked correspondences for outliers")
-    result = icp_refine(points, mesh, start, params, rng=make_rng(seed))
+    surface = SpatialIndex(sample_surface(mesh, params.surface_samples, make_rng(seed)))
+    result = icp_refine(points, surface, start, params)
     print(f"refined pose:  {_fmt_pose(result.pose)}")
     print(f"icp: {result.iterations} iterations, converged={result.converged}, "
           f"rms {result.rms_distance:.4f} mm")
@@ -187,7 +189,7 @@ def _cmd_simulate(args) -> int:
     if (args.scene_file is None) == (args.template is None):
         raise ValidationError("give exactly one of <scene-file> or --template")
     seed = _resolve_seed(args)
-    targets = {"rgbd": 0.89, "polarization": 0.83}
+    targets = dict(NoiseSpec().handeye_target_rmse)
     targets.update(_parse_handeye_targets(args.handeye_rmse))
     spec = NoiseSpec(obj_translation_mm=args.noise_translation,
                      obj_rotation_deg=args.noise_rotation,

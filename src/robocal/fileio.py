@@ -38,6 +38,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _open_input(path, mode: str):
+    """Open an input file; a missing or unreadable one is a FileFormatError."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise FileFormatError(path, None, f"cannot open file: {exc}")
+
+
 def atomic_write_text(path, text: str) -> None:
     path = str(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -68,7 +76,7 @@ class RunManifest:
     def create(cls, command: str, parameters: dict, input_paths=()) -> "RunManifest":
         digests = {}
         for p in input_paths:
-            with open(p, "rb") as fh:
+            with _open_input(p, "rb") as fh:
                 digests[os.path.basename(str(p))] = hashlib.sha256(fh.read()).hexdigest()
         return cls(command=command, parameters=dict(parameters),
                    input_digests=digests,
@@ -103,11 +111,7 @@ class _Scanner:
         self.rows: list[tuple[int, str]] = []  # top-level data rows
         self.sections: list[tuple[str, list[tuple[int, str]]]] = []
         current: list[tuple[int, str]] | None = None
-        try:
-            fh = open(self.path, "r", encoding="utf-8")
-        except OSError as exc:
-            raise FileFormatError(path, None, f"cannot open file: {exc}")
-        with fh:
+        with _open_input(self.path, "r") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -393,7 +397,7 @@ def _box_from_fields(path, lineno, fields) -> OrientedBox:
 
 def _read_csv_rows(path, expected_header):
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path, "r") as fh:
         header_seen = False
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()

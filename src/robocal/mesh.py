@@ -26,7 +26,6 @@ class Mesh:
     vertices: np.ndarray  # (V, 3) mm
     triangles: np.ndarray  # (F, 3) vertex indices
     name: str = ""
-    samples: np.ndarray | None = None  # optional precomputed surface points
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
@@ -38,8 +37,6 @@ class Mesh:
             raise ValidationError(
                 f"mesh {self.name!r} has triangle indices outside "
                 f"[0, {len(self.vertices) - 1}]")
-        if self.samples is not None:
-            self.samples = np.asarray(self.samples, dtype=float).reshape(-1, 3)
 
     def triangle_areas(self) -> np.ndarray:
         a = self.vertices[self.triangles[:, 0]]
@@ -62,7 +59,7 @@ def drop_degenerate_triangles(mesh: Mesh) -> tuple[Mesh, int]:
     dropped = int((~keep).sum())
     if dropped == 0:
         return mesh, 0
-    return Mesh(mesh.vertices, mesh.triangles[keep], mesh.name, mesh.samples), dropped
+    return Mesh(mesh.vertices, mesh.triangles[keep], mesh.name), dropped
 
 
 def sample_surface(mesh: Mesh, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,7 +101,11 @@ def load_obj(path) -> Mesh:
     """
     vertices: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(path, None, f"cannot open file: {exc}")
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -153,11 +154,12 @@ def load_obj(path) -> Mesh:
 
 
 def save_obj(mesh: Mesh, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+    from .fileio import atomic_write_text  # fileio imports this module
+
+    lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n"
+             for v in mesh.vertices]
+    lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n" for t in mesh.triangles]
+    atomic_write_text(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------

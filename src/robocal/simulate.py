@@ -246,13 +246,8 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
     meshes = {obj.name: resolve_mesh(obj.mesh_ref, base_dir)
               for obj in scene.objects}
     sampling_rng = make_rng(spec.seed, _STREAM_SAMPLING)
-    points = {}
-    for obj in scene.objects:
-        mesh = meshes[obj.name]
-        if mesh.samples is not None and len(mesh.samples):
-            points[obj.name] = mesh.samples
-        else:
-            points[obj.name] = sample_surface(mesh, mesh_samples, sampling_rng)
+    points = {obj.name: sample_surface(meshes[obj.name], mesh_samples, sampling_rng)
+              for obj in scene.objects}
 
     marker_base, board, rig_ee_poses = _marker_rig(scene, views_per_camera)
 

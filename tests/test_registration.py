@@ -4,7 +4,7 @@ import pytest
 from robocal.errors import DegenerateGeometryError, ValidationError
 from robocal.geometry import (Pose, apply, axis_angle, compose, make_rng,
                               random_rotation)
-from robocal.mesh import Mesh, can, chamfered_box, sample_surface
+from robocal.mesh import can, chamfered_box, sample_surface
 from robocal.registration import (Correspondences, IcpParams, SpatialIndex,
                                   absolute_orientation, icp_refine, initial_pose,
                                   pose_error, recovery_benchmark,
@@ -12,10 +12,10 @@ from robocal.registration import (Correspondences, IcpParams, SpatialIndex,
 
 
 @pytest.fixture(scope="module")
-def box_with_samples():
+def box_surface():
+    """(mesh, index over 50k of its surface samples), shared by the ICP tests."""
     mesh = chamfered_box()
-    samples = sample_surface(mesh, 50_000, make_rng(1000))
-    return Mesh(mesh.vertices, mesh.triangles, mesh.name, samples=samples)
+    return mesh, SpatialIndex(sample_surface(mesh, 50_000, make_rng(1000)))
 
 
 class TestAbsoluteOrientation:
@@ -96,31 +96,34 @@ class TestSpatialIndex:
 
 
 class TestIcp:
-    def test_fixed_point(self, box_with_samples):
+    def test_fixed_point(self, box_surface):
+        _, surface = box_surface
         rng = make_rng(6)
         initial = Pose(random_rotation(rng), np.array([120.0, -30.0, 40.0]))
-        measured = apply(initial, box_with_samples.samples[:30])
-        result = icp_refine(measured, box_with_samples, initial)
+        measured = apply(initial, surface.points[:30])
+        result = icp_refine(measured, surface, initial)
         assert result.iterations <= 2
         dt, dr = pose_error(initial, result.pose)
         assert dt < 1e-9 and dr < 1e-9
 
-    def test_rms_history_monotone(self, box_with_samples):
+    def test_rms_history_monotone(self, box_surface):
+        mesh, surface = box_surface
         rng = make_rng(7)
-        patch = sample_patch(box_with_samples, 25, rng, 60.0)
+        patch = sample_patch(mesh, 25, rng, 60.0)
         measured = patch + rng.uniform(-0.2, 0.2, patch.shape)
         start = random_pose_perturbation(rng, 2.0, 4.0)
-        result = icp_refine(measured, box_with_samples, start)
+        result = icp_refine(measured, surface, start)
         history = np.array(result.rms_history)
         assert np.all(np.diff(history) <= 1e-9)
 
-    def test_permutation_invariance(self, box_with_samples):
+    def test_permutation_invariance(self, box_surface):
+        mesh, surface = box_surface
         rng = make_rng(8)
-        patch = sample_patch(box_with_samples, 25, rng, 60.0)
+        patch = sample_patch(mesh, 25, rng, 60.0)
         measured = patch + rng.uniform(-0.2, 0.2, patch.shape)
         start = random_pose_perturbation(rng, 2.0, 4.0)
-        a = icp_refine(measured, box_with_samples, start).pose
-        b = icp_refine(measured[::-1], box_with_samples, start).pose
+        a = icp_refine(measured, surface, start).pose
+        b = icp_refine(measured[::-1], surface, start).pose
         dt, dr = pose_error(a, b)
         assert dt < 1e-9 and dr < 1e-9
 
@@ -132,22 +135,22 @@ class TestIcp:
         # the lateral start ICP slides round onto the truth; from the axial
         # start it settles in a wrong minimum that the residual betrays.
         mesh = can()
-        samples = sample_surface(mesh, 50_000, make_rng(9))
-        prepared = Mesh(mesh.vertices, mesh.triangles, mesh.name, samples=samples)
+        surface = SpatialIndex(sample_surface(mesh, 50_000, make_rng(9)))
         rng = make_rng(10)
-        patch = sample_patch(prepared, 25, rng, 80.0)
+        patch = sample_patch(mesh, 25, rng, 80.0)
         for offset in ([50.0, 0.0, 0.0], [0.0, 0.0, 50.0]):
             start = Pose(np.eye(3), np.array(offset))
-            result = icp_refine(patch, prepared, start)
+            result = icp_refine(patch, surface, start)
             dt, _ = pose_error(Pose.identity(), result.pose)
             axis = result.pose.rotation @ np.array([0.0, 0.0, 1.0])
             right_up_to_symmetry = dt < 1.0 and abs(axis[2]) >= np.cos(np.radians(2.0))
             assert ((not result.converged) or result.rms_distance > 1.0
                     or right_up_to_symmetry), offset
 
-    def test_needs_three_points(self, box_with_samples):
+    def test_needs_three_points(self, box_surface):
+        _, surface = box_surface
         with pytest.raises(ValidationError):
-            icp_refine(np.zeros((2, 3)), box_with_samples, Pose.identity())
+            icp_refine(np.zeros((2, 3)), surface, Pose.identity())
 
     def test_params_validation(self):
         with pytest.raises(ValidationError):
@@ -155,14 +158,31 @@ class TestIcp:
         with pytest.raises(ValidationError):
             IcpParams(surface_samples=-5)
 
-    def test_correspondence_cap_trims(self, box_with_samples):
+    def test_correspondence_cap_trims(self, box_surface):
+        mesh, surface = box_surface
         rng = make_rng(11)
-        patch = sample_patch(box_with_samples, 25, rng, 60.0)
+        patch = sample_patch(mesh, 25, rng, 60.0)
         measured = np.vstack([patch, patch[:1] + 500.0])  # one far outlier
         params = IcpParams(max_correspondence_mm=50.0)
-        result = icp_refine(measured, box_with_samples, Pose.identity(), params)
+        result = icp_refine(measured, surface, Pose.identity(), params)
         dt, _ = pose_error(Pose.identity(), result.pose)
         assert dt < 0.5  # outlier did not drag the fit away
+
+    def test_reused_index_matches_fresh_index(self, box_surface):
+        # the index holds no per-call state: a second refinement on a shared
+        # index gives the same pose, bit for bit, as one on a fresh index
+        mesh, surface = box_surface
+        rng = make_rng(15)
+        runs = []
+        for _ in range(2):
+            patch = sample_patch(mesh, 25, rng, 60.0)
+            measured = patch + rng.uniform(-0.2, 0.2, patch.shape)
+            runs.append((measured, random_pose_perturbation(rng, 2.0, 4.0)))
+        for measured, start in runs:
+            shared = icp_refine(measured, surface, start).pose
+            fresh = icp_refine(measured, SpatialIndex(surface.points.copy()),
+                               start).pose
+            np.testing.assert_array_equal(shared.as_matrix(), fresh.as_matrix())
 
 
 class TestPoseError:
@@ -195,3 +215,19 @@ def test_recovery_benchmark_smoke():
     assert report.mean_translation_mm < 1.0
     assert report.mean_rotation_deg < 2.0
     assert all(case.converged for case in report.cases)
+
+
+def test_recovery_benchmark_builds_one_index_per_mesh(monkeypatch):
+    built = []
+
+    class CountingIndex(SpatialIndex):
+        def __init__(self, points):
+            super().__init__(points)
+            built.append(len(self.points))
+
+    monkeypatch.setattr("robocal.registration.SpatialIndex", CountingIndex)
+    report = recovery_benchmark(make_rng(16), meshes=[chamfered_box(), can()],
+                                perturbations_per_mesh=3,
+                                params=IcpParams(surface_samples=5_000))
+    assert len(report.cases) == 6
+    assert built == [5_000, 5_000]

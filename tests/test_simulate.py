@@ -86,9 +86,14 @@ class TestCalibratePerturbation:
                                            budget=1, rel_tol=1e-9)
 
 
-def single_object_scene(samples):
+def origin_sample(mesh, count, rng):
+    """Stands in for surface sampling: the probe's only point is its origin."""
+    return np.zeros((1, 3))
+
+
+def single_object_scene():
     mesh = Mesh(np.array([[0.0, 0, 0], [10.0, 0, 0], [0.0, 10.0, 0]]),
-                np.array([[0, 1, 2]]), name="probe", samples=np.asarray(samples))
+                np.array([[0, 1, 2]]), name="probe")
     rng = make_rng(10)
     obj = SceneObject("probe", "proc:box", Pose(random_rotation(rng),
                                                 [450.0, 0.0, 40.0]))
@@ -110,9 +115,10 @@ class TestSimulateAnnotationError:
     def test_object_noise_only_origin_point_equality(self, monkeypatch):
         # a probe object whose only sample sits at its origin: the pointwise
         # error collapses to the exact 0.20 mm translation noise
-        scene, mesh = single_object_scene([[0.0, 0.0, 0.0]])
+        scene, mesh = single_object_scene()
         monkeypatch.setattr("robocal.simulate.resolve_mesh",
                             lambda ref, base_dir=None: mesh)
+        monkeypatch.setattr("robocal.simulate.sample_surface", origin_sample)
         spec = NoiseSpec(handeye_target_rmse={}, seed=3)
         report = simulate_annotation_error(scene, spec)
         series = report.frame_rmse[("rgbd", "probe")]
@@ -126,9 +132,10 @@ class TestSimulateAnnotationError:
             assert value >= 0.20 - 0.01
 
     def test_doubling_translation_noise_doubles_origin_rmse(self, monkeypatch):
-        scene, mesh = single_object_scene([[0.0, 0.0, 0.0]])
+        scene, mesh = single_object_scene()
         monkeypatch.setattr("robocal.simulate.resolve_mesh",
                             lambda ref, base_dir=None: mesh)
+        monkeypatch.setattr("robocal.simulate.sample_surface", origin_sample)
         r1 = simulate_annotation_error(
             scene, NoiseSpec(obj_rotation_deg=0.0, handeye_target_rmse={}, seed=5))
         r2 = simulate_annotation_error(
