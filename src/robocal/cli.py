@@ -18,7 +18,7 @@ from .geometry import make_rng, matrix_to_quat
 from .handeye import marker_from_base, solve_handeye
 from .mesh import load_obj, sample_surface
 from .metrics import average_precision
-from .pivot import (REFERENCE_TIP_VARIANCE_MM, solve_pivot, tip_variance,
+from .pivot import (REFERENCE_TIP_VARIANCE_MM, solve_pivot,
                     DEFAULT_MIN_DIVERSITY_DEG)
 from .registration import (IcpParams, SpatialIndex, icp_refine, initial_pose,
                            recovery_benchmark)
@@ -66,14 +66,13 @@ def _write_report(path, manifest, header, rows, extra_comments=()):
 def _cmd_pivot_calib(args) -> int:
     poses = fileio.load_pose_list(args.poses_file)
     result = solve_pivot(poses, min_diversity_deg=args.min_diversity_deg)
-    variance = tip_variance(poses, result)
     tip = result.tip_offset
     pivot = result.pivot_point
     print(f"poses:           {result.n_poses}")
     print(f"tip offset:      ({tip[0]:.4f}, {tip[1]:.4f}, {tip[2]:.4f}) mm")
     print(f"pivot point:     ({pivot[0]:.4f}, {pivot[1]:.4f}, {pivot[2]:.4f}) mm")
     print(f"residual rms:    {result.residual_rms:.4f} mm")
-    print(f"tip variance:    {variance:.4f} mm "
+    print(f"tip variance:    {result.residual_rms:.4f} mm "
           f"(physical reference setup: {REFERENCE_TIP_VARIANCE_MM} mm)")
     if args.out:
         manifest = fileio.RunManifest.create(
@@ -84,7 +83,7 @@ def _cmd_pivot_calib(args) -> int:
         header = ("tip_x_mm,tip_y_mm,tip_z_mm,pivot_x_mm,pivot_y_mm,pivot_z_mm,"
                   "residual_rms_mm,tip_variance_mm,n_poses")
         row = ",".join([repr(float(v)) for v in (*tip, *pivot)]
-                       + [repr(result.residual_rms), repr(variance),
+                       + [repr(result.residual_rms), repr(result.residual_rms),
                           str(result.n_poses)])
         _write_report(args.out, manifest, header, [row])
         print(f"report written to {args.out}")
@@ -202,16 +201,14 @@ def _cmd_simulate(args) -> int:
     else:
         scene = generate_scene(args.template, seed)
         base_dir = None
-    report = simulate_annotation_error(
-        scene, spec, mesh_samples=args.mesh_samples, draws=args.draws,
-        base_dir=base_dir)
+    report = simulate_annotation_error(scene, spec, draws=args.draws,
+                                       base_dir=base_dir)
     manifest = fileio.RunManifest.create(
         "simulate",
         {"scene_file": args.scene_file, "template": args.template, "seed": seed,
          "noise_translation_mm": args.noise_translation,
          "noise_rotation_deg": args.noise_rotation,
-         "handeye_target_rmse": targets, "draws": args.draws,
-         "mesh_samples": args.mesh_samples},
+         "handeye_target_rmse": targets, "draws": args.draws},
         inputs)
     csv_path, txt_path = fileio.save_sim_report(args.out_dir, report, manifest)
     print(fileio.sim_report_text(report, manifest))
@@ -313,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--handeye-rmse", action="append", metavar="CAMERA=MM",
                    help="per-camera hand-eye RMSE target (repeatable)")
     p.add_argument("--draws", type=int, default=1)
-    p.add_argument("--mesh-samples", type=int, default=2000)
     p.add_argument("--out-dir", default="sim-out")
     p.set_defaults(func=_cmd_simulate)
 

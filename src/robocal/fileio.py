@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import re
-import tempfile
+import secrets
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +25,7 @@ from .handeye import HandEyeView, MarkerBoard
 from .metrics import Detection, DetectionSet, GroundTruthBox, OrientedBox
 from .registration import Correspondences
 from .simulate import Camera, SceneConfig, SceneObject, SimReport, Trajectory
+from .textio import read_bytes, read_lines
 
 UNITS_VALUE = "mm"
 CONVENTION_VALUE = "p->R*p+t"
@@ -38,18 +39,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _open_input(path, mode: str):
-    """Open an input file; a missing or unreadable one is a FileFormatError."""
-    try:
-        return open(path, mode, encoding=None if "b" in mode else "utf-8")
-    except OSError as exc:
-        raise FileFormatError(path, None, f"cannot open file: {exc}")
-
-
 def atomic_write_text(path, text: str) -> None:
     path = str(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    # mode 0o666 less the umask, as open() gives a new file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -76,8 +71,8 @@ class RunManifest:
     def create(cls, command: str, parameters: dict, input_paths=()) -> "RunManifest":
         digests = {}
         for p in input_paths:
-            with _open_input(p, "rb") as fh:
-                digests[os.path.basename(str(p))] = hashlib.sha256(fh.read()).hexdigest()
+            digest = hashlib.sha256(read_bytes(p)).hexdigest()
+            digests[os.path.basename(str(p))] = digest
         return cls(command=command, parameters=dict(parameters),
                    input_digests=digests,
                    timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
@@ -111,24 +106,20 @@ class _Scanner:
         self.rows: list[tuple[int, str]] = []  # top-level data rows
         self.sections: list[tuple[str, list[tuple[int, str]]]] = []
         current: list[tuple[int, str]] | None = None
-        with _open_input(self.path, "r") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                section = _SECTION_RE.match(line)
-                if section:
-                    current = []
-                    self.sections.append((section.group(1).strip(), current))
-                    continue
-                if current is not None:
-                    current.append((lineno, line))
-                    continue
-                kv = _KV_RE.match(line)
-                if kv:
-                    self.headers[kv.group(1)] = kv.group(2).strip()
-                else:
-                    self.rows.append((lineno, line))
+        for lineno, line in read_lines(self.path):
+            section = _SECTION_RE.match(line)
+            if section:
+                current = []
+                self.sections.append((section.group(1).strip(), current))
+                continue
+            if current is not None:
+                current.append((lineno, line))
+                continue
+            kv = _KV_RE.match(line)
+            if kv:
+                self.headers[kv.group(1)] = kv.group(2).strip()
+            else:
+                self.rows.append((lineno, line))
 
     def require_header(self, key: str, expected: str) -> None:
         if key not in self.headers:
@@ -397,20 +388,16 @@ def _box_from_fields(path, lineno, fields) -> OrientedBox:
 
 def _read_csv_rows(path, expected_header):
     rows = []
-    with _open_input(path, "r") as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != expected_header:
-                    raise FileFormatError(
-                        path, lineno,
-                        f"bad CSV header; expected {expected_header!r}, got {line!r}")
-                header_seen = True
-                continue
-            rows.append((lineno, line.split(",")))
+    header_seen = False
+    for lineno, line in read_lines(path):
+        if not header_seen:
+            if line != expected_header:
+                raise FileFormatError(
+                    path, lineno,
+                    f"bad CSV header; expected {expected_header!r}, got {line!r}")
+            header_seen = True
+            continue
+        rows.append((lineno, line.split(",")))
     if not header_seen:
         raise FileFormatError(path, None, f"missing CSV header {expected_header!r}")
     return rows

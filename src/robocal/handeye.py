@@ -97,11 +97,7 @@ def _chordal_mean_rotation(rotations) -> np.ndarray:
         M += np.outer(q, q)
     _, vecs = np.linalg.eigh(M)
     q = vecs[:, -1]
-    for component in q:
-        if component != 0.0:
-            if component < 0.0:
-                q = -q
-            break
+    # quat_to_matrix is even in q, so the eigenvector's sign needs no fixing
     return quat_to_matrix(q / np.linalg.norm(q))
 
 

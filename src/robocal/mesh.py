@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import FileFormatError, ValidationError
+from .textio import read_lines
 
 DEGENERATE_AREA_MM2 = 1e-12
 
@@ -62,6 +63,33 @@ def drop_degenerate_triangles(mesh: Mesh) -> tuple[Mesh, int]:
     return Mesh(mesh.vertices, mesh.triangles[keep], mesh.name), dropped
 
 
+def _area_weights(mesh: Mesh) -> np.ndarray:
+    """Triangle areas as shares of the surface area."""
+    if len(mesh.triangles) == 0:
+        raise ValidationError(f"mesh {mesh.name!r} has no triangles")
+    areas = mesh.triangle_areas()
+    total = areas.sum()
+    if total <= DEGENERATE_AREA_MM2:
+        raise ValidationError(f"mesh {mesh.name!r} has zero surface area")
+    return areas / total
+
+
+def surface_moment(mesh: Mesh) -> np.ndarray:
+    """Exact second moment E[h h^T], h = [p; 1], of an area-uniform surface point p.
+
+    Over one triangle with homogeneous vertices h_i the moment is
+    (sum h_i h_i^T + (sum h_i)(sum h_i)^T) / 12; the surface's is the
+    area-weighted mean of its triangles'. The 4x4 result holds the surface's
+    mean point in its last column and row, and E[p p^T] in its top-left block.
+    """
+    weights = _area_weights(mesh)
+    h = np.concatenate([mesh.vertices[mesh.triangles],
+                        np.ones(mesh.triangles.shape + (1,))], axis=2)  # (F, 3, 4)
+    s = h.sum(axis=1)
+    return (np.einsum("f,fij,fik->jk", weights, h, h)
+            + np.einsum("f,fj,fk->jk", weights, s, s)) / 12.0
+
+
 def sample_surface(mesh: Mesh, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw points area-uniformly on the mesh surface.
 
@@ -70,14 +98,8 @@ def sample_surface(mesh: Mesh, count: int, rng: np.random.Generator) -> np.ndarr
     """
     if count <= 0:
         raise ValidationError(f"sample count must be positive, got {count}")
-    if len(mesh.triangles) == 0:
-        raise ValidationError(f"mesh {mesh.name!r} has no triangles to sample")
-    areas = mesh.triangle_areas()
-    total = areas.sum()
-    if total <= DEGENERATE_AREA_MM2:
-        raise ValidationError(f"mesh {mesh.name!r} has zero surface area")
-
-    tri_idx = rng.choice(len(areas), size=count, p=areas / total)
+    weights = _area_weights(mesh)
+    tri_idx = rng.choice(len(weights), size=count, p=weights)
     a = mesh.vertices[mesh.triangles[tri_idx, 0]]
     b = mesh.vertices[mesh.triangles[tri_idx, 1]]
     c = mesh.vertices[mesh.triangles[tri_idx, 2]]
@@ -101,48 +123,40 @@ def load_obj(path) -> Mesh:
     """
     vertices: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise FileFormatError(path, None, f"cannot open file: {exc}")
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise FileFormatError(path, lineno, "vertex needs 3 coordinates")
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        tag = parts[0]
+        if tag == "v":
+            if len(parts) < 4:
+                raise FileFormatError(path, lineno, "vertex needs 3 coordinates")
+            try:
+                vertices.append([float(x) for x in parts[1:4]])
+            except ValueError:
+                raise FileFormatError(path, lineno,
+                                      f"bad vertex coordinates {parts[1:4]}")
+        elif tag == "f":
+            idx = []
+            for token in parts[1:]:
+                head = token.split("/")[0]
                 try:
-                    vertices.append([float(x) for x in parts[1:4]])
+                    i = int(head)
                 except ValueError:
-                    raise FileFormatError(path, lineno,
-                                          f"bad vertex coordinates {parts[1:4]}")
-            elif tag == "f":
-                idx = []
-                for token in parts[1:]:
-                    head = token.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        raise FileFormatError(path, lineno, f"bad face index {token!r}")
-                    if i <= 0:
-                        raise FileFormatError(
-                            path, lineno, f"face index {i} not positive (subset "
-                            "reader supports 1-based positive indices only)")
-                    if i > len(vertices):
-                        raise FileFormatError(
-                            path, lineno,
-                            f"face index {i} out of range: only {len(vertices)} "
-                            "vertices read so far")
-                    idx.append(i - 1)
-                if len(idx) < 3:
-                    raise FileFormatError(path, lineno, "face needs >= 3 vertices")
-                for k in range(1, len(idx) - 1):
-                    faces.append((idx[0], idx[k], idx[k + 1]))
-            # vt / vn / vp / o / g / s / usemtl / mtllib: ignored
+                    raise FileFormatError(path, lineno, f"bad face index {token!r}")
+                if i <= 0:
+                    raise FileFormatError(
+                        path, lineno, f"face index {i} not positive (subset "
+                        "reader supports 1-based positive indices only)")
+                if i > len(vertices):
+                    raise FileFormatError(
+                        path, lineno,
+                        f"face index {i} out of range: only {len(vertices)} "
+                        "vertices read so far")
+                idx.append(i - 1)
+            if len(idx) < 3:
+                raise FileFormatError(path, lineno, "face needs >= 3 vertices")
+            for k in range(1, len(idx) - 1):
+                faces.append((idx[0], idx[k], idx[k + 1]))
+        # vt / vn / vp / o / g / s / usemtl / mtllib: ignored
     if not vertices:
         raise FileFormatError(path, None, "no vertices found")
     mesh = Mesh(np.array(vertices), np.array(faces, dtype=np.int64).reshape(-1, 3),

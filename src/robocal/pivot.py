@@ -17,7 +17,7 @@ from .errors import DegenerateGeometryError, ValidationError
 from .geometry import Pose, rotation_distance
 
 # Physical reference point: tip-location variance of the original robot
-# setup, quoted alongside tip_variance in reports.
+# setup, quoted alongside PivotResult.residual_rms in reports.
 REFERENCE_TIP_VARIANCE_MM = 0.057
 
 DEFAULT_MIN_DIVERSITY_DEG = 10.0
@@ -27,7 +27,7 @@ DEFAULT_MIN_DIVERSITY_DEG = 10.0
 class PivotResult:
     tip_offset: np.ndarray  # tip in end-effector frame, mm
     pivot_point: np.ndarray  # tip location in base frame, mm
-    residual_rms: float  # rms spread of per-pose tip locations, mm
+    residual_rms: float  # rms spread of per-pose tip locations (tip variance), mm
     rank: int
     n_poses: int
 
@@ -81,16 +81,6 @@ def solve_pivot(poses, min_diversity_deg: float = DEFAULT_MIN_DIVERSITY_DEG) -> 
     residual = float(np.sqrt(np.mean(np.sum((tips - pivot) ** 2, axis=1))))
     return PivotResult(tip_offset=tip, pivot_point=pivot,
                        residual_rms=residual, rank=int(rank), n_poses=n)
-
-
-def tip_variance(poses, result: PivotResult) -> float:
-    """Spread of per-pose tip locations about the pivot point, in mm.
-
-    Root mean squared distance of R_i @ tip + t_i from the pivot point; the
-    same statistic as PivotResult.residual_rms, recomputed from the inputs.
-    """
-    tips = np.array([p.rotation @ result.tip_offset + p.translation for p in poses])
-    return float(np.sqrt(np.mean(np.sum((tips - result.pivot_point) ** 2, axis=1))))
 
 
 def synthesize_pivot_poses(tip_offset, pivot_point, n, rng, *,

@@ -8,7 +8,10 @@ annotated pose chains:
     T_gt  = inv(T_cam_to_ee) * inv(T_ee_to_base) * T_obj_to_base
     T_ann = inv(T'_cam_to_ee) * inv(T_ee_to_base) * T'_obj_to_base
 
-with T' the perturbed transforms. Object-pose noise has fixed magnitude
+with T' the perturbed transforms. The RMSE is the exact mean over each
+object's surface: for rigid A and B it is sqrt(tr(D M D^T)), with D the top
+3x4 rows of A - B and M the surface's second moment (mesh.surface_moment),
+so no surface points are sampled. Object-pose noise has fixed magnitude
 (translation plus rotation about the object's own origin); the hand-eye
 perturbation is searched so that its evaluated board RMSE hits a target.
 """
@@ -24,12 +27,11 @@ from .geometry import (Pose, apply, axis_angle, compose, invert, make_rng,
                        random_unit_vector)
 from .handeye import (MarkerBoard, default_board_points, evaluate_handeye,
                       synthesize_views)
-from .mesh import procedural_ref, resolve_mesh, sample_surface
-from .metrics import pointwise_rmse
+from .mesh import procedural_ref, resolve_mesh, surface_moment
 
-# rng stream layout per simulation seed: stream 0 samples mesh surfaces,
-# then two streams per draw (object noise, hand-eye search)
-_STREAM_SAMPLING = 0
+# rng stream layout per simulation seed: two streams per draw (object noise,
+# hand-eye search), numbered from 1; stream 0 is left unused so that a seed
+# keeps the noise draws it gave when stream 0 sampled mesh surfaces
 
 
 def _draw_streams(draw: int) -> tuple[int, int]:
@@ -226,7 +228,6 @@ def _marker_rig(scene: SceneConfig, views_per_camera: int):
 
 
 def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
-                              mesh_samples: int = 2000,
                               draws: int = 1,
                               views_per_camera: int = 10,
                               calib_budget: int = 10_000,
@@ -236,23 +237,22 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
 
     Per draw: one noise draw per object and one calibrated hand-eye
     perturbation per camera, then every camera replays every trajectory and
-    the RMSE over each object's surface samples is aggregated per frame,
-    then per object, then per camera. The first draw keeps its full
-    per-frame series; additional draws contribute to the per-camera means.
+    the RMSE over each object's surface, exact from its second moment, is
+    aggregated per frame, then per object, then per camera. The first draw
+    keeps its full per-frame series; additional draws contribute to the
+    per-camera means.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     # resolve every mesh up front: bad references fail before any simulation
-    meshes = {obj.name: resolve_mesh(obj.mesh_ref, base_dir)
-              for obj in scene.objects}
-    sampling_rng = make_rng(spec.seed, _STREAM_SAMPLING)
-    points = {obj.name: sample_surface(meshes[obj.name], mesh_samples, sampling_rng)
-              for obj in scene.objects}
+    moments = {obj.name: surface_moment(resolve_mesh(obj.mesh_ref, base_dir))
+               for obj in scene.objects}
 
     marker_base, board, rig_ee_poses = _marker_rig(scene, views_per_camera)
 
-    frames = [pose for traj in scene.trajectories for pose in traj.poses]
-    inv_frames = [invert(f) for f in frames]
+    # (frames, 4, 4): base to end-effector at every stop, in replay order
+    ee_inv = np.stack([invert(pose).as_matrix() for traj in scene.trajectories
+                       for pose in traj.poses])
 
     camera_names = [c.name for c in scene.cameras]
     object_names = [o.name for o in scene.objects]
@@ -288,18 +288,15 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
         per_object = {}
         per_camera = {}
         for cam in scene.cameras:
-            cam_inv = invert(cam.cam_to_ee)
-            cam_hat_inv = invert(perturbed_cams[cam.name])
+            # left-multiplying both chains by T_cam_to_ee keeps their RMSE, so
+            # the hand-eye error enters only through delta
+            delta = compose(cam.cam_to_ee, invert(perturbed_cams[cam.name])).as_matrix()
             object_means = []
             for obj in scene.objects:
-                pts = points[obj.name]
-                t_obj = obj.pose
-                t_obj_hat = perturbed_objects[obj.name]
-                series = np.empty(len(frames))
-                for k, ee_inv in enumerate(inv_frames):
-                    t_gt = compose(cam_inv, ee_inv, t_obj)
-                    t_ann = compose(cam_hat_inv, ee_inv, t_obj_hat)
-                    series[k] = pointwise_rmse(pts, t_gt, t_ann)
+                gt = ee_inv @ obj.pose.as_matrix()
+                ann = delta @ ee_inv @ perturbed_objects[obj.name].as_matrix()
+                d = (gt - ann)[:, :3]
+                series = np.sqrt(np.einsum("kij,jl,kil->k", d, moments[obj.name], d))
                 frame_rmse[(cam.name, obj.name)] = series
                 mean = float(series.mean())
                 per_object[(cam.name, obj.name)] = mean

@@ -1,0 +1,38 @@
+"""Reading of input files.
+
+A missing, unreadable or non-UTF-8 input is a FileFormatError, so the CLI
+reports it as a validation error (exit code 1) rather than a traceback.
+"""
+
+from __future__ import annotations
+
+import io
+
+from .errors import FileFormatError
+
+
+def read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FileFormatError(path, None, f"cannot open file: {exc}")
+
+
+def read_lines(path) -> list[tuple[int, str]]:
+    """(1-based line number, stripped text) of each line of a UTF-8 text file
+    that is neither blank nor a '#' comment."""
+    data = read_bytes(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(path, data.count(b"\n", 0, exc.start) + 1,
+                              f"not UTF-8 text: byte {data[exc.start]:#04x} "
+                              f"({exc.reason})")
+    lines = []
+    # newline=None splits on \n, \r\n and \r, as reading a text file does
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            lines.append((lineno, line))
+    return lines

@@ -5,7 +5,7 @@ from robocal.errors import FileFormatError, ValidationError
 from robocal.geometry import make_rng
 from robocal.mesh import (Mesh, blade, bottle, can, chamfered_box, cup,
                           drop_degenerate_triangles, load_obj, procedural_ref,
-                          resolve_mesh, sample_surface, save_obj)
+                          resolve_mesh, sample_surface, save_obj, surface_moment)
 
 CUBE_OBJ = """\
 v 0 0 0
@@ -91,6 +91,25 @@ class TestSampling:
     def test_bad_count_rejected(self):
         with pytest.raises(ValidationError):
             sample_surface(unit_cube(), 0, make_rng(4))
+
+
+class TestSurfaceMoment:
+    def test_unit_cube_is_analytic(self):
+        # E[x] = 1/2, E[x^2] = 7/18, E[xy] = 1/4 on the cube's surface
+        expected = np.full((4, 4), 0.25)
+        np.fill_diagonal(expected, 7.0 / 18.0)
+        expected[3, :] = expected[:, 3] = 0.5
+        expected[3, 3] = 1.0
+        np.testing.assert_allclose(surface_moment(unit_cube()), expected,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_meshes_without_area_rejected(self):
+        flat = Mesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]),
+                    np.array([[0, 1, 2]]))
+        with pytest.raises(ValidationError, match="zero surface area"):
+            surface_moment(flat)
+        with pytest.raises(ValidationError, match="no triangles"):
+            surface_moment(Mesh(np.zeros((3, 3)), np.zeros((0, 3))))
 
 
 class TestObjIO:

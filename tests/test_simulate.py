@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from robocal.errors import SearchFailureError, ValidationError
-from robocal.geometry import (Pose, apply, compose, make_rng, random_rotation)
+from robocal.geometry import (Pose, apply, compose, invert, make_rng,
+                              random_rotation)
 from robocal.handeye import MarkerBoard, default_board_points, synthesize_views
-from robocal.mesh import Mesh
+from robocal.mesh import Mesh, sample_surface
+from robocal.metrics import pointwise_rmse
 from robocal.registration import pose_error
 from robocal.simulate import (Camera, NoiseSpec, SceneConfig, SceneObject,
                               Trajectory, calibrate_handeye_perturbation,
                               generate_scene, perturb_object_pose,
-                              simulate_annotation_error, _marker_rig)
+                              simulate_annotation_error, _draw_streams, _marker_rig)
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +88,11 @@ class TestCalibratePerturbation:
                                            budget=1, rel_tol=1e-9)
 
 
-def origin_sample(mesh, count, rng):
-    """Stands in for surface sampling: the probe's only point is its origin."""
-    return np.zeros((1, 3))
+def origin_moment(mesh):
+    """Stands in for the surface moment: the probe's only point is its origin."""
+    moment = np.zeros((4, 4))
+    moment[3, 3] = 1.0
+    return moment
 
 
 def single_object_scene():
@@ -118,12 +122,36 @@ class TestSimulateAnnotationError:
         scene, mesh = single_object_scene()
         monkeypatch.setattr("robocal.simulate.resolve_mesh",
                             lambda ref, base_dir=None: mesh)
-        monkeypatch.setattr("robocal.simulate.sample_surface", origin_sample)
+        monkeypatch.setattr("robocal.simulate.surface_moment", origin_moment)
         spec = NoiseSpec(handeye_target_rmse={}, seed=3)
         report = simulate_annotation_error(scene, spec)
         series = report.frame_rmse[("rgbd", "probe")]
         np.testing.assert_allclose(series, 0.20, atol=1e-9)
         assert report.per_camera_rmse["rgbd"] == pytest.approx(0.20, abs=1e-9)
+
+    def test_closed_form_matches_pointwise_rmse_over_samples(self, monkeypatch):
+        # with the moment of a fixed sample set, every per-frame value equals
+        # pointwise_rmse of the two full pose chains over those samples
+        scene, mesh = single_object_scene()
+        points = sample_surface(mesh, 500, make_rng(20))
+        homogeneous = np.column_stack([points, np.ones(len(points))])
+        monkeypatch.setattr("robocal.simulate.resolve_mesh",
+                            lambda ref, base_dir=None: mesh)
+        monkeypatch.setattr("robocal.simulate.surface_moment",
+                            lambda m: homogeneous.T @ homogeneous / len(points))
+        spec = NoiseSpec(handeye_target_rmse={"rgbd": 0.89}, seed=6)
+        report = simulate_annotation_error(scene, spec)
+
+        obj, cam = scene.objects[0], scene.cameras[0]
+        obj_hat = perturb_object_pose(obj.pose, spec,
+                                      make_rng(spec.seed, _draw_streams(0)[0]))
+        cam_hat = report.handeye_perturbations["rgbd"].pose
+        expected = [pointwise_rmse(points,
+                                   compose(invert(cam.cam_to_ee), invert(ee), obj.pose),
+                                   compose(invert(cam_hat), invert(ee), obj_hat))
+                    for ee in scene.trajectories[0].poses]
+        np.testing.assert_allclose(report.frame_rmse[("rgbd", "probe")], expected,
+                                   rtol=1e-12, atol=0.0)
 
     def test_object_noise_rmse_at_least_translation_noise(self, scene):
         spec = NoiseSpec(handeye_target_rmse={}, seed=4)
@@ -135,7 +163,7 @@ class TestSimulateAnnotationError:
         scene, mesh = single_object_scene()
         monkeypatch.setattr("robocal.simulate.resolve_mesh",
                             lambda ref, base_dir=None: mesh)
-        monkeypatch.setattr("robocal.simulate.sample_surface", origin_sample)
+        monkeypatch.setattr("robocal.simulate.surface_moment", origin_moment)
         r1 = simulate_annotation_error(
             scene, NoiseSpec(obj_rotation_deg=0.0, handeye_target_rmse={}, seed=5))
         r2 = simulate_annotation_error(
@@ -169,7 +197,7 @@ class TestSimulateAnnotationError:
 
     def test_multiple_draws_reported(self, scene):
         spec = NoiseSpec(seed=13)
-        report = simulate_annotation_error(scene, spec, draws=3, mesh_samples=200)
+        report = simulate_annotation_error(scene, spec, draws=3)
         for cam in report.camera_names:
             assert len(report.per_camera_rmse_draws[cam]) == 3
             assert report.per_camera_rmse_mean[cam] == pytest.approx(
