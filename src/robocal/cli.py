@@ -71,9 +71,8 @@ def _cmd_pivot_calib(args) -> int:
     print(f"poses:           {result.n_poses}")
     print(f"tip offset:      ({tip[0]:.4f}, {tip[1]:.4f}, {tip[2]:.4f}) mm")
     print(f"pivot point:     ({pivot[0]:.4f}, {pivot[1]:.4f}, {pivot[2]:.4f}) mm")
-    print(f"residual rms:    {result.residual_rms:.4f} mm")
-    print(f"tip variance:    {result.residual_rms:.4f} mm "
-          f"(physical reference setup: {REFERENCE_TIP_VARIANCE_MM} mm)")
+    print(f"residual rms:    {result.residual_rms:.4f} mm "
+          f"(physical reference tip variance: {REFERENCE_TIP_VARIANCE_MM} mm)")
     if args.out:
         manifest = fileio.RunManifest.create(
             "pivot-calib",
@@ -81,10 +80,9 @@ def _cmd_pivot_calib(args) -> int:
              "min_diversity_deg": args.min_diversity_deg},
             [args.poses_file])
         header = ("tip_x_mm,tip_y_mm,tip_z_mm,pivot_x_mm,pivot_y_mm,pivot_z_mm,"
-                  "residual_rms_mm,tip_variance_mm,n_poses")
+                  "residual_rms_mm,n_poses")
         row = ",".join([repr(float(v)) for v in (*tip, *pivot)]
-                       + [repr(result.residual_rms), repr(result.residual_rms),
-                          str(result.n_poses)])
+                       + [repr(result.residual_rms), str(result.n_poses)])
         _write_report(args.out, manifest, header, [row])
         print(f"report written to {args.out}")
     return 0

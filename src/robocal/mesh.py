@@ -386,11 +386,17 @@ PROCEDURAL_KINDS = {
 }
 
 
+def _procedural_factory(kind: str):
+    try:
+        return PROCEDURAL_KINDS[kind]
+    except KeyError:
+        raise ValidationError(f"unknown procedural mesh kind {kind!r}; "
+                              f"known: {sorted(PROCEDURAL_KINDS)}") from None
+
+
 def procedural_ref(kind: str, **params) -> str:
     """Build a 'proc:kind?a=1&b=2' mesh reference string."""
-    if kind not in PROCEDURAL_KINDS:
-        raise ValidationError(f"unknown procedural mesh kind {kind!r}; "
-                              f"known: {sorted(PROCEDURAL_KINDS)}")
+    _procedural_factory(kind)
     if not params:
         return f"proc:{kind}"
     query = urlencode({k: repr(float(v)) for k, v in sorted(params.items())})
@@ -402,14 +408,12 @@ def resolve_mesh(ref: str, base_dir=None) -> Mesh:
     if ref.startswith("proc:"):
         spec = ref[len("proc:"):]
         kind, _, query = spec.partition("?")
-        if kind not in PROCEDURAL_KINDS:
-            raise ValidationError(f"unknown procedural mesh kind {kind!r}; "
-                                  f"known: {sorted(PROCEDURAL_KINDS)}")
+        factory = _procedural_factory(kind)
         try:
             params = {k: float(v) for k, v in parse_qsl(query)} if query else {}
         except ValueError:
             raise ValidationError(f"bad parameters in mesh reference {ref!r}")
-        return PROCEDURAL_KINDS[kind](**params)
+        return factory(**params)
     path = ref
     if base_dir is not None:
         import os

@@ -2,8 +2,10 @@
 
 The IoU of two oriented boxes is computed exactly: each box's faces are
 clipped against the other box's half-spaces and the intersection volume is
-the convex hull volume of the surviving vertices. Monte-Carlo estimation
-exists only as a test oracle.
+the convex hull volume of the surviving vertices. A pair whose bounding
+spheres are disjoint (centre distance at least the sum of the half-extent
+norms) shares at most one point, so it gets volume 0 before any clipping.
+Monte-Carlo estimation exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -119,6 +121,15 @@ def _clipped_face_points(subject: OrientedBox, clipper: OrientedBox) -> list[np.
 
 def intersection_volume(a: OrientedBox, b: OrientedBox) -> float:
     """Exact intersection volume of two oriented boxes, mm^3."""
+    # every corner lies |half_extents| from its centre: disjoint bounding
+    # spheres leave at most one common point
+    reach = np.linalg.norm(a.half_extents) + np.linalg.norm(b.half_extents)
+    if np.linalg.norm(a.center - b.center) >= reach:
+        return 0.0
+    return _clip_hull_volume(a, b)
+
+
+def _clip_hull_volume(a: OrientedBox, b: OrientedBox) -> float:
     pieces = _clipped_face_points(a, b) + _clipped_face_points(b, a)
     if not pieces:
         return 0.0

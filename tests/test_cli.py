@@ -3,6 +3,9 @@ import pytest
 
 from robocal import cli, fileio
 from robocal.geometry import Pose, make_rng, random_rotation
+from robocal.metrics import (Detection, GroundTruthBox, OrientedBox,
+                             average_precision)
+from robocal.pivot import synthesize_pivot_poses
 from robocal.registration import Correspondences
 
 
@@ -68,3 +71,55 @@ def test_simulate_has_no_mesh_samples_flag(tmp_path, capsys):
     assert cli.main(argv) == 1
     assert "--mesh-samples" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _report_lines(path):
+    """A report's lines below its embedded manifest line."""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# manifest: ")
+    return lines[1:]
+
+
+def test_eval_iou_report(tmp_path, capsys):
+    rng = make_rng(3)
+    gts, preds = [], []
+    for k, cat in enumerate(("bottle", "cup", "teapot")):
+        for _ in range(3):
+            box = OrientedBox(rng.uniform(-200.0, 200.0, 3), rng.uniform(5.0, 30.0, 3),
+                              random_rotation(rng))
+            gts.append(GroundTruthBox(cat, box))
+            moved = OrientedBox(box.center + rng.normal(0.0, 2.0 * k, 3),
+                                box.half_extents, box.rotation)
+            preds.append(Detection(cat, moved, rng.uniform(0.0, 1.0)))
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    fileio.save_ground_truth_csv(gt_path, gts)
+    fileio.save_predictions_csv(pred_path, preds)
+    out = tmp_path / "ap.csv"
+    argv = ["eval-iou", str(gt_path), str(pred_path), "--threshold", "0.5",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert f"report written to {out}" in capsys.readouterr().out
+    expected = average_precision(fileio.load_detection_set(gt_path, pred_path), 0.5)
+    lines = _report_lines(out)
+    assert lines[:3] == [f"# mean_ap={expected.mean_ap!r}", "# iou_threshold=0.5",
+                         "category,ap"]
+    assert [row.split(",")[0] for row in lines[3:]] == ["bottle", "cup", "teapot"]
+
+
+def test_pivot_calib_report_header(tmp_path, capsys):
+    poses = synthesize_pivot_poses(np.array([17.0, -2.0, 55.0]),
+                                   np.array([400.0, 80.0, 120.0]), 20, make_rng(4),
+                                   translation_noise_mm=0.05)
+    fileio.save_pose_list(tmp_path / "poses.txt", poses)
+    out = tmp_path / "pivot.csv"
+    assert cli.main(["pivot-calib", str(tmp_path / "poses.txt"),
+                     "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    rms_lines = [line for line in stdout.splitlines() if "rms" in line]
+    assert len(rms_lines) == 1
+    assert rms_lines[0].startswith("residual rms:")
+    assert rms_lines[0].endswith(" mm (physical reference tip variance: 0.057 mm)")
+    header, row = _report_lines(out)
+    assert header == ("tip_x_mm,tip_y_mm,tip_z_mm,pivot_x_mm,pivot_y_mm,pivot_z_mm,"
+                      "residual_rms_mm,n_poses")
+    assert len(row.split(",")) == 8 and row.endswith(",20")

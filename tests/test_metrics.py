@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from robocal import metrics
 from robocal.errors import ValidationError
 from robocal.geometry import (Pose, apply, axis_angle, make_rng, random_rotation,
                               random_unit_vector)
 from robocal.metrics import (APResult, Detection, DetectionSet, GroundTruthBox,
-                             OrientedBox, annotation_quality_table,
-                             average_precision, intersection_volume, iou3d,
-                             pointwise_rmse)
+                             OrientedBox, _clip_hull_volume,
+                             annotation_quality_table, average_precision,
+                             intersection_volume, iou3d, pointwise_rmse)
 
 
 def mc_iou(a, b, n, rng):
@@ -77,6 +78,35 @@ class TestIou3d:
             OrientedBox([0.0, 0, 0], [1.0, 0.0, 1.0], np.eye(3))
 
 
+class TestSphereRejection:
+    def test_matches_clip_hull_around_the_sphere_bound(self):
+        # centre distances spread over 0.9-1.1 x the sum of the half-extent
+        # norms, so pairs fall on both sides of the rejection rule
+        rng = make_rng(16)
+        overlapping = 0
+        for _ in range(200):
+            a = random_box(rng)
+            half = rng.uniform(2.0, 20.0, 3)
+            reach = np.linalg.norm(a.half_extents) + np.linalg.norm(half)
+            offset = random_unit_vector(rng) * reach * rng.uniform(0.9, 1.1)
+            b = OrientedBox(a.center + offset, half, random_rotation(rng))
+            expected = _clip_hull_volume(a, b)
+            assert intersection_volume(a, b) == expected
+            overlapping += expected > 0.0
+        assert overlapping > 0
+
+    def test_disjoint_spheres_skip_hull(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("clip + hull ran on a sphere-disjoint pair")
+
+        monkeypatch.setattr(metrics, "ConvexHull", fail)
+        monkeypatch.setattr(metrics, "_clip_polygon", fail)
+        # 1.5 mm apart; the bounding spheres miss by 0.04 mm
+        a = OrientedBox([0.0, 0, 0], [1.0, 1, 1], np.eye(3))
+        b = OrientedBox([3.5, 0, 0], [1.0, 1, 1], np.eye(3))
+        assert iou3d(a, b) == 0.0
+
+
 def _perfect_prediction(gt, score):
     return Detection(gt.category, gt.box, score)
 
@@ -144,6 +174,33 @@ class TestAveragePrecision:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValidationError):
             average_precision(DetectionSet([], []), 1.5)
+
+    @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
+    def test_sphere_rejection_leaves_ap_unchanged(self, threshold, monkeypatch):
+        # pooled categories: jittered true positives (IoU 0.5-0.8 with their
+        # own box) and false positives scattered over the whole scene
+        rng = make_rng(17)
+        gts, preds = [], []
+        for cat in ("bottle", "cup", "teapot"):
+            for _ in range(8):
+                box = random_box(rng, center_spread=300.0)
+                gts.append(GroundTruthBox(cat, box))
+                jittered = OrientedBox(
+                    box.center + rng.normal(0.0, 1.0, 3),
+                    box.half_extents * rng.uniform(0.9, 1.1, 3),
+                    axis_angle(random_unit_vector(rng), rng.uniform(0.0, 10.0))
+                    @ box.rotation)
+                preds.append(Detection(cat, jittered, rng.uniform(0.3, 1.0)))
+            for _ in range(8):
+                preds.append(Detection(cat, random_box(rng, center_spread=300.0),
+                                       rng.uniform(0.0, 1.0)))
+        detections = DetectionSet(preds, gts)
+        result = average_precision(detections, threshold)
+        monkeypatch.setattr(metrics, "intersection_volume", _clip_hull_volume)
+        reference = average_precision(detections, threshold)
+        assert result.per_category == reference.per_category
+        assert result.mean_ap == reference.mean_ap
+        assert any(0.0 < ap < 1.0 for ap in result.per_category.values())
 
 
 class TestPointwiseRmse:
