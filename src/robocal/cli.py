@@ -244,6 +244,8 @@ def _cmd_eval_iou(args) -> int:
             "eval-iou", {"gt_file": args.gt_file, "pred_file": args.pred_file,
                          "threshold": args.threshold},
             [args.gt_file, args.pred_file])
+        manifest.counts.update(pairs_compared=result.pairs_compared,
+                               pairs_clipped=result.pairs_clipped)
         rows = [f"{cat},{repr(float(ap))}"
                 for cat, ap in result.per_category.items()]
         _write_report(args.out, manifest, "category,ap", rows,

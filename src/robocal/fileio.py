@@ -66,6 +66,7 @@ class RunManifest:
     version: str = __version__
     input_digests: dict = field(default_factory=dict)
     timestamp: str = ""
+    counts: dict = field(default_factory=dict)  # run statistics, sidecar only
 
     @classmethod
     def create(cls, command: str, parameters: dict, input_paths=()) -> "RunManifest":
@@ -78,8 +79,9 @@ class RunManifest:
                    timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
 
     def deterministic_dict(self) -> dict:
-        # everything except the wall-clock timestamp; this is what gets
-        # embedded in report files so reruns stay byte-identical
+        # everything except the wall-clock timestamp and the run counts;
+        # this is what gets embedded in report files so reruns stay
+        # byte-identical
         return {"command": self.command, "parameters": self.parameters,
                 "version": self.version, "inputs": self.input_digests}
 
@@ -88,6 +90,8 @@ class RunManifest:
 
     def write_sidecar(self, report_path) -> str:
         full = dict(self.deterministic_dict(), timestamp=self.timestamp)
+        if self.counts:
+            full["counts"] = self.counts
         sidecar = str(report_path) + ".manifest.json"
         atomic_write_text(sidecar, json.dumps(full, sort_keys=True, indent=2) + "\n")
         return sidecar

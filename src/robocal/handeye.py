@@ -122,25 +122,26 @@ def solve_handeye(views, marker_base: Pose, board: MarkerBoard) -> HandEyeResult
 
     outliers = tuple(i for i, e in enumerate(estimates)
                      if rotation_distance(e.rotation, rotation) > ROTATION_OUTLIER_DEG)
-    per_view = per_view_rmse(views, cam_to_ee, board)
-    overall = evaluate_handeye(views, cam_to_ee, board)
-    return HandEyeResult(cam_to_ee=cam_to_ee, per_view_rmse=per_view,
-                         overall_rmse=overall, rotation_outliers=outliers,
-                         per_view_estimates=estimates)
+    d2 = _view_sq_distances(views, cam_to_ee, board)
+    return HandEyeResult(cam_to_ee=cam_to_ee, per_view_rmse=np.sqrt(d2.mean(axis=1)),
+                         overall_rmse=float(np.sqrt(d2.ravel().mean())),
+                         rotation_outliers=outliers, per_view_estimates=estimates)
 
 
-def _transformed_board(view: HandEyeView, cam_to_ee: Pose, board: MarkerBoard):
-    chain = compose(view.ee_pose, cam_to_ee, view.marker_in_cam)
-    return apply(chain, board.board_points)
+def _view_sq_distances(views, cam_to_ee: Pose, board: MarkerBoard) -> np.ndarray:
+    """(views, points) squared distances between the board points carried to
+    the base by each view's chain and the tip-measured points, mm^2."""
+    d2 = []
+    for view in views:
+        chain = compose(view.ee_pose, cam_to_ee, view.marker_in_cam)
+        diff = apply(chain, board.board_points) - board.measured_points
+        d2.append(np.sum(diff ** 2, axis=1))
+    return np.array(d2).reshape(-1, len(board.board_points))
 
 
 def per_view_rmse(views, cam_to_ee: Pose, board: MarkerBoard) -> np.ndarray:
-    out = []
-    for view in views:
-        d2 = np.sum((_transformed_board(view, cam_to_ee, board)
-                     - board.measured_points) ** 2, axis=1)
-        out.append(np.sqrt(d2.mean()))
-    return np.array(out)
+    """Point RMSE of each view's chain against the tip-measured board, in mm."""
+    return np.sqrt(_view_sq_distances(views, cam_to_ee, board).mean(axis=1))
 
 
 def evaluate_handeye(views, cam_to_ee: Pose, board: MarkerBoard) -> float:
@@ -153,11 +154,7 @@ def evaluate_handeye(views, cam_to_ee: Pose, board: MarkerBoard) -> float:
     views = list(views)
     if not views:
         raise ValidationError("evaluation needs >= 1 view")
-    d2 = []
-    for view in views:
-        diff = _transformed_board(view, cam_to_ee, board) - board.measured_points
-        d2.append(np.sum(diff ** 2, axis=1))
-    return float(np.sqrt(np.concatenate(d2).mean()))
+    return float(np.sqrt(_view_sq_distances(views, cam_to_ee, board).ravel().mean()))
 
 
 def synthesize_views(cam_to_ee: Pose, marker_base: Pose, ee_poses) -> list[HandEyeView]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from urllib.parse import parse_qsl, urlencode
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import FileFormatError, ValidationError
 from .textio import read_lines
@@ -186,13 +185,36 @@ def _recenter(vertices: np.ndarray) -> np.ndarray:
     return vertices - (lo + hi) / 2.0
 
 
-def _hull_mesh(points: np.ndarray, name: str) -> Mesh:
-    hull = ConvexHull(points)
-    return Mesh(_recenter(points), hull.simplices.astype(np.int64), name=name)
+# Chamfered-box vertex 3 * k + a is box corner k = 4 ix + 2 iy + iz (i = 0 on
+# the minus side of its axis) moved inwards along axis a. The surface is one
+# triangle per corner plus one octagon per box face, fanned from its first
+# vertex; all are wound counter-clockwise seen from outside.
+_BOX_CORNER_TRIANGLES = (
+    (0, 2, 1), (3, 4, 5), (6, 7, 8), (9, 11, 10),
+    (12, 13, 14), (15, 17, 16), (18, 20, 19), (21, 22, 23),
+)
+_BOX_OCTAGONS = (
+    (5, 4, 10, 11, 8, 7, 1, 2),  # -x
+    (14, 13, 19, 20, 23, 22, 16, 17),  # +x
+    (2, 0, 12, 14, 17, 15, 3, 5),  # -y
+    (11, 9, 21, 23, 20, 18, 6, 8),  # +y
+    (7, 6, 18, 19, 13, 12, 0, 1),  # -z
+    (4, 3, 15, 16, 22, 21, 9, 10),  # +z
+)
+_BOX_TRIANGLES = _BOX_CORNER_TRIANGLES + tuple(
+    (face[0], face[i], face[i + 1]) for face in _BOX_OCTAGONS for i in range(1, 7))
 
 
 def chamfered_box(width=60.0, depth=40.0, height=30.0, chamfer=4.0) -> Mesh:
-    """Box with chamfered corners (convex hull of inset corner triples)."""
+    """Box with chamfered corners: 8 corner triangles and 6 octagonal faces.
+
+    The chamfer is capped at 0.4 of the smallest side; chamfer 0 gives a plain
+    box (its zero-area triangles are dropped).
+    """
+    if min(width, depth, height) <= 0 or chamfer < 0:
+        raise ValidationError(
+            f"box needs positive sides and a non-negative chamfer, got "
+            f"{width:g} x {depth:g} x {height:g}, chamfer {chamfer:g}")
     c = min(chamfer, 0.4 * min(width, depth, height))
     pts = []
     for sx in (-1, 1):
@@ -203,7 +225,9 @@ def chamfered_box(width=60.0, depth=40.0, height=30.0, chamfer=4.0) -> Mesh:
                     p = corner.copy()
                     p[axis] -= np.sign(p[axis]) * c
                     pts.append(p)
-    return _hull_mesh(np.array(pts), f"box{width:g}x{depth:g}x{height:g}")
+    mesh = Mesh(_recenter(np.array(pts)), np.array(_BOX_TRIANGLES, dtype=np.int64),
+                name=f"box{width:g}x{depth:g}x{height:g}")
+    return drop_degenerate_triangles(mesh)[0]
 
 
 def _revolve(profile_r, profile_z, segments, name, cap_bottom=True, cap_top=True):

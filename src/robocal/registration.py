@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, ValidationError
 from .geometry import (Pose, apply, axis_angle, invert, random_unit_vector,
@@ -108,6 +107,9 @@ class SpatialIndex:
     """
 
     def __init__(self, points):
+        # scipy loads here, not at import: commands that build no index skip it
+        from scipy.spatial import cKDTree
+
         self.points = np.asarray(points, dtype=float).reshape(-1, 3)
         if len(self.points) == 0:
             raise ValidationError("cannot index an empty point set")

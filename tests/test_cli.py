@@ -1,12 +1,20 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import robocal
 from robocal import cli, fileio
-from robocal.geometry import Pose, make_rng, random_rotation
+from robocal.geometry import Pose, apply, make_rng, random_rotation
+from robocal.handeye import MarkerBoard, default_board_points, synthesize_views
 from robocal.metrics import (Detection, GroundTruthBox, OrientedBox,
                              average_precision)
 from robocal.pivot import synthesize_pivot_poses
 from robocal.registration import Correspondences
+from robocal.simulate import Camera, SceneConfig, SceneObject, Trajectory
 
 
 def _annotate_inputs(tmp_path):
@@ -123,3 +131,89 @@ def test_pivot_calib_report_header(tmp_path, capsys):
     assert header == ("tip_x_mm,tip_y_mm,tip_z_mm,pivot_x_mm,pivot_y_mm,pivot_z_mm,"
                       "residual_rms_mm,n_poses")
     assert len(row.split(",")) == 8 and row.endswith(",20")
+
+
+def test_eval_iou_sidecar_counts_pairs(tmp_path, capsys):
+    rng = make_rng(5)
+    gts, preds = [], []
+    for _ in range(6):
+        box = OrientedBox(rng.uniform(-300.0, 300.0, 3), rng.uniform(5.0, 30.0, 3),
+                          random_rotation(rng))
+        gts.append(GroundTruthBox("cup", box))
+        preds.append(Detection("cup", OrientedBox(box.center + rng.normal(0.0, 2.0, 3),
+                                                  box.half_extents, box.rotation),
+                               rng.uniform(0.0, 1.0)))
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    fileio.save_ground_truth_csv(gt_path, gts)
+    fileio.save_predictions_csv(pred_path, preds)
+    argv = ["eval-iou", str(gt_path), str(pred_path), "--threshold", "0.5"]
+    assert cli.main(argv) == 0
+    plain_stdout = capsys.readouterr().out
+    out = tmp_path / "ap.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == plain_stdout + f"report written to {out}\n"
+
+    expected = average_precision(fileio.load_detection_set(gt_path, pred_path), 0.5)
+    assert 0 < expected.pairs_clipped < expected.pairs_compared
+    sidecar = json.loads((tmp_path / "ap.csv.manifest.json").read_text())
+    assert sidecar["counts"] == {"pairs_compared": expected.pairs_compared,
+                                 "pairs_clipped": expected.pairs_clipped}
+    embedded = json.loads(out.read_text().splitlines()[0][len("# manifest: "):])
+    assert embedded == {k: v for k, v in sidecar.items()
+                        if k not in ("counts", "timestamp")}
+
+
+# Runs in a fresh interpreter: other tests load scipy into this one.
+SCIPY_GUARD = """
+import json, sys
+import robocal.cli as cli
+assert "scipy" not in sys.modules, "import robocal.cli loaded scipy"
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{argv[0]} loaded {loaded[:3]}"
+"""
+
+
+def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
+    rng = make_rng(6)
+    poses = synthesize_pivot_poses(np.array([17.0, -2.0, 55.0]),
+                                   np.array([400.0, 80.0, 120.0]), 20, rng,
+                                   translation_noise_mm=0.05)
+    fileio.save_pose_list(tmp_path / "poses.txt", poses)
+
+    marker_base = Pose(random_rotation(rng), [450.0, 20.0, 0.0])
+    board_points = default_board_points()
+    fileio.save_marker_board(tmp_path / "board.txt", MarkerBoard(
+        board_points, apply(marker_base, board_points)))
+    ee_poses = [Pose(random_rotation(rng), rng.uniform(100.0, 500.0, 3))
+                for _ in range(6)]
+    fileio.save_views(tmp_path / "views.txt", synthesize_views(
+        Pose(random_rotation(rng), [55.0, 40.0, 38.0]), marker_base, ee_poses))
+
+    boxes = [OrientedBox(rng.uniform(-50.0, 50.0, 3), rng.uniform(5.0, 30.0, 3),
+                         random_rotation(rng)) for _ in range(4)]
+    fileio.save_ground_truth_csv(tmp_path / "gt.csv",
+                                 [GroundTruthBox("box", b) for b in boxes])
+    fileio.save_predictions_csv(tmp_path / "pred.csv",
+                                [Detection("box", b, 0.5) for b in boxes[::-1]])
+
+    stops = tuple(Pose(random_rotation(rng), [450.0, 0.0, 400.0] + rng.uniform(-200, 200, 3))
+                  for _ in range(4))
+    fileio.save_scene(tmp_path / "scene.txt", SceneConfig(
+        (SceneObject("box0", "proc:box?chamfer=3.0", Pose(random_rotation(rng),
+                                                           [450.0, 0.0, 40.0])),),
+        (Camera("rgbd", Pose(random_rotation(rng), [50.0, 30.0, 20.0])),),
+        (Trajectory("orbit", stops),)))
+
+    argvs = [["pivot-calib", "poses.txt", "--out", "pivot.csv"],
+             ["handeye", "board.txt", "views.txt", "--out", "handeye.csv"],
+             ["eval-iou", "gt.csv", "pred.csv", "--threshold", "0.5", "--out", "ap.csv"],
+             ["simulate", "scene.txt", "--seed", "1", "--out-dir", "sim"]]
+    src = os.path.dirname(os.path.dirname(robocal.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    run = subprocess.run([sys.executable, "-c", SCIPY_GUARD, json.dumps(argvs)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "sim" / "sim_report.csv").exists()

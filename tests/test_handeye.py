@@ -154,3 +154,25 @@ class TestEvaluateHandEye:
         overall = evaluate_handeye(views, shifted, board)
         assert overall == pytest.approx(float(np.sqrt(np.mean(per_view ** 2))),
                                         rel=1e-12)
+
+    def test_solve_reports_the_per_view_formula(self):
+        # noisy detections; solve_handeye's numbers equal the evaluators' and,
+        # bit for bit, a per-view loop over the full chains
+        cam_to_ee, marker_base, board, views = make_chain(make_rng(12))
+        rng = make_rng(13)
+        views = [HandEyeView(v.ee_pose,
+                             Pose(axis_angle(random_unit_vector(rng), 0.2)
+                                  @ v.marker_in_cam.rotation,
+                                  v.marker_in_cam.translation + rng.normal(0.0, 0.3, 3)))
+                 for v in views]
+        result = solve_handeye(views, marker_base, board)
+        from robocal.geometry import compose
+        d2 = [np.sum((apply(compose(v.ee_pose, result.cam_to_ee, v.marker_in_cam),
+                            board.board_points) - board.measured_points) ** 2, axis=1)
+              for v in views]
+        np.testing.assert_array_equal(result.per_view_rmse,
+                                      np.array([np.sqrt(d.mean()) for d in d2]))
+        assert result.overall_rmse == float(np.sqrt(np.concatenate(d2).mean()))
+        np.testing.assert_array_equal(per_view_rmse(views, result.cam_to_ee, board),
+                                      result.per_view_rmse)
+        assert evaluate_handeye(views, result.cam_to_ee, board) == result.overall_rmse

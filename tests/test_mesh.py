@@ -1,5 +1,9 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from robocal.errors import FileFormatError, ValidationError
 from robocal.geometry import make_rng
@@ -186,3 +190,59 @@ class TestProceduralShapes:
     def test_mesh_index_validation(self):
         with pytest.raises(ValidationError):
             Mesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
+
+
+def signed_volume(mesh: Mesh) -> float:
+    a, b, c = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum()) / 6.0
+
+
+BOX_SIZES = [(60.0, 40.0, 30.0, 4.0), (50.0, 30.0, 20.0, 2.0), (45.0, 33.0, 58.0, 4.7)]
+
+
+class TestChamferedBox:
+    @pytest.mark.parametrize("size", BOX_SIZES)
+    def test_closed_and_consistently_wound(self, size):
+        mesh = chamfered_box(*size)
+        assert len(mesh.triangles) == 44
+        edges = Counter((int(t[i]), int(t[(i + 1) % 3]))
+                        for t in mesh.triangles for i in range(3))
+        assert set(edges.values()) == {1}
+        assert all(edges[(j, i)] == 1 for i, j in edges)
+
+    @pytest.mark.parametrize("size", BOX_SIZES)
+    def test_signed_volume_is_outward(self, size):
+        width, depth, height, chamfer = size
+        expected = width * depth * height - 8.0 * chamfer ** 3 / 6.0
+        assert signed_volume(chamfered_box(*size)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("size", BOX_SIZES)
+    def test_surface_moment_matches_hull_triangulation(self, size):
+        mesh = chamfered_box(*size)
+        hull = Mesh(mesh.vertices, ConvexHull(mesh.vertices).simplices)
+        expected = surface_moment(hull)
+        # the off-diagonal entries are 0 up to rounding: compare on the scale
+        # of the largest entry
+        np.testing.assert_allclose(surface_moment(mesh), expected, rtol=0.0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    def test_vertices_are_inset_corner_triples(self):
+        width, depth, height, chamfer = BOX_SIZES[0]
+        expected = []
+        for signs in itertools.product((-1.0, 1.0), repeat=3):
+            corner = np.array(signs) * [width / 2, depth / 2, height / 2]
+            for axis in range(3):
+                vertex = corner.copy()
+                vertex[axis] -= signs[axis] * chamfer
+                expected.append(vertex)
+        np.testing.assert_array_equal(chamfered_box().vertices, np.array(expected))
+
+    def test_zero_chamfer_is_a_plain_box(self):
+        mesh = chamfered_box(60.0, 40.0, 30.0, 0.0)
+        assert len(mesh.triangles) == 12
+        assert signed_volume(mesh) == pytest.approx(60.0 * 40.0 * 30.0, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [(60.0, 0.0, 30.0, 4.0), (60.0, 40.0, 30.0, -1.0)])
+    def test_bad_sizes_rejected(self, size):
+        with pytest.raises(ValidationError, match="box needs"):
+            chamfered_box(*size)

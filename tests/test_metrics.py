@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from robocal import metrics
 from robocal.errors import ValidationError
 from robocal.geometry import (Pose, apply, axis_angle, make_rng, random_rotation,
                               random_unit_vector)
 from robocal.metrics import (APResult, Detection, DetectionSet, GroundTruthBox,
-                             OrientedBox, _clip_hull_volume,
+                             OrientedBox, _clip_volume,
                              annotation_quality_table, average_precision,
                              intersection_volume, iou3d, pointwise_rmse)
 
@@ -90,21 +92,98 @@ class TestSphereRejection:
             reach = np.linalg.norm(a.half_extents) + np.linalg.norm(half)
             offset = random_unit_vector(rng) * reach * rng.uniform(0.9, 1.1)
             b = OrientedBox(a.center + offset, half, random_rotation(rng))
-            expected = _clip_hull_volume(a, b)
+            expected = _clip_volume(a, b)
             assert intersection_volume(a, b) == expected
             overlapping += expected > 0.0
         assert overlapping > 0
 
     def test_disjoint_spheres_skip_hull(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("clip + hull ran on a sphere-disjoint pair")
+            raise AssertionError("the exact clip ran on a sphere-disjoint pair")
 
-        monkeypatch.setattr(metrics, "ConvexHull", fail)
         monkeypatch.setattr(metrics, "_clip_polygon", fail)
         # 1.5 mm apart; the bounding spheres miss by 0.04 mm
         a = OrientedBox([0.0, 0, 0], [1.0, 1, 1], np.eye(3))
         b = OrientedBox([3.5, 0, 0], [1.0, 1, 1], np.eye(3))
         assert iou3d(a, b) == 0.0
+
+
+def placed_box(lo, hi, rotation=np.eye(3), origin=(0.0, 0.0, 0.0)):
+    """The box [lo, hi] of a frame with this rotation and origin."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    center = np.asarray(origin) + rotation @ ((lo + hi) / 2.0)
+    return OrientedBox(center, (hi - lo) / 2.0, rotation)
+
+
+def halfspace_volume(a, b):
+    """Intersection volume by scipy's half-space intersection and hull."""
+    rows, limits = [], []
+    for box in (a, b):
+        # |R^T (x - c)| <= h, one row per face
+        local_center = box.rotation.T @ box.center
+        rows += [box.rotation.T, -box.rotation.T]
+        limits += [box.half_extents + local_center, box.half_extents - local_center]
+    A, limit = np.vstack(rows), np.concatenate(limits)
+    # Chebyshev centre: the point deepest inside all 12 unit-normal half-spaces
+    lp = linprog(np.r_[0.0, 0.0, 0.0, -1.0], A_ub=np.c_[A, np.ones(12)], b_ub=limit,
+                 bounds=[(None, None)] * 3 + [(None, None)])
+    depth = -lp.fun
+    if depth <= 1e-6:
+        return 0.0
+    hs = HalfspaceIntersection(np.c_[A, -limit], lp.x[:3])
+    return ConvexHull(hs.intersections).volume
+
+
+FRAMES = {"axis-aligned": (np.eye(3), (0.0, 0.0, 0.0)),
+          "rotated, far": (random_rotation(make_rng(18)), (4120.0, -2375.0, 960.0))}
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+class TestCoplanarFaces:
+    def boxes(self, frame, lo, hi):
+        rotation, origin = FRAMES[frame]
+        return (placed_box([0.0, 0, 0], [10.0, 10, 10], rotation, origin),
+                placed_box(lo, hi, rotation, origin))
+
+    def test_identical_boxes(self, frame):
+        a, b = self.boxes(frame, [0.0, 0, 0], [10.0, 10, 10])
+        assert iou3d(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert intersection_volume(a, b) == pytest.approx(1000.0, rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi, expected", [
+        ([0.0, 0, 3], [10.0, 10, 10], 700.0),  # five shared face planes
+        ([5.0, 5, 0], [15.0, 15, 10], 250.0),  # two shared, overlapping faces
+        ([2.0, 2, 0], [6.0, 6, 6], 96.0),  # nested, one shared face
+    ])
+    def test_shared_face_planes_count_once(self, frame, lo, hi, expected):
+        a, b = self.boxes(frame, lo, hi)
+        assert intersection_volume(a, b) == pytest.approx(expected, rel=1e-12)
+        assert intersection_volume(b, a) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([10.0, 0, 0], [20.0, 10, 10]),  # whole face
+        ([10.0, 3, -2], [20.0, 13, 5]),  # part of a face
+        ([10.0, 10, 0], [20.0, 20, 10]),  # edge
+        ([10.0, 10, 10], [20.0, 20, 20]),  # corner
+    ])
+    def test_touching_boxes_have_no_volume(self, frame, lo, hi):
+        a, b = self.boxes(frame, lo, hi)
+        smaller = min(a.volume(), b.volume())
+        assert intersection_volume(a, b) <= 1e-9 * smaller
+        assert intersection_volume(b, a) <= 1e-9 * smaller
+
+
+def test_clip_volume_matches_halfspace_intersection():
+    rng = make_rng(19)
+    overlapping = 0
+    for _ in range(500):
+        a = random_box(rng)
+        b = OrientedBox(a.center + rng.uniform(-15, 15, 3), rng.uniform(2.0, 20.0, 3),
+                        random_rotation(rng))
+        expected = halfspace_volume(a, b)
+        assert _clip_volume(a, b) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        overlapping += expected > 0.0
+    assert overlapping > 300
 
 
 def _perfect_prediction(gt, score):
@@ -171,6 +250,18 @@ class TestAveragePrecision:
         result = average_precision(DetectionSet(preds, [gt]), 0.5)
         assert result.per_category["can"] == pytest.approx(1.0)  # recall hit at rank 1
 
+    def test_pairs_compared_and_clipped(self):
+        # rank 1 (g1 itself) meets g1 (clipped) and the far g2 (rejected by
+        # the sphere test); rank 2 meets only g2, since g1 is matched
+        rng = make_rng(20)
+        g1 = GroundTruthBox("cup", random_box(rng))
+        g2 = GroundTruthBox("cup", OrientedBox(g1.box.center + 500.0,
+                                               [5.0, 5.0, 5.0], np.eye(3)))
+        far = OrientedBox(g1.box.center + 1000.0, [5.0, 5.0, 5.0], np.eye(3))
+        preds = [_perfect_prediction(g1, 0.9), Detection("cup", far, 0.1)]
+        result = average_precision(DetectionSet(preds, [g1, g2]), 0.5)
+        assert (result.pairs_compared, result.pairs_clipped) == (3, 1)
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValidationError):
             average_precision(DetectionSet([], []), 1.5)
@@ -196,7 +287,8 @@ class TestAveragePrecision:
                                        rng.uniform(0.0, 1.0)))
         detections = DetectionSet(preds, gts)
         result = average_precision(detections, threshold)
-        monkeypatch.setattr(metrics, "intersection_volume", _clip_hull_volume)
+        monkeypatch.setattr(metrics, "_intersection",
+                            lambda a, b: (_clip_volume(a, b), True))
         reference = average_precision(detections, threshold)
         assert result.per_category == reference.per_category
         assert result.mean_ap == reference.mean_ap
