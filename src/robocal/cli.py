@@ -16,7 +16,7 @@ from . import __version__
 from .errors import RobocalError, ValidationError
 from .geometry import make_rng, matrix_to_quat
 from .handeye import marker_from_base, solve_handeye
-from .mesh import load_obj, sample_surface
+from .mesh import load_obj
 from .metrics import average_precision
 from .pivot import (REFERENCE_TIP_VARIANCE_MM, solve_pivot,
                     DEFAULT_MIN_DIVERSITY_DEG)
@@ -123,8 +123,7 @@ def _parse_icp_params(text: str) -> IcpParams:
             raise ValidationError(f"bad --icp-params entry {item!r}; use key=value")
         key = key.strip()
         fields = {"max_iterations": int, "tol_translation_mm": float,
-                  "tol_rotation_deg": float, "max_correspondence_mm": float,
-                  "surface_samples": int}
+                  "tol_rotation_deg": float, "max_correspondence_mm": float}
         if key not in fields:
             raise ValidationError(f"unknown --icp-params key {key!r}; "
                                   f"known: {sorted(fields)}")
@@ -136,11 +135,10 @@ def _parse_icp_params(text: str) -> IcpParams:
 
 
 def _cmd_annotate(args) -> int:
+    params = _parse_icp_params(args.icp_params)
     points = fileio.load_point_list(args.points_file)
     mesh = load_obj(args.mesh_file)
     corr = fileio.load_correspondences(args.correspondences_file)
-    params = _parse_icp_params(args.icp_params)
-    seed = args.seed if args.seed is not None else 0
 
     start, fit_rms = initial_pose(corr)
     print(f"mesh: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles")
@@ -149,8 +147,7 @@ def _cmd_annotate(args) -> int:
     if fit_rms > INITIAL_FIT_WARN_MM:
         print(f"warning: keypoint residual exceeds {INITIAL_FIT_WARN_MM} mm; "
               "check the picked correspondences for outliers")
-    surface = SpatialIndex(sample_surface(mesh, params.surface_samples, make_rng(seed)))
-    result = icp_refine(points, surface, start, params)
+    result = icp_refine(points, SpatialIndex(mesh), start, params)
     print(f"refined pose:  {_fmt_pose(result.pose)}")
     print(f"icp: {result.iterations} iterations, converged={result.converged}, "
           f"rms {result.rms_distance:.4f} mm")
@@ -161,7 +158,7 @@ def _cmd_annotate(args) -> int:
             "annotate",
             {"points_file": args.points_file, "mesh_file": args.mesh_file,
              "correspondences_file": args.correspondences_file,
-             "icp_params": args.icp_params, "seed": seed},
+             "icp_params": args.icp_params},
             [args.points_file, args.mesh_file, args.correspondences_file])
         manifest.write_sidecar(args.out)
         print(f"pose written to {args.out}")
@@ -216,9 +213,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_icp_bench(args) -> int:
     seed = _resolve_seed(args)
-    params = IcpParams(surface_samples=args.samples)
-    report = recovery_benchmark(make_rng(seed), params=params,
-                                patch_fraction=args.patch_fraction)
+    report = recovery_benchmark(make_rng(seed), patch_fraction=args.patch_fraction)
     for case in report.cases:
         print(f"  {case.mesh_name:<16} dt {case.translation_error_mm:7.4f} mm   "
               f"dr {case.rotation_error_deg:7.4f} deg   "
@@ -294,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh_file", help="object mesh (OBJ)")
     p.add_argument("correspondences_file", help="measured/model keypoint pairs")
     p.add_argument("--icp-params", default="",
-                   help="comma list, e.g. max_iterations=50,surface_samples=20000")
-    p.add_argument("--seed", type=int, help="surface sampling seed (default 0)")
+                   help="comma list, e.g. max_iterations=50,max_correspondence_mm=5")
     p.add_argument("--out", help="write the refined pose as a pose-list file")
     p.set_defaults(func=_cmd_annotate)
 
@@ -316,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("icp-bench",
                        help="pose recovery benchmark (3 meshes x 5 perturbations)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--patch-fraction", type=float, default=0.85,
                    help="patch radius as a fraction of the mesh diagonal")
     p.set_defaults(func=_cmd_icp_bench)

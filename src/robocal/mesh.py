@@ -9,6 +9,7 @@ recovery benchmark and the simulated scenes.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass
 from urllib.parse import parse_qsl, urlencode
@@ -437,6 +438,11 @@ def resolve_mesh(ref: str, base_dir=None) -> Mesh:
             params = {k: float(v) for k, v in parse_qsl(query)} if query else {}
         except ValueError:
             raise ValidationError(f"bad parameters in mesh reference {ref!r}")
+        known = inspect.signature(factory).parameters
+        unknown = sorted(set(params) - set(known))
+        if unknown:
+            raise ValidationError(f"unknown parameters {unknown} in mesh reference "
+                                  f"{ref!r}; known: {sorted(known)}")
         return factory(**params)
     path = ref
     if base_dir is not None:

@@ -173,7 +173,9 @@ def _iou3d(a: OrientedBox, b: OrientedBox) -> tuple[float, bool]:
     inter, clipped = _intersection(a, b)
     if inter <= 0.0:
         return 0.0, clipped
-    return inter / (a.volume() + b.volume() - inter), clipped
+    va, vb = a.volume(), b.volume()
+    inter = min(inter, va, vb)  # the rounded clip volume can exceed a box's own
+    return inter / (va + vb - inter), clipped
 
 
 def iou3d(a: OrientedBox, b: OrientedBox) -> float:

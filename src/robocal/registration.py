@@ -2,12 +2,12 @@
 
 The annotation flow mirrors the physical procedure: keypoints measured with
 the calibrated tip are matched to picked model keypoints for an initial
-pose, then sparse tip-measured surface points are registered to dense
-area-uniform surface samples of the model mesh with point-to-point ICP.
+pose, then sparse tip-measured surface points are registered to the exact
+triangle surface of the model mesh by point-to-plane ICP (Chen & Medioni
+1992, linearised as in Low 2004), halving any step that raises the rms.
 
-The caller owns the surface: it draws the samples once, builds one
-`SpatialIndex` over them and passes that index to every `icp_refine` against
-the same mesh, so the kd-tree is built once per mesh, not once per refinement.
+The caller owns the surface: it builds one `SpatialIndex` per mesh and passes
+it to every `icp_refine` against that mesh.
 """
 
 from __future__ import annotations
@@ -18,13 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError, ValidationError
-from .geometry import (Pose, apply, axis_angle, invert, random_unit_vector,
-                       rotation_distance)
-from .mesh import Mesh, sample_surface
+from .geometry import (Pose, apply, axis_angle, compose, invert,
+                       random_unit_vector, rotation_distance)
+from .mesh import Mesh, drop_degenerate_triangles, sample_surface
 
 # Points are treated as collinear when the span of the centered set collapses
 # below this relative to its largest singular value.
 _COLLINEAR_RCOND = 1e-9
+
+# Largest (points x triangles) block a surface query holds at once, 8 MB an array.
+_QUERY_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,26 +102,102 @@ def pose_error(gt: Pose, est: Pose) -> tuple[float, float]:
     return dt, dr
 
 
-class SpatialIndex:
-    """Nearest-neighbor index over a fixed point set (balanced kd-tree).
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (M, 3) arrays."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
-    Over a mesh's surface samples it is the model side of ICP, which never
-    changes between refinements: build it once per mesh and reuse it.
+
+class SpatialIndex:
+    """Exact closest-point queries on a triangle mesh's surface.
+
+    Holds, per non-degenerate triangle of the mesh: its corner and edge
+    vectors, unit normal, centroid (`points`, the culling keys) and the radius
+    of the centroid-centred sphere around it. The surface is the model side of
+    ICP, which never changes between refinements: build it once per mesh.
     """
 
-    def __init__(self, points):
-        # scipy loads here, not at import: commands that build no index skip it
-        from scipy.spatial import cKDTree
+    def __init__(self, mesh: Mesh):
+        mesh, _ = drop_degenerate_triangles(mesh)
+        corners = mesh.vertices[mesh.triangles]  # (F, 3, 3)
+        if len(corners) == 0:
+            raise ValidationError(f"cannot index mesh {mesh.name!r}: no triangles")
+        self.points = corners.mean(axis=1)  # centroids
+        self.radii = np.linalg.norm(corners - self.points[:, None], axis=2).max(axis=1)
+        self.corners = corners
+        self._ab = corners[:, 1] - corners[:, 0]
+        self._ac = corners[:, 2] - corners[:, 0]
+        normal = np.cross(self._ab, self._ac)
+        self.normals = normal / np.linalg.norm(normal, axis=1, keepdims=True)
+        self._aa = _dot(self._ab, self._ab)
+        self._bc = _dot(self._ab, self._ac)
+        self._cc = _dot(self._ac, self._ac)
+        self._sq_norms = _dot(self.points, self.points)
+        self._extent = float(np.sqrt(self._sq_norms.max()))
 
-        self.points = np.asarray(points, dtype=float).reshape(-1, 3)
-        if len(self.points) == 0:
-            raise ValidationError("cannot index an empty point set")
-        self._tree = cKDTree(self.points, balanced_tree=True)
+    def _closest(self, p: np.ndarray, tri: np.ndarray) -> np.ndarray:
+        """Closest point to each p[k] on triangle tri[k] (Ericson 2005, 5.1.5).
+
+        With d1 = ab.ap and d2 = ac.ap, Ericson's vertex, edge and face tests
+        reduce to expressions in d1, d2 and the triangle's fixed Gram entries.
+        The result is a + s ab + t ac, with (s, t) set region by region; the
+        regions are applied in reverse test order so that earlier tests win.
+        """
+        a, ab, ac = self.corners[tri, 0], self._ab[tri], self._ac[tri]
+        aa, bc, cc = self._aa[tri], self._bc[tri], self._cc[tri]
+        ap = p - a
+        d1, d2 = _dot(ab, ap), _dot(ac, ap)
+        vb = cc * d1 - bc * d2  # unnormalised barycentric weights of b and c
+        vc = aa * d2 - bc * d1
+        va = (aa * cc - bc * bc) - vb - vc
+        d3, d4, d5, d6 = d1 - aa, d2 - bc, d1 - bc, d2 - cc
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = vb / (va + vb + vc)
+            t = vc / (va + vb + vc)
+            w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+            regions = (  # (mask, s, t), last test first
+                (va <= 0.0) & (d4 >= d3) & (d5 >= d6), 1.0 - w, w,  # edge bc
+                (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0), 0.0, d2 / cc,  # edge ac
+                (d6 >= 0.0) & (d5 <= d6), 0.0, 1.0,  # vertex c
+                (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0), d1 / aa, 0.0,  # edge ab
+                (d3 >= 0.0) & (d4 <= d3), 1.0, 0.0,  # vertex b
+                (d1 <= 0.0) & (d2 <= 0.0), 0.0, 0.0,  # vertex a
+            )
+            for k in range(0, len(regions), 3):
+                mask, rs, rt = regions[k:k + 3]
+                s = np.where(mask, rs, s)
+                t = np.where(mask, rt, t)
+        return a + s[:, None] * ab + t[:, None] * ac
 
     def query(self, queries):
-        """For each query point: (distance, index) of the nearest point."""
-        dist, idx = self._tree.query(np.asarray(queries, dtype=float))
-        return dist, idx
+        """For each query point: (distance, closest surface point, triangle id).
+
+        Exact: the distance to the triangle with the nearest centroid bounds
+        the answer from above, a triangle whose sphere lies farther away than
+        that bound cannot hold the closest point, and the closest point is
+        computed exactly on every triangle left. Ties go to the lowest id.
+        """
+        p = np.asarray(queries, dtype=float).reshape(-1, 3)
+        n_tri = len(self.points)
+        dist = np.empty(len(p))
+        tri = np.empty(len(p), dtype=np.int64)
+        block = max(1, _QUERY_BLOCK // n_tri)  # bounds the (points, triangles) arrays
+        for lo in range(0, len(p), block):
+            q = p[lo:lo + block]
+            qq = _dot(q, q)
+            d2 = qq[:, None] - 2.0 * (q @ self.points.T) + self._sq_norms
+            centroid_dist = np.sqrt(np.maximum(d2, 0.0))
+            nearest = centroid_dist.argmin(axis=1)
+            upper = np.linalg.norm(q - self._closest(q, nearest), axis=1)
+            # the matmul loses up to ~3e-8 * scale of the centroid distance
+            slack = 1e-7 * (np.sqrt(qq) + self._extent)
+            rows, cols = np.nonzero(centroid_dist - self.radii
+                                    <= (upper + slack)[:, None])
+            exact = np.full(centroid_dist.shape, np.inf)
+            exact[rows, cols] = np.linalg.norm(
+                q[rows] - self._closest(q[rows], cols), axis=1)
+            tri[lo:lo + block] = exact.argmin(axis=1)
+            dist[lo:lo + block] = exact[np.arange(len(q)), tri[lo:lo + block]]
+        return dist, self._closest(p, tri), tri
 
 
 @dataclass(frozen=True)
@@ -127,11 +206,10 @@ class IcpParams:
     tol_translation_mm: float = 1e-4  # convergence threshold on pose delta
     tol_rotation_deg: float = 1e-4
     max_correspondence_mm: float = math.inf  # pairs beyond this are dropped
-    surface_samples: int = 50_000
 
     def __post_init__(self):
         for name in ("max_iterations", "tol_translation_mm", "tol_rotation_deg",
-                     "max_correspondence_mm", "surface_samples"):
+                     "max_correspondence_mm"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"IcpParams.{name} must be positive")
 
@@ -141,58 +219,76 @@ class IcpResult:
     pose: Pose
     iterations: int
     converged: bool
-    rms_distance: float  # final rms point-to-sample distance, mm
+    rms_distance: float  # final rms point-to-surface distance, mm
     mean_distance: float
     rms_history: list[float] = field(default_factory=list)
 
 
+def _small_motion(x: np.ndarray) -> Pose:
+    """The rigid motion of a point-to-plane step x = [omega; v] (radians, mm)."""
+    angle = float(np.linalg.norm(x[:3]))
+    if angle == 0.0:
+        return Pose(np.eye(3), x[3:])
+    return Pose(axis_angle(x[:3] / angle, math.degrees(angle)), x[3:])
+
+
 def icp_refine(measured_points, surface: SpatialIndex, initial: Pose,
                params: IcpParams = IcpParams()) -> IcpResult:
-    """Refine a model-to-base pose by point-to-point ICP.
+    """Refine a model-to-base pose by point-to-plane ICP on the exact surface.
 
-    Measured points live in the base frame. `surface` indexes the model's
-    area-uniform surface samples in the model frame; the caller builds it
-    (from `params.surface_samples` samples, by convention) and may reuse it
-    for any number of refinements against the same mesh. Each iteration
-    matches the measured points to their nearest surface sample under the
-    current pose and re-solves the rigid alignment in closed form. Stops
-    when the pose delta drops below the thresholds or after max_iterations
-    (then the result is returned with converged=False rather than raising).
+    Measured points live in the base frame; `surface` indexes the model mesh
+    in the model frame and may be reused for any number of refinements.
+    Each iteration matches the measured points, pulled back into the model
+    frame (l), to their closest surface points (q) with triangle normals n,
+    and solves [l x n, n] [omega; v] = -(l - q).n by least squares for the
+    small motion delta that moves l onto the tangent planes; the pose becomes
+    pose o inv(delta). The objective is the rms of the distances clipped at
+    max_correspondence_mm (pairs beyond it are left out of the solve): a step
+    that raises it is taken back and halved, so `rms_history` never rises.
+    Stops when the pose delta drops below the thresholds or after
+    max_iterations (then the result is returned with converged=False rather
+    than raising).
     """
     measured = np.asarray(measured_points, dtype=float).reshape(-1, 3)
     if len(measured) < 3:
         raise ValidationError(f"ICP needs >= 3 measured points, got {len(measured)}")
 
+    def match(pose):
+        local = apply(invert(pose), measured)
+        dist, closest, tri = surface.query(local)
+        rms = float(np.sqrt(np.mean(np.minimum(dist, params.max_correspondence_mm) ** 2)))
+        return local, dist, closest, tri, rms
+
     pose = initial
-    trimming = math.isfinite(params.max_correspondence_mm)
+    local, dist, closest, tri, rms = match(pose)
     rms_history: list[float] = []
     converged = False
     iterations = 0
-    dist = np.zeros(len(measured))
+    step = None
 
     for iterations in range(1, params.max_iterations + 1):
-        # nearest sample under the current pose == nearest in model frame
-        # to the back-transformed measured points (the index never moves)
-        local = apply(invert(pose), measured)
-        dist, idx = surface.query(local)
-        matched = surface.points[idx]
-        keep = dist <= params.max_correspondence_mm if trimming else slice(None)
-        src = matched[keep]
-        dst = measured[keep]
-        if len(src) < 3:
-            break  # trimmed away too much; report non-converged
-        rms_history.append(float(np.sqrt(np.mean(dist ** 2))))
-
-        R, t = _kabsch(src, dst)
-        new_pose = Pose(R, t)
-        dt, dr = pose_error(pose, new_pose)
-        pose = new_pose
+        if step is None:  # fresh matches: solve for the full step
+            keep = dist <= params.max_correspondence_mm
+            if keep.sum() < 3:
+                break  # trimmed away too much; report non-converged
+            rms_history.append(rms)
+            l, q, n = local[keep], closest[keep], surface.normals[tri[keep]]
+            A = np.hstack([np.cross(l, n), n])
+            step, *_ = np.linalg.lstsq(A, -_dot(l - q, n), rcond=None)
+        trial = compose(pose, invert(_small_motion(step)))
+        dt, dr = pose_error(pose, trial)
         if dt < params.tol_translation_mm and dr < params.tol_rotation_deg:
+            pose = trial
             converged = True
             break
+        matches = match(trial)
+        if matches[-1] > rms:
+            step = step / 2.0  # keep the matches, retry a shorter step
+            continue
+        pose, (local, dist, closest, tri, rms), step = trial, matches, None
 
-    final_local = apply(invert(pose), measured)
-    dist, _ = surface.query(final_local)
+    if converged:  # the last, accepted step moved the pose past its matches
+        dist = match(pose)[1]
     return IcpResult(pose=pose, iterations=iterations, converged=converged,
                      rms_distance=float(np.sqrt(np.mean(dist ** 2))),
                      mean_distance=float(dist.mean()),
@@ -278,7 +374,7 @@ def recovery_benchmark(rng: np.random.Generator,
                        max_translation_mm: float = 2.0,
                        max_rotation_deg: float = 4.0,
                        patch_fraction: float = 0.85,
-                       params: IcpParams = IcpParams(surface_samples=200_000)) -> RecoveryReport:
+                       params: IcpParams = IcpParams()) -> RecoveryReport:
     """Measure how well ICP recovers a perturbed pose from noisy patch points.
 
     Per mesh: pick n_points once on a surface patch whose radius is
@@ -293,7 +389,7 @@ def recovery_benchmark(rng: np.random.Generator,
         meshes = default_benchmark_meshes()
     cases = []
     for mesh in meshes:
-        surface = SpatialIndex(sample_surface(mesh, params.surface_samples, rng))
+        surface = SpatialIndex(mesh)
         lo, hi = mesh.bounds()
         patch_radius = patch_fraction * float(np.linalg.norm(hi - lo))
         patch = sample_patch(mesh, n_points, rng, patch_radius)
@@ -305,7 +401,6 @@ def recovery_benchmark(rng: np.random.Generator,
             dt, dr = pose_error(Pose.identity(), result.pose)
             cases.append(RecoveryCase(mesh.name, dt, dr,
                                       result.iterations, result.converged))
-        del surface  # free this mesh's tree before the next one is built
     return RecoveryReport(
         cases=cases,
         mean_translation_mm=float(np.mean([c.translation_error_mm for c in cases])),

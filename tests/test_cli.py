@@ -10,6 +10,7 @@ import robocal
 from robocal import cli, fileio
 from robocal.geometry import Pose, apply, make_rng, random_rotation
 from robocal.handeye import MarkerBoard, default_board_points, synthesize_views
+from robocal.mesh import chamfered_box, sample_surface, save_obj
 from robocal.metrics import (Detection, GroundTruthBox, OrientedBox,
                              average_precision)
 from robocal.pivot import synthesize_pivot_poses
@@ -79,6 +80,34 @@ def test_simulate_has_no_mesh_samples_flag(tmp_path, capsys):
     assert cli.main(argv) == 1
     assert "--mesh-samples" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["icp-bench", "--seed", "1", "--samples", "5"], "--samples"),
+    (["annotate", "p.txt", "m.obj", "k.txt", "--seed", "1"], "--seed"),
+    (["annotate", "p.txt", "m.obj", "k.txt", "--icp-params", "surface_samples=10"],
+     "surface_samples"),
+])
+def test_surface_sampling_options_are_gone(argv, flag, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flag in err
+
+
+def test_unknown_mesh_parameter_exits_1(tmp_path, capsys):
+    stops = tuple(Pose(random_rotation(make_rng(k)), [450.0, 0.0, 400.0])
+                  for k in range(3))
+    fileio.save_scene(tmp_path / "scene.txt", SceneConfig(
+        (SceneObject("box0", "proc:box?radius=3", Pose.identity()),),
+        (Camera("rgbd", Pose(np.eye(3), [50.0, 30.0, 20.0])),),
+        (Trajectory("orbit", stops),)))
+    argv = ["simulate", str(tmp_path / "scene.txt"), "--seed", "1",
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "radius" in err and "chamfer" in err
 
 
 def _report_lines(path):
@@ -206,10 +235,20 @@ def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
         (Camera("rgbd", Pose(random_rotation(rng), [50.0, 30.0, 20.0])),),
         (Trajectory("orbit", stops),)))
 
+    mesh = chamfered_box()
+    save_obj(mesh, tmp_path / "box.obj")
+    truth = Pose(random_rotation(rng), [450.0, 20.0, 40.0])
+    fileio.save_point_list(tmp_path / "points.txt",
+                           apply(truth, sample_surface(mesh, 30, rng)))
+    fileio.save_correspondences(tmp_path / "keypoints.txt", Correspondences(
+        apply(truth, mesh.vertices[:6]), mesh.vertices[:6]))
+
     argvs = [["pivot-calib", "poses.txt", "--out", "pivot.csv"],
              ["handeye", "board.txt", "views.txt", "--out", "handeye.csv"],
              ["eval-iou", "gt.csv", "pred.csv", "--threshold", "0.5", "--out", "ap.csv"],
-             ["simulate", "scene.txt", "--seed", "1", "--out-dir", "sim"]]
+             ["simulate", "scene.txt", "--seed", "1", "--out-dir", "sim"],
+             ["icp-bench", "--seed", "1"],
+             ["annotate", "points.txt", "box.obj", "keypoints.txt", "--out", "pose.txt"]]
     src = os.path.dirname(os.path.dirname(robocal.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     run = subprocess.run([sys.executable, "-c", SCIPY_GUARD, json.dumps(argvs)],
@@ -217,3 +256,5 @@ def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "sim" / "sim_report.csv").exists()
+    refined = fileio.load_pose_list(tmp_path / "pose.txt")[0]
+    assert np.allclose(refined.as_matrix(), truth.as_matrix(), atol=1e-6)

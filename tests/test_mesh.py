@@ -187,6 +187,10 @@ class TestProceduralShapes:
         with pytest.raises(ValidationError):
             procedural_ref("sphere", radius=10)
 
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(ValidationError, match=r"\['radius'\].*'chamfer'"):
+            resolve_mesh("proc:box?radius=3")
+
     def test_mesh_index_validation(self):
         with pytest.raises(ValidationError):
             Mesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))

@@ -31,6 +31,13 @@ class TestIou3d:
         box = random_box(make_rng(1))
         assert iou3d(box, box) == pytest.approx(1.0, abs=1e-12)
 
+    def test_identical_offset_box_is_at_most_one(self):
+        # far from the origin the rounded clip volume exceeds the box volume
+        box = OrientedBox([100.0, 200.0, 300.0], [5.0, 6.0, 7.0],
+                          random_rotation(make_rng(3)))
+        assert intersection_volume(box, box) > box.volume()
+        assert iou3d(box, box) == 1.0
+
     def test_disjoint_boxes(self):
         a = OrientedBox([0.0, 0, 0], [1.0, 1, 1], np.eye(3))
         b = OrientedBox([20.0, 0, 0], [1.0, 1, 1], np.eye(3))

@@ -4,7 +4,7 @@ import pytest
 from robocal.errors import DegenerateGeometryError, ValidationError
 from robocal.geometry import (Pose, apply, axis_angle, compose, make_rng,
                               random_rotation)
-from robocal.mesh import can, chamfered_box, sample_surface
+from robocal.mesh import Mesh, blade, can, chamfered_box, cup, sample_surface
 from robocal.registration import (Correspondences, IcpParams, SpatialIndex,
                                   absolute_orientation, icp_refine, initial_pose,
                                   pose_error, recovery_benchmark,
@@ -13,9 +13,28 @@ from robocal.registration import (Correspondences, IcpParams, SpatialIndex,
 
 @pytest.fixture(scope="module")
 def box_surface():
-    """(mesh, index over 50k of its surface samples), shared by the ICP tests."""
+    """(mesh, index over its surface), shared by the ICP tests."""
     mesh = chamfered_box()
-    return mesh, SpatialIndex(sample_surface(mesh, 50_000, make_rng(1000)))
+    return mesh, SpatialIndex(mesh)
+
+
+def _brute_closest(point, a, b, c):
+    """Closest point to `point` on each triangle (a[i], b[i], c[i]): the
+    nearest of its in-plane projection (if inside) and the closest points on
+    its three edges."""
+    n = np.cross(b - a, c - a)
+    proj = point - (np.sum((point - a) * n, axis=1) / np.sum(n * n, axis=1))[:, None] * n
+    inside = np.ones(len(a), dtype=bool)
+    candidates = []
+    for v0, v1 in ((a, b), (b, c), (c, a)):
+        e = v1 - v0
+        inside &= np.sum(np.cross(e, proj - v0) * n, axis=1) >= 0.0
+        s = np.clip(np.sum((point - v0) * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
+        candidates.append(v0 + s[:, None] * e)
+    candidates.append(np.where(inside[:, None], proj, np.inf))
+    candidates = np.stack(candidates)  # (4, F, 3)
+    best = np.argmin(np.linalg.norm(candidates - point, axis=2), axis=0)
+    return candidates[best, np.arange(len(a))]
 
 
 class TestAbsoluteOrientation:
@@ -78,21 +97,81 @@ class TestAbsoluteOrientation:
 
 
 class TestSpatialIndex:
-    def test_matches_linear_scan(self):
+    def test_matches_linear_scan(self, monkeypatch):
+        # against a scan of every triangle, on points within 0.5 mm of the
+        # surface (where culling keeps few triangles) and far from it; the
+        # query runs in blocks of 7 points
         rng = make_rng(5)
-        points = rng.uniform(-100, 100, (10_000, 3))
-        index = SpatialIndex(points)
-        queries = rng.uniform(-120, 120, (1000, 3))
-        dist, idx = index.query(queries)
-        for k in range(0, 1000):
-            brute = np.linalg.norm(points - queries[k], axis=1)
-            assert dist[k] == pytest.approx(brute.min(), rel=1e-12)
-        assert np.all(np.linalg.norm(points[idx] - queries, axis=1)
-                      == pytest.approx(dist, rel=1e-12))
+        mesh = blade()
+        index = SpatialIndex(mesh)
+        monkeypatch.setattr("robocal.registration._QUERY_BLOCK", 7 * len(mesh.triangles))
+        near = sample_surface(mesh, 150, rng) + rng.uniform(-0.5, 0.5, (150, 3))
+        far = rng.uniform(-250, 250, (50, 3))
+        queries = np.vstack([near, far])
+        dist, closest, tri = index.query(queries)
+        a, b, c = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+        for k, point in enumerate(queries):
+            brute = _brute_closest(point, a, b, c)
+            brute_dist = np.linalg.norm(brute - point, axis=1)
+            assert dist[k] == pytest.approx(brute_dist.min(), rel=1e-12)
+            np.testing.assert_allclose(closest[k], brute[int(np.argmin(brute_dist))],
+                                       rtol=0, atol=1e-12)
+            # the reported triangle holds the closest point (ties may differ)
+            assert brute_dist[tri[k]] == pytest.approx(brute_dist.min(), rel=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(closest - queries, axis=1), dist,
+                                   rtol=1e-12)
+        # culling drops only triangles that cannot win: the index's own
+        # closest-point rule on every (point, triangle) pair picks the same
+        n_tri = len(mesh.triangles)
+        every = index._closest(np.repeat(queries, n_tri, axis=0),
+                               np.tile(np.arange(n_tri), len(queries)))
+        every_dist = np.linalg.norm(every - np.repeat(queries, n_tri, axis=0),
+                                    axis=1).reshape(len(queries), n_tri)
+        np.testing.assert_array_equal(tri, every_dist.argmin(axis=1))
+        np.testing.assert_array_equal(dist, every_dist.min(axis=1))
+
+    # one triangle, a = origin, b on x, c on y; expected points by hand
+    TRIANGLE = Mesh(np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0]]),
+                    np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize("point, expected", [
+        ([-1.0, -2.0, 3.0], [0.0, 0.0, 0.0]),  # vertex a
+        ([6.0, -1.0, 0.0], [4.0, 0.0, 0.0]),  # vertex b
+        ([-1.0, 5.0, -2.0], [0.0, 4.0, 0.0]),  # vertex c
+    ])
+    def test_vertex_region(self, point, expected):
+        dist, closest, tri = SpatialIndex(self.TRIANGLE).query([point])
+        np.testing.assert_array_equal(closest[0], expected)
+        assert dist[0] == pytest.approx(np.linalg.norm(np.subtract(point, expected)),
+                                        rel=1e-15)
+        assert tri[0] == 0
+
+    @pytest.mark.parametrize("point, expected", [
+        ([1.0, -3.0, 2.0], [1.0, 0.0, 0.0]),  # edge ab
+        ([-2.0, 3.0, 1.0], [0.0, 3.0, 0.0]),  # edge ac
+        ([3.0, 3.0, -1.0], [2.0, 2.0, 0.0]),  # edge bc: (3, 3) projects to (2, 2)
+    ])
+    def test_edge_region(self, point, expected):
+        dist, closest, _ = SpatialIndex(self.TRIANGLE).query([point])
+        np.testing.assert_allclose(closest[0], expected, atol=1e-15)
+        assert dist[0] == pytest.approx(np.linalg.norm(np.subtract(point, expected)),
+                                        rel=1e-15)
+
+    def test_face_region(self):
+        dist, closest, _ = SpatialIndex(self.TRIANGLE).query([[1.0, 1.5, -2.5]])
+        np.testing.assert_allclose(closest[0], [1.0, 1.5, 0.0], atol=1e-15)
+        assert dist[0] == pytest.approx(2.5, rel=1e-15)
+
+    def test_normals_are_unit_and_perpendicular(self):
+        index = SpatialIndex(cup())
+        np.testing.assert_allclose(np.linalg.norm(index.normals, axis=1), 1.0,
+                                   rtol=1e-12)
+        edges = index.corners[:, 1] - index.corners[:, 0]
+        assert np.abs(np.sum(edges * index.normals, axis=1)).max() < 1e-9
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            SpatialIndex(np.empty((0, 3)))
+            SpatialIndex(Mesh(np.empty((0, 3)), np.empty((0, 3))))
 
 
 class TestIcp:
@@ -135,7 +214,7 @@ class TestIcp:
         # the lateral start ICP slides round onto the truth; from the axial
         # start it settles in a wrong minimum that the residual betrays.
         mesh = can()
-        surface = SpatialIndex(sample_surface(mesh, 50_000, make_rng(9)))
+        surface = SpatialIndex(mesh)
         rng = make_rng(10)
         patch = sample_patch(mesh, 25, rng, 80.0)
         for offset in ([50.0, 0.0, 0.0], [0.0, 0.0, 50.0]):
@@ -155,8 +234,6 @@ class TestIcp:
     def test_params_validation(self):
         with pytest.raises(ValidationError):
             IcpParams(max_iterations=0)
-        with pytest.raises(ValidationError):
-            IcpParams(surface_samples=-5)
 
     def test_correspondence_cap_trims(self, box_surface):
         mesh, surface = box_surface
@@ -180,8 +257,7 @@ class TestIcp:
             runs.append((measured, random_pose_perturbation(rng, 2.0, 4.0)))
         for measured, start in runs:
             shared = icp_refine(measured, surface, start).pose
-            fresh = icp_refine(measured, SpatialIndex(surface.points.copy()),
-                               start).pose
+            fresh = icp_refine(measured, SpatialIndex(mesh), start).pose
             np.testing.assert_array_equal(shared.as_matrix(), fresh.as_matrix())
 
 
@@ -209,8 +285,7 @@ class TestPoseError:
 def test_recovery_benchmark_smoke():
     report = recovery_benchmark(make_rng(14),
                                 meshes=[chamfered_box()],
-                                perturbations_per_mesh=2,
-                                params=IcpParams(surface_samples=50_000))
+                                perturbations_per_mesh=2)
     assert len(report.cases) == 2
     assert report.mean_translation_mm < 1.0
     assert report.mean_rotation_deg < 2.0
@@ -221,13 +296,25 @@ def test_recovery_benchmark_builds_one_index_per_mesh(monkeypatch):
     built = []
 
     class CountingIndex(SpatialIndex):
-        def __init__(self, points):
-            super().__init__(points)
+        def __init__(self, mesh):
+            super().__init__(mesh)
             built.append(len(self.points))
 
     monkeypatch.setattr("robocal.registration.SpatialIndex", CountingIndex)
     report = recovery_benchmark(make_rng(16), meshes=[chamfered_box(), can()],
-                                perturbations_per_mesh=3,
-                                params=IcpParams(surface_samples=5_000))
+                                perturbations_per_mesh=3)
     assert len(report.cases) == 6
-    assert built == [5_000, 5_000]
+    assert built == [44, 192]  # one index per mesh, over its triangles
+
+
+def test_recovery_matches_paper_accuracy():
+    # The paper's annotation accuracy, 0.20 mm / 0.38 deg, against the means
+    # pooled over seeds 0-7 (120 cases). Single seeds scatter around it (seed
+    # 4 alone reads 0.43 deg), so the pooled means are the tested quantity,
+    # not each seed's.
+    cases = [case for seed in range(8)
+             for case in recovery_benchmark(make_rng(seed)).cases]
+    assert len(cases) == 120
+    assert all(case.converged for case in cases)
+    assert np.mean([c.translation_error_mm for c in cases]) <= 0.20
+    assert np.mean([c.rotation_error_deg for c in cases]) <= 0.38
