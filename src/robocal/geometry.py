@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Re-orthonormalize after compose chains longer than this many factors to
-# bound drift in long trajectory chains.
-_RENORM_DEPTH = 8
-
 # Construction-time orthonormality guard. Internal operations keep rotations
 # far tighter than this; the loose bound is for user-supplied matrices.
 _ORTHO_TOL = 1e-6
@@ -55,19 +51,22 @@ class Pose:
 
     Immutable; the wrapped arrays are copied and marked read-only so poses
     are safe to share across threads.
+
+    ``Pose(...)`` validates its input: a rotation that is not orthonormal
+    with determinant +1, or a non-finite translation, raises
+    ValidationError. It is the constructor for poses read from files or
+    passed in by callers. Poses the program computes from valid poses
+    (``compose``, ``invert``, fitted and perturbed poses) are built by the
+    unchecked ``_trusted_pose`` instead, so a chain of transforms is checked
+    once, where its factors enter, and not at every link.
     """
 
     rotation: np.ndarray
     translation: np.ndarray
-    _depth: int = 0
 
     def __post_init__(self):
-        R = _as_rotation(self.rotation)
-        t = _as_vec3(self.translation, "translation")
-        R.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
+        _store(self, _as_rotation(self.rotation),
+               _as_vec3(self.translation, "translation"))
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -78,6 +77,9 @@ class Pose:
         m = np.asarray(m, dtype=float)
         if m.shape != (4, 4):
             raise ValidationError(f"homogeneous matrix must be 4x4, got {m.shape}")
+        if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
+            raise ValidationError(
+                f"homogeneous matrix must have bottom row [0 0 0 1], got {m[3]}")
         return cls(m[:3, :3], m[:3, 3])
 
     def as_matrix(self) -> np.ndarray:
@@ -93,26 +95,40 @@ class Pose:
                 f"t=[{t[0]:.3f} {t[1]:.3f} {t[2]:.3f}] mm)")
 
 
+def _store(pose: Pose, R: np.ndarray, t: np.ndarray) -> None:
+    R.flags.writeable = False
+    t.flags.writeable = False
+    object.__setattr__(pose, "rotation", R)
+    object.__setattr__(pose, "translation", t)
+
+
+def _trusted_pose(R, t) -> Pose:
+    """Pose from a rotation and translation the program computed itself.
+
+    Skips Pose's validation; the caller guarantees R is a rotation (to
+    rounding) and t a finite 3-vector. The arrays are still copied and made
+    read-only, like Pose's.
+    """
+    pose = object.__new__(Pose)
+    _store(pose, np.array(R, dtype=float), np.array(t, dtype=float))
+    return pose
+
+
 def compose(a: Pose, b: Pose, *rest: Pose) -> Pose:
     """Compose poses; the result applies the rightmost pose first.
 
     compose(a, b)(x) == a(b(x)).
     """
     for nxt in (b,) + rest:
-        R = a.rotation @ nxt.rotation
-        t = a.rotation @ nxt.translation + a.translation
-        depth = max(a._depth, nxt._depth) + 1
-        if depth > _RENORM_DEPTH:
-            R = normalize_rotation(R)
-            depth = 0
-        a = Pose(R, t, depth)
+        a = _trusted_pose(a.rotation @ nxt.rotation,
+                          a.rotation @ nxt.translation + a.translation)
     return a
 
 
 def invert(a: Pose) -> Pose:
     """Inverse pose (R^T, -R^T t)."""
     Rt = a.rotation.T
-    return Pose(Rt, -(Rt @ a.translation), a._depth)
+    return _trusted_pose(Rt, -(Rt @ a.translation))
 
 
 def apply(a: Pose, points):

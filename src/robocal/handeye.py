@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentMeasurementError, ValidationError
-from .geometry import (Pose, apply, compose, invert, matrix_to_quat,
-                       quat_to_matrix, rotation_distance)
+from .geometry import (Pose, _trusted_pose, apply, compose, invert,
+                       matrix_to_quat, quat_to_matrix, rotation_distance)
 from .registration import absolute_orientation
 
 DEFAULT_RIGIDITY_TOL_MM = 1.0
@@ -118,7 +118,7 @@ def solve_handeye(views, marker_base: Pose, board: MarkerBoard) -> HandEyeResult
                  for v in views]
     rotation = _chordal_mean_rotation([e.rotation for e in estimates])
     translation = np.mean([e.translation for e in estimates], axis=0)
-    cam_to_ee = Pose(rotation, translation)
+    cam_to_ee = _trusted_pose(rotation, translation)
 
     outliers = tuple(i for i, e in enumerate(estimates)
                      if rotation_distance(e.rotation, rotation) > ROTATION_OUTLIER_DEG)
@@ -137,11 +137,6 @@ def _view_sq_distances(views, cam_to_ee: Pose, board: MarkerBoard) -> np.ndarray
         diff = apply(chain, board.board_points) - board.measured_points
         d2.append(np.sum(diff ** 2, axis=1))
     return np.array(d2).reshape(-1, len(board.board_points))
-
-
-def per_view_rmse(views, cam_to_ee: Pose, board: MarkerBoard) -> np.ndarray:
-    """Point RMSE of each view's chain against the tip-measured board, in mm."""
-    return np.sqrt(_view_sq_distances(views, cam_to_ee, board).mean(axis=1))
 
 
 def evaluate_handeye(views, cam_to_ee: Pose, board: MarkerBoard) -> float:

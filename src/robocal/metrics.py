@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Pose, apply
+from .geometry import Pose, _as_rotation, apply
 
 # PhoCaL household categories; DetectionSet accepts user-defined labels too.
 DEFAULT_CATEGORIES = ("bottle", "box", "can", "cup", "remote", "teapot",
@@ -50,11 +50,11 @@ class OrientedBox:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(3)
         half = np.asarray(self.half_extents, dtype=float).reshape(3)
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         if not np.all(half > 0):
             raise ValidationError(f"half extents must be strictly positive, got {half}")
-        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(R))):
+        if not np.all(np.isfinite(center)):
             raise ValidationError("box has non-finite parameters")
+        R = _as_rotation(self.rotation, "box rotation")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_extents", half)
         object.__setattr__(self, "rotation", R)
@@ -63,17 +63,11 @@ class OrientedBox:
         return float(8.0 * np.prod(self.half_extents))
 
     def corners(self) -> np.ndarray:
-        local = _CORNER_SIGNS * self.half_extents
-        return local @ self.rotation.T + self.center
+        return _corners(self.center, self.half_extents, self.rotation)
 
     def half_spaces(self):
         """6 (normal, offset) pairs; inside means normal . x <= offset."""
-        normals = np.vstack([-self.rotation.T, self.rotation.T])
-        offsets = np.concatenate([
-            -self.rotation.T @ self.center + self.half_extents,
-            self.rotation.T @ self.center + self.half_extents,
-        ])
-        return normals, offsets
+        return _half_spaces(self.center, self.half_extents, self.rotation)
 
     def contains(self, points) -> np.ndarray:
         local = (np.asarray(points, dtype=float) - self.center) @ self.rotation
@@ -82,6 +76,17 @@ class OrientedBox:
     def transformed(self, pose: Pose) -> "OrientedBox":
         return OrientedBox(apply(pose, self.center), self.half_extents,
                            pose.rotation @ self.rotation)
+
+
+def _corners(center, half_extents, R) -> np.ndarray:
+    return (_CORNER_SIGNS * half_extents) @ R.T + center
+
+
+def _half_spaces(center, half_extents, R):
+    normals = np.vstack([-R.T, R.T])
+    offsets = np.concatenate([-R.T @ center + half_extents,
+                              R.T @ center + half_extents])
+    return normals, offsets
 
 
 def _clip_polygon(polygon, normal, offset):
@@ -129,12 +134,12 @@ def _clip_volume(a: OrientedBox, b: OrientedBox) -> float:
     """
     # relative to a's centre, so that rounding stays far below _CLIP_EPS
     # wherever the boxes are
-    b = OrientedBox(b.center - a.center, b.half_extents, b.rotation)
-    a = OrientedBox(np.zeros(3), a.half_extents, a.rotation)
-    planes_a, planes_b = a.half_spaces(), b.half_spaces()
+    a_box = (np.zeros(3), a.half_extents, a.rotation)
+    b_box = (b.center - a.center, b.half_extents, b.rotation)
+    planes_a, planes_b = _half_spaces(*a_box), _half_spaces(*b_box)
     normals, offsets = planes_a
-    polygons = [poly for _, poly in _clipped_faces(a.corners(), normals, planes_b)]
-    for face_normal, poly in _clipped_faces(b.corners(), planes_b[0], planes_a):
+    polygons = [poly for _, poly in _clipped_faces(_corners(*a_box), normals, planes_b)]
+    for face_normal, poly in _clipped_faces(_corners(*b_box), planes_b[0], planes_a):
         on_plane = np.all(np.abs(np.array(poly) @ normals.T - offsets) <= _CLIP_EPS,
                           axis=0)
         if not np.any(on_plane & (normals @ face_normal > 0.0)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError, ValidationError
-from .geometry import (Pose, apply, axis_angle, compose, invert,
+from .geometry import (Pose, _trusted_pose, apply, axis_angle, compose, invert,
                        random_unit_vector, rotation_distance)
 from .mesh import Mesh, drop_degenerate_triangles, sample_surface
 
@@ -83,8 +83,7 @@ def absolute_orientation(model_points, measured_points) -> tuple[Pose, float]:
     if sv[1] <= _COLLINEAR_RCOND * max(sv[0], 1.0):
         raise DegenerateGeometryError(
             "model points are collinear; rotation about the line is free")
-    R, t = _kabsch(model, measured)
-    pose = Pose(R, t)
+    pose = _trusted_pose(*_kabsch(model, measured))
     residual = apply(pose, model) - measured
     rms = float(np.sqrt(np.mean(np.sum(residual ** 2, axis=1))))
     return pose, rms
@@ -228,8 +227,8 @@ def _small_motion(x: np.ndarray) -> Pose:
     """The rigid motion of a point-to-plane step x = [omega; v] (radians, mm)."""
     angle = float(np.linalg.norm(x[:3]))
     if angle == 0.0:
-        return Pose(np.eye(3), x[3:])
-    return Pose(axis_angle(x[:3] / angle, math.degrees(angle)), x[3:])
+        return _trusted_pose(np.eye(3), x[3:])
+    return _trusted_pose(axis_angle(x[:3] / angle, math.degrees(angle)), x[3:])
 
 
 def icp_refine(measured_points, surface: SpatialIndex, initial: Pose,

@@ -18,13 +18,14 @@ perturbation is searched so that its evaluated board RMSE hits a target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SearchFailureError, ValidationError
-from .geometry import (Pose, apply, axis_angle, compose, invert, make_rng,
-                       random_unit_vector)
+from .geometry import (Pose, _as_vec3, _trusted_pose, apply, axis_angle, compose,
+                       invert, make_rng, random_unit_vector)
 from .handeye import (MarkerBoard, default_board_points, evaluate_handeye,
                       synthesize_views)
 from .mesh import procedural_ref, resolve_mesh, surface_moment
@@ -36,6 +37,13 @@ from .mesh import procedural_ref, resolve_mesh, surface_moment
 
 def _draw_streams(draw: int) -> tuple[int, int]:
     return 1 + 2 * draw, 2 + 2 * draw
+
+
+# hand-eye rig and search used by simulate_annotation_error: board views per
+# camera, evaluation budget and relative tolerance on the target RMSE
+_RIG_VIEWS_PER_CAMERA = 10
+_CALIB_BUDGET = 10_000
+_CALIB_REL_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -95,12 +103,17 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.obj_translation_mm < 0 or self.obj_rotation_deg < 0:
-            raise ValidationError("noise magnitudes must be non-negative")
+        if not all(_finite_non_negative(v) for v in
+                   (self.obj_translation_mm, self.obj_rotation_deg)):
+            raise ValidationError("noise magnitudes must be finite and non-negative")
         for name, value in self.handeye_target_rmse.items():
-            if value < 0:
+            if not _finite_non_negative(value):
                 raise ValidationError(
-                    f"hand-eye target for {name!r} must be non-negative")
+                    f"hand-eye target for {name!r} must be finite and non-negative")
+
+
+def _finite_non_negative(value) -> bool:
+    return math.isfinite(value) and value >= 0
 
 
 @dataclass
@@ -136,10 +149,14 @@ def perturbed_pose(pose: Pose, translation_dir, translation_mm: float,
     Directions are interpreted in the pose's own frame, which keeps the
     whole simulation equivariant under re-basing the scene.
     """
-    t_dir = pose.rotation @ np.asarray(translation_dir, dtype=float)
+    # the inputs are checked here because the result is built unchecked;
+    # axis_angle checks the axis
+    if not (math.isfinite(translation_mm) and math.isfinite(rotation_deg)):
+        raise ValidationError("perturbation magnitudes must be finite")
+    t_dir = pose.rotation @ _as_vec3(translation_dir, "translation direction")
     axis = pose.rotation @ np.asarray(rotation_axis, dtype=float)
     R = axis_angle(axis / np.linalg.norm(axis), rotation_deg) @ pose.rotation
-    return Pose(R, pose.translation + translation_mm * t_dir)
+    return _trusted_pose(R, pose.translation + translation_mm * t_dir)
 
 
 def perturb_object_pose(pose: Pose, spec: NoiseSpec,
@@ -159,8 +176,8 @@ def perturb_object_pose(pose: Pose, spec: NoiseSpec,
 def calibrate_handeye_perturbation(cam_to_ee: Pose, board: MarkerBoard,
                                    views, target_rmse: float,
                                    rng: np.random.Generator, *,
-                                   budget: int = 10_000,
-                                   rel_tol: float = 0.02,
+                                   budget: int = _CALIB_BUDGET,
+                                   rel_tol: float = _CALIB_REL_TOL,
                                    rotation_sweep: bool = True) -> CalibratedPerturbation:
     """Search for a cam-to-ee perturbation whose evaluated RMSE hits a target.
 
@@ -169,8 +186,8 @@ def calibrate_handeye_perturbation(cam_to_ee: Pose, board: MarkerBoard,
     evaluation RMSE lands within rel_tol of target_rmse. Every evaluation
     counts against the budget; exhausting it raises SearchFailureError.
     """
-    if target_rmse <= 0:
-        raise ValidationError(f"target RMSE must be > 0, got {target_rmse}")
+    if not (math.isfinite(target_rmse) and target_rmse > 0):
+        raise ValidationError(f"target RMSE must be finite and > 0, got {target_rmse}")
     views = list(views)
     if not views:
         raise ValidationError("perturbation calibration needs >= 1 view")
@@ -216,7 +233,7 @@ def _marker_rig(scene: SceneConfig, views_per_camera: int):
     """
     anchor = scene.objects[0].pose.rotation
     center = np.mean([o.pose.translation for o in scene.objects], axis=0)
-    marker_base = Pose(anchor, center)
+    marker_base = _trusted_pose(anchor, center)
     board_pts = default_board_points()
     board = MarkerBoard(board_pts, apply(marker_base, board_pts))
 
@@ -229,9 +246,6 @@ def _marker_rig(scene: SceneConfig, views_per_camera: int):
 
 def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
                               draws: int = 1,
-                              views_per_camera: int = 10,
-                              calib_budget: int = 10_000,
-                              calib_tol: float = 0.02,
                               base_dir=None) -> SimReport:
     """Run the simulated acquisition and report pointwise RMSE.
 
@@ -248,7 +262,7 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
     moments = {obj.name: surface_moment(resolve_mesh(obj.mesh_ref, base_dir))
                for obj in scene.objects}
 
-    marker_base, board, rig_ee_poses = _marker_rig(scene, views_per_camera)
+    marker_base, board, rig_ee_poses = _marker_rig(scene, _RIG_VIEWS_PER_CAMERA)
 
     # (frames, 4, 4): base to end-effector at every stop, in replay order
     ee_inv = np.stack([invert(pose).as_matrix() for traj in scene.trajectories
@@ -276,8 +290,7 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
             if target > 0.0:
                 rig_views = synthesize_views(cam.cam_to_ee, marker_base, rig_ee_poses)
                 calib = calibrate_handeye_perturbation(
-                    cam.cam_to_ee, board, rig_views, target, calib_rng,
-                    budget=calib_budget, rel_tol=calib_tol)
+                    cam.cam_to_ee, board, rig_views, target, calib_rng)
                 handeye_perturbations[cam.name] = calib
                 perturbed_cams[cam.name] = calib.pose
             else:
@@ -337,7 +350,7 @@ def _look_at_pose(position, target, up=(0.0, 0.0, 1.0)) -> Pose:
         x = np.cross(np.array([0.0, 1.0, 0.0]), z)
     x = x / np.linalg.norm(x)
     y = np.cross(z, x)
-    return Pose(np.column_stack([x, y, z]), p)
+    return _trusted_pose(np.column_stack([x, y, z]), p)
 
 
 def _orbit_trajectory(name, rng, center, n_stops) -> Trajectory:

@@ -82,6 +82,17 @@ def test_simulate_has_no_mesh_samples_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--noise-translation", "nan"),
+                                         ("--noise-rotation", "inf"),
+                                         ("--handeye-rmse", "rgbd=inf")])
+def test_simulate_non_finite_noise_exits_1(flag, value, tmp_path, capsys):
+    argv = ["simulate", "--template", "phocal-like", "--seed", "1", flag, value,
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["icp-bench", "--seed", "1", "--samples", "5"], "--samples"),
     (["annotate", "p.txt", "m.obj", "k.txt", "--seed", "1"], "--seed"),

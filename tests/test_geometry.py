@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
+from robocal import geometry
 from robocal.errors import ValidationError
 from robocal.geometry import (Pose, apply, axis_angle, compose, invert,
                               make_rng, matrix_to_quat, normalize_rotation,
                               quat_to_matrix, random_rotation,
                               random_unit_vector, rotation_distance)
+from robocal.mesh import chamfered_box
+from robocal.registration import (SpatialIndex, absolute_orientation,
+                                  icp_refine, pose_error,
+                                  random_pose_perturbation, sample_patch)
+from robocal.simulate import (Camera, NoiseSpec, SceneConfig, SceneObject,
+                              Trajectory, simulate_annotation_error)
 
 
 def random_pose(rng, scale=500.0):
@@ -199,9 +206,21 @@ class TestPoseType:
             Pose(np.eye(3), [1.0, np.nan, 0.0])
 
     def test_arrays_are_immutable(self):
-        p = Pose.identity()
-        with pytest.raises(ValueError):
-            p.rotation[0, 0] = 2.0
+        rng = make_rng(17)
+        a, b = random_pose(rng), random_pose(rng)
+        model = rng.uniform(-50.0, 50.0, (6, 3))
+        fitted, _ = absolute_orientation(model, apply(a, model))
+        for p in (Pose.identity(), compose(a, b), invert(a), fitted):
+            with pytest.raises(ValueError):
+                p.rotation[0, 0] = 2.0
+            with pytest.raises(ValueError):
+                p.translation[0] = 2.0
+
+    def test_from_matrix_rejects_bad_bottom_row(self):
+        m = np.eye(4)
+        m[3] = [1.0, 2.0, 3.0, 5.0]
+        with pytest.raises(ValidationError):
+            Pose.from_matrix(m)
 
     def test_matrix_round_trip(self):
         rng = make_rng(14)
@@ -223,3 +242,36 @@ class TestPoseType:
             R = random_rotation(rng)
             np.testing.assert_allclose(quat_to_matrix(matrix_to_quat(R)), R,
                                        atol=1e-12)
+
+
+class TestTrustedResults:
+    def test_internal_results_skip_validation(self, monkeypatch):
+        # poses the program computes from validated ones are built unchecked:
+        # with the rotation check disabled, a whole simulation and an ICP
+        # refinement still run, so neither re-validates its own results
+        rng = make_rng(18)
+        stops = tuple(Pose(random_rotation(rng), rng.uniform(-200.0, 200.0, 3)
+                           + [450.0, 0.0, 400.0]) for _ in range(12))
+        scene = SceneConfig(
+            (SceneObject("box", "proc:box", Pose(random_rotation(rng),
+                                                 [450.0, 0.0, 40.0])),),
+            (Camera("rgbd", Pose(random_rotation(rng), [50.0, 30.0, 20.0])),),
+            (Trajectory("t", stops),))
+        spec = NoiseSpec(handeye_target_rmse={"rgbd": 0.89}, seed=2)
+        mesh = chamfered_box()
+        surface = SpatialIndex(mesh)
+        patch = sample_patch(mesh, 25, rng, 60.0)
+        start = random_pose_perturbation(rng, 2.0, 4.0)
+        truth = Pose.identity()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an internal result was re-validated")
+
+        monkeypatch.setattr(geometry, "_as_rotation", refuse)
+        report = simulate_annotation_error(scene, spec, draws=2)
+        assert report.handeye_perturbations["rgbd"] is not None
+        assert np.isfinite(report.per_camera_rmse["rgbd"])
+        result = icp_refine(patch, surface, start)
+        assert result.converged
+        dt, dr = pose_error(truth, result.pose)
+        assert dt < 1e-6 and dr < 1e-6

@@ -86,6 +86,16 @@ class TestIou3d:
         with pytest.raises(ValidationError):
             OrientedBox([0.0, 0, 0], [1.0, 0.0, 1.0], np.eye(3))
 
+    def test_scaled_rotation_rejected(self):
+        # 2*I is not a rotation; unchecked, it gave IoU 0 with its own unit box
+        with pytest.raises(ValidationError):
+            OrientedBox([0.0, 0, 0], [1.0, 1, 1], 2.0 * np.eye(3))
+
+    def test_reflection_rejected(self):
+        # unchecked, a reflected box had IoU 0 with itself
+        with pytest.raises(ValidationError):
+            OrientedBox([0.0, 0, 0], [1.0, 2, 3], np.diag([1.0, 1.0, -1.0]))
+
 
 class TestSphereRejection:
     def test_matches_clip_hull_around_the_sphere_bound(self):

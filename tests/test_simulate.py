@@ -10,7 +10,7 @@ from robocal.metrics import pointwise_rmse
 from robocal.registration import pose_error
 from robocal.simulate import (Camera, NoiseSpec, SceneConfig, SceneObject,
                               Trajectory, calibrate_handeye_perturbation,
-                              generate_scene, perturb_object_pose,
+                              generate_scene, perturb_object_pose, perturbed_pose,
                               simulate_annotation_error, _draw_streams, _marker_rig)
 
 
@@ -59,6 +59,22 @@ class TestPerturbObjectPose:
         with pytest.raises(ValidationError):
             NoiseSpec(obj_translation_mm=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_magnitudes_rejected(self, value):
+        for kwargs in ({"obj_translation_mm": value}, {"obj_rotation_deg": value},
+                       {"handeye_target_rmse": {"rgbd": value}}):
+            with pytest.raises(ValidationError):
+                NoiseSpec(**kwargs)
+
+    def test_perturbed_pose_rejects_non_finite_input(self):
+        # its result is built unchecked, so its inputs are checked
+        pose = Pose(random_rotation(make_rng(5)), [300.0, -50.0, 20.0])
+        for args in (([np.nan, 0.0, 0.0], 0.2, [0.0, 0.0, 1.0], 0.38),
+                     ([1.0, 0.0, 0.0], np.inf, [0.0, 0.0, 1.0], 0.38),
+                     ([1.0, 0.0, 0.0], 0.2, [0.0, 0.0, 1.0], np.nan)):
+            with pytest.raises(ValidationError):
+                perturbed_pose(pose, *args)
+
 
 class TestCalibratePerturbation:
     @pytest.mark.parametrize("target", [0.3, 2.0])
@@ -72,6 +88,9 @@ class TestCalibratePerturbation:
         cam, board, views = rig
         with pytest.raises(ValidationError):
             calibrate_handeye_perturbation(cam, board, views, 0.0, make_rng(7))
+        with pytest.raises(ValidationError):
+            calibrate_handeye_perturbation(cam, board, views, float("inf"),
+                                           make_rng(7))
 
     def test_translation_only_magnitude_equals_target(self, rig):
         cam, board, views = rig
