@@ -240,6 +240,7 @@ def _cmd_eval_iou(args) -> int:
                          "threshold": args.threshold},
             [args.gt_file, args.pred_file])
         manifest.counts.update(pairs_compared=result.pairs_compared,
+                               pairs_separated=result.pairs_separated,
                                pairs_clipped=result.pairs_clipped)
         rows = [f"{cat},{repr(float(ap))}"
                 for cat, ap in result.per_category.items()]

@@ -433,12 +433,23 @@ def load_detection_set(gt_path, pred_path) -> DetectionSet:
                         ground_truth=load_ground_truth_csv(gt_path))
 
 
+def _check_category(category: str) -> str:
+    """A category that reads back unchanged: the reader splits rows on
+    commas and line breaks, strips each line and skips '#' comment lines."""
+    if (category != category.strip() or category.startswith("#")
+            or any(ch in category for ch in ",\r\n")):
+        raise ValidationError(
+            f"category {category!r} cannot be written to a detection CSV: it "
+            "starts with '#', has surrounding whitespace, a comma or a line break")
+    return category
+
+
 def save_ground_truth_csv(path, ground_truth) -> None:
     lines = [GT_HEADER]
     for gt in ground_truth:
         q = matrix_to_quat(gt.box.rotation)
         nums = (*gt.box.center, *gt.box.half_extents, *q)
-        lines.append(",".join([gt.category] + [_fmt(v) for v in nums]))
+        lines.append(",".join([_check_category(gt.category)] + [_fmt(v) for v in nums]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -447,7 +458,7 @@ def save_predictions_csv(path, detections) -> None:
     for det in detections:
         q = matrix_to_quat(det.box.rotation)
         nums = (det.score, *det.box.center, *det.box.half_extents, *q)
-        lines.append(",".join([det.category] + [_fmt(v) for v in nums]))
+        lines.append(",".join([_check_category(det.category)] + [_fmt(v) for v in nums]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

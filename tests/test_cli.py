@@ -193,11 +193,13 @@ def test_eval_iou_sidecar_counts_pairs(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == plain_stdout + f"report written to {out}\n"
 
-    expected = average_precision(fileio.load_detection_set(gt_path, pred_path), 0.5)
-    assert 0 < expected.pairs_clipped < expected.pairs_compared
+    # 6 x 6 pairs compared. The bounding spheres of distinct ground-truth
+    # boxes miss each other by at least 27 mm and each prediction lies within
+    # 6 mm of its own box, so only the 6 own pairs reach the separating-axis
+    # test; they overlap, pass it and are clipped.
     sidecar = json.loads((tmp_path / "ap.csv.manifest.json").read_text())
-    assert sidecar["counts"] == {"pairs_compared": expected.pairs_compared,
-                                 "pairs_clipped": expected.pairs_clipped}
+    assert sidecar["counts"] == {"pairs_compared": 36, "pairs_separated": 0,
+                                 "pairs_clipped": 6}
     embedded = json.loads(out.read_text().splitlines()[0][len("# manifest: "):])
     assert embedded == {k: v for k, v in sidecar.items()
                         if k not in ("counts", "timestamp")}

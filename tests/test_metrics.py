@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from robocal import metrics
 from robocal.errors import ValidationError
-from robocal.geometry import (Pose, apply, axis_angle, make_rng, random_rotation,
-                              random_unit_vector)
+from robocal.geometry import (Pose, apply, axis_angle, make_rng, quat_to_matrix,
+                              random_rotation, random_unit_vector)
 from robocal.metrics import (APResult, Detection, DetectionSet, GroundTruthBox,
-                             OrientedBox, _clip_volume,
-                             annotation_quality_table, average_precision,
+                             OrientedBox, annotation_quality_table, average_precision,
                              intersection_volume, iou3d, pointwise_rmse)
 
 
@@ -24,6 +25,16 @@ def mc_iou(a, b, n, rng):
 def random_box(rng, center_spread=15.0):
     return OrientedBox(rng.uniform(-center_spread, center_spread, 3),
                        rng.uniform(2.0, 20.0, 3), random_rotation(rng))
+
+
+def clip_volumes(pairs):
+    """Exact clip volume of each (a, b) pair, with no rejection test."""
+    return metrics._clip_volumes(*metrics._stack([a for a, _ in pairs]),
+                                 *metrics._stack([b for _, b in pairs]))
+
+
+def clip_volume(a, b):
+    return float(clip_volumes([(a, b)])[0])
 
 
 class TestIou3d:
@@ -86,6 +97,13 @@ class TestIou3d:
         with pytest.raises(ValidationError):
             OrientedBox([0.0, 0, 0], [1.0, 0.0, 1.0], np.eye(3))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_extents_rejected(self, value):
+        # an infinite box used to construct, with volume inf and IoU 0 with
+        # the unit box
+        with pytest.raises(ValidationError):
+            OrientedBox([0.0, 0, 0], [value, 1.0, 1.0], np.eye(3))
+
     def test_scaled_rotation_rejected(self):
         # 2*I is not a rotation; unchecked, it gave IoU 0 with its own unit box
         with pytest.raises(ValidationError):
@@ -109,20 +127,33 @@ class TestSphereRejection:
             reach = np.linalg.norm(a.half_extents) + np.linalg.norm(half)
             offset = random_unit_vector(rng) * reach * rng.uniform(0.9, 1.1)
             b = OrientedBox(a.center + offset, half, random_rotation(rng))
-            expected = _clip_volume(a, b)
+            expected = clip_volume(a, b)
             assert intersection_volume(a, b) == expected
             overlapping += expected > 0.0
         assert overlapping > 0
 
     def test_disjoint_spheres_skip_hull(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("the exact clip ran on a sphere-disjoint pair")
+        # only the sphere-passing pair reaches the separating-axis test, and
+        # the clip runs only on pairs that test passes
+        tested = []
+        axes_overlap = metrics._axes_overlap
 
-        monkeypatch.setattr(metrics, "_clip_polygon", fail)
-        # 1.5 mm apart; the bounding spheres miss by 0.04 mm
+        def spy(ca, ha, Ra, cb, hb, Rb):
+            tested.extend((cb - ca)[:, 0].tolist())
+            return axes_overlap(ca, ha, Ra, cb, hb, Rb)
+
+        monkeypatch.setattr(metrics, "_axes_overlap", spy)
         a = OrientedBox([0.0, 0, 0], [1.0, 1, 1], np.eye(3))
-        b = OrientedBox([3.5, 0, 0], [1.0, 1, 1], np.eye(3))
-        assert iou3d(a, b) == 0.0
+        near = OrientedBox([1.5, 0, 0], [1.0, 1, 1], np.eye(3))
+        # 1.5 mm apart; the bounding spheres miss by 0.04 mm
+        far = OrientedBox([3.5, 0, 0], [1.0, 1, 1], np.eye(3))
+        # 0.5 mm apart; the spheres overlap, the y axis separates the boxes
+        apart = OrientedBox([0.0, 2.5, 0], [1.0, 1, 1], np.eye(3))
+        iou, separated, clipped = metrics._iou_matrix([a], [near, far, apart])
+        assert tested == [1.5, 0.0]
+        assert (separated, clipped) == (1, 1)
+        assert iou[0, 0] == pytest.approx(1.0 / 7.0, abs=1e-12)  # 2 / (8 + 8 - 2)
+        assert iou[0, 1] == iou[0, 2] == 0.0
 
 
 def placed_box(lo, hi, rotation=np.eye(3), origin=(0.0, 0.0, 0.0)):
@@ -198,9 +229,118 @@ def test_clip_volume_matches_halfspace_intersection():
         b = OrientedBox(a.center + rng.uniform(-15, 15, 3), rng.uniform(2.0, 20.0, 3),
                         random_rotation(rng))
         expected = halfspace_volume(a, b)
-        assert _clip_volume(a, b) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert clip_volume(a, b) == pytest.approx(expected, rel=1e-9, abs=1e-9)
         overlapping += expected > 0.0
     assert overlapping > 300
+
+
+def test_volume_does_not_depend_on_the_batch():
+    rng = make_rng(21)
+    pairs = [(random_box(rng), random_box(rng)) for _ in range(60)]
+    together = clip_volumes(pairs)
+    assert np.sum(together > 0.0) > 30
+    order = rng.permutation(len(pairs))
+    assert np.array_equal(clip_volumes([pairs[k] for k in order]), together[order])
+    assert np.array_equal([clip_volume(a, b) for a, b in pairs], together)
+    # one IoU matrix equals the one-pair calls, bit for bit
+    a_boxes, b_boxes = [a for a, _ in pairs[:8]], [b for _, b in pairs[:8]]
+    matrix = metrics._iou_matrix(a_boxes, b_boxes)[0]
+    assert np.array_equal(matrix, [[iou3d(a, b) for b in b_boxes] for a in a_boxes])
+
+
+def polygon_loop_clip(polygon, normal, offset):
+    """Sutherland-Hodgman clip of one polygon, a list of (x, y, z), against
+    normal . x <= offset, vertex by vertex: the reference for _clip_step."""
+    eps = metrics._CLIP_EPS
+    nx, ny, nz = normal
+    dist = [nx * x + ny * y + nz * z - offset for x, y, z in polygon]
+    out = []
+    for i, (p, dp) in enumerate(zip(polygon, dist)):
+        q, dq = polygon[i - 1], dist[i - 1]  # edge q -> p
+        if (dq > eps and dp <= eps) or (dq < -eps and dp > eps):
+            s = dq / (dq - dp)
+            out.append((q[0] + s * (p[0] - q[0]), q[1] + s * (p[1] - q[1]),
+                        q[2] + s * (p[2] - q[2])))
+        if dp <= eps:
+            out.append(p)
+    return out
+
+
+def test_clip_step_matches_polygon_loop():
+    # box faces cut by six random planes in turn, plus a zigzag quad that
+    # crosses its plane four times and so outgrows the array's width
+    rng = make_rng(22)
+    polygons = [random_box(rng).corners()[list(metrics._FACES[k % 6])].tolist()
+                for k in range(120)]
+    polygons.append([(0.0, 0, 0), (1.0, 0, 1), (2.0, 0, 0), (3.0, 0, 1)])
+    width = 4
+    poly = np.zeros((len(polygons), width, 3))
+    poly[:] = polygons
+    count = np.full(len(polygons), 4)
+    for _ in range(6):
+        normals = np.array([random_unit_vector(rng) for _ in polygons])
+        normals[-1] = [0.0, 0.0, 1.0]
+        offsets = (np.einsum("ij,ij->i", normals, poly[:, 0])
+                   + rng.uniform(-8.0, 8.0, len(poly)))
+        offsets[-1] = 0.5
+        poly = metrics._clip_step(poly, count, normals, offsets)
+        polygons = [polygon_loop_clip(pg, n, o) if pg else pg
+                    for pg, n, o in zip(polygons, normals.tolist(), offsets.tolist())]
+        assert [len(pg) for pg in polygons] == count.tolist()
+        for row, pg in zip(poly, polygons):
+            assert row[:len(pg)].tolist() == [list(v) for v in pg]
+        width = max(width, poly.shape[1])
+    assert width == 6  # the zigzag: two crossings in, two out, two vertices inside
+    assert 0 < np.count_nonzero(count[:-1]) < len(count) - 1
+
+
+def axes_and_spheres_keep(a, b):
+    (ca, ha, Ra), (cb, hb, Rb) = metrics._stack([a]), metrics._stack([b])
+    return bool(metrics._spheres_overlap(ca, ha, cb, hb)[0, 0]
+                and metrics._axes_overlap(ca, ha, Ra, cb, hb, Rb)[0])
+
+
+rotations = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: np.linalg.norm(q) > 0.1).map(lambda q: quat_to_matrix(q / np.linalg.norm(q)))
+extents = st.tuples(*[st.floats(0.5, 40.0)] * 3).map(np.array)
+
+
+@st.composite
+def near_touching_pairs(draw):
+    """Box b against a face, an edge or a corner of box a, then moved off or
+    into a by 1e-9 mm along each axis of the contact, or not at all."""
+    a = OrientedBox(draw(st.tuples(*[st.floats(-1000.0, 1000.0)] * 3)), draw(extents),
+                    draw(rotations))
+    rot_b = draw(st.one_of(st.just(a.rotation), rotations))  # aligned or not
+    # aligned boxes with proportional extents meet corner to corner on the
+    # line of their centres, where only the sphere test decides
+    half_b = draw(st.one_of(extents, st.floats(0.2, 5.0).map(lambda f: f * a.half_extents)))
+    contact_axes = draw(st.integers(1, 3))  # face, edge or corner
+    gap = draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
+    center = a.center
+    for n, k in enumerate(draw(st.permutations([0, 1, 2]))):
+        axis = a.rotation[:, k]
+        if n < contact_axes:
+            reach_b = float(np.sum(half_b * np.abs(rot_b.T @ axis)))
+            shift = draw(st.sampled_from([-1.0, 1.0])) * (a.half_extents[k] + reach_b + gap)
+        else:
+            shift = draw(st.floats(-1.0, 1.0)) * a.half_extents[k]
+        center = center + axis * shift
+    return a, OrientedBox(center, half_b, rot_b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair=st.one_of(near_touching_pairs(), st.tuples(*[st.builds(
+    OrientedBox, st.tuples(*[st.floats(-40.0, 40.0)] * 3), extents, rotations)] * 2)))
+def test_rejection_never_drops_an_overlapping_pair(pair):
+    a, b = pair
+    kept = axes_and_spheres_keep(a, b)
+    volume = clip_volume(a, b)
+    # 1e-30 mm^3 = (1e-10 mm)^3: moving by 1e-9 mm overlaps by more, while
+    # boxes touching corner to corner can keep ~(1e-14 mm)^3 of rounding
+    if halfspace_volume(a, b) > 0.0 or volume > 1e-30:
+        assert kept
+    assert intersection_volume(a, b) == (volume if kept else 0.0)
 
 
 def _perfect_prediction(gt, score):
@@ -268,8 +408,10 @@ class TestAveragePrecision:
         assert result.per_category["can"] == pytest.approx(1.0)  # recall hit at rank 1
 
     def test_pairs_compared_and_clipped(self):
-        # rank 1 (g1 itself) meets g1 (clipped) and the far g2 (rejected by
-        # the sphere test); rank 2 meets only g2, since g1 is matched
+        # 2 predictions x 2 ground truths are compared; of the 4 pairs only
+        # (g1 itself, g1) has overlapping bounding spheres, and it is clipped:
+        # g2 and far lie 866 and 1732 mm from g1, whose half-extent norm is at
+        # most 35 mm, and 866 mm from each other
         rng = make_rng(20)
         g1 = GroundTruthBox("cup", random_box(rng))
         g2 = GroundTruthBox("cup", OrientedBox(g1.box.center + 500.0,
@@ -277,7 +419,8 @@ class TestAveragePrecision:
         far = OrientedBox(g1.box.center + 1000.0, [5.0, 5.0, 5.0], np.eye(3))
         preds = [_perfect_prediction(g1, 0.9), Detection("cup", far, 0.1)]
         result = average_precision(DetectionSet(preds, [g1, g2]), 0.5)
-        assert (result.pairs_compared, result.pairs_clipped) == (3, 1)
+        assert (result.pairs_compared, result.pairs_separated,
+                result.pairs_clipped) == (4, 0, 1)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValidationError):
@@ -304,9 +447,14 @@ class TestAveragePrecision:
                                        rng.uniform(0.0, 1.0)))
         detections = DetectionSet(preds, gts)
         result = average_precision(detections, threshold)
-        monkeypatch.setattr(metrics, "_intersection",
-                            lambda a, b: (_clip_volume(a, b), True))
+        # bypass both rejection tests: every pair is clipped
+        monkeypatch.setattr(metrics, "_spheres_overlap",
+                            lambda ca, ha, cb, hb: np.ones((len(ca), len(cb)), bool))
+        monkeypatch.setattr(metrics, "_axes_overlap",
+                            lambda ca, *args: np.ones(len(ca), bool))
         reference = average_precision(detections, threshold)
+        assert reference.pairs_clipped == reference.pairs_compared
+        assert result.pairs_clipped < reference.pairs_compared
         assert result.per_category == reference.per_category
         assert result.mean_ap == reference.mean_ap
         assert any(0.0 < ap < 1.0 for ap in result.per_category.values())
