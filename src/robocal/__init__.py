@@ -11,14 +11,14 @@ from .errors import (DegenerateGeometryError, FileFormatError,
                      InconsistentMeasurementError, RobocalError,
                      SearchFailureError, ValidationError)
 from .geometry import (Pose, apply, axis_angle, compose, invert, make_rng,
-                       matrix_to_quat, normalize_rotation, quat_to_matrix,
-                       random_rotation, random_unit_vector, rotation_distance)
+                       matrix_to_quat, quat_to_matrix, random_rotation,
+                       random_unit_vector, rotation_distance)
 
 __all__ = [
     "__version__",
     "Pose", "apply", "axis_angle", "compose", "invert", "make_rng",
-    "matrix_to_quat", "normalize_rotation", "quat_to_matrix",
-    "random_rotation", "random_unit_vector", "rotation_distance",
+    "matrix_to_quat", "quat_to_matrix", "random_rotation",
+    "random_unit_vector", "rotation_distance",
     "RobocalError", "ValidationError", "FileFormatError",
     "DegenerateGeometryError", "InconsistentMeasurementError",
     "SearchFailureError",

@@ -8,6 +8,7 @@ omitted a seed is generated and recorded in the run manifest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import secrets
 import sys
@@ -116,19 +117,18 @@ def _cmd_handeye(args) -> int:
 def _parse_icp_params(text: str) -> IcpParams:
     if not text:
         return IcpParams()
+    types = {f.name: type(f.default) for f in dataclasses.fields(IcpParams)}
     values = {}
     for item in text.split(","):
         key, sep, val = item.partition("=")
         if not sep:
             raise ValidationError(f"bad --icp-params entry {item!r}; use key=value")
         key = key.strip()
-        fields = {"max_iterations": int, "tol_translation_mm": float,
-                  "tol_rotation_deg": float, "max_correspondence_mm": float}
-        if key not in fields:
+        if key not in types:
             raise ValidationError(f"unknown --icp-params key {key!r}; "
-                                  f"known: {sorted(fields)}")
+                                  f"known: {sorted(types)}")
         try:
-            values[key] = fields[key](val)
+            values[key] = types[key](val)
         except ValueError:
             raise ValidationError(f"bad value for --icp-params {key}: {val!r}")
     return IcpParams(**values)

@@ -1,15 +1,24 @@
 """Structured text formats, CSV reports and run manifests.
 
 Every format is strict: units and pose-convention headers are mandatory
-and mismatches are hard errors, quaternion rows must be unit to 1e-6,
-parsers never guess. Floats are serialized with repr() so numeric fields
-survive a round trip exactly. Writes are atomic (temp file then rename).
+and mismatches are hard errors, quaternion fields must be unit to 1e-6,
+parsers never guess, and a value that a domain type rejects is reported
+with the file, and with the line when one row is at fault. A writer
+rejects a name that its reader would not give back, before it writes.
+
+Floats are written with repr(), so translations, points, box centres and
+half extents, scores and names read back bit for bit. Rotations are
+written as unit quaternions: a loaded rotation matrix differs from the
+saved one by a few ulp per entry (at most 8 in the round-trip tests), and
+each further load/save cycle can move it again. Writes are atomic (temp
+file then rename).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import secrets
@@ -98,15 +107,65 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# Low-level structured-text scanning
+# Records: one writer, one scanner and one row parser for every format
+
+
+def _write_text(path, kind, rows=(), *, comment="", convention=False, columns="",
+                sections=()) -> None:
+    """Write a structured text file: the '# robocal <kind> v1' line, the
+    comment, the units (and pose-convention) headers, the '# columns:' line,
+    the top-level rows, then each (name, rows) section."""
+    lines = [f"# robocal {kind} v1"]
+    if comment:
+        lines.append(f"# {comment}")
+    lines.append(f"units={UNITS_VALUE}")
+    if convention:
+        lines.append(f"convention={CONVENTION_VALUE}")
+    if columns:
+        lines.append(f"# columns: {columns}")
+    lines += rows
+    for name, section_rows in sections:
+        lines.append(f"[{name}]")
+        lines += section_rows
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _row(values, names=(), sep=" ") -> str:
+    return sep.join([*names, *map(_fmt, values)])
+
+
+def _pose_values(pose: Pose) -> tuple:
+    return (*matrix_to_quat(pose.rotation), *pose.translation)
+
+
+def _check_field(value: str, separator: str | None) -> str:
+    """`value`, if its reader gives it back unchanged; ValidationError if not.
+
+    Readers strip each line, skip '#' comment lines and split rows on
+    `separator`: ',' in a detection CSV, whitespace (None) in a scene, where
+    a name can also end a '[trajectory <name>]' header at its first ']'. One
+    rule serves every name of a scene, wherever in the file it stands.
+    """
+    if separator is None:
+        unreadable = value.split() != [value] or "]" in value
+        rule = "a scene name is one token without whitespace or ']'"
+    else:
+        unreadable = value[:1].isspace() or any(ch in value for ch in separator + "\r\n")
+        rule = f"a field may not start with whitespace or hold {separator!r} or a line break"
+    if unreadable or value.startswith("#"):
+        raise ValidationError(f"{value!r} cannot be written, as it would not read back: "
+                              f"{rule}, and none may start with '#'")
+    return value
 
 
 class _Scanner:
-    """Iterates meaningful lines of a structured text file."""
+    """The meaningful lines of a structured text file: headers, top-level
+    rows and [sections]. The units header, and with `convention` the
+    pose-convention header, must be present and hold this toolkit's value."""
 
-    def __init__(self, path):
+    def __init__(self, path, convention=False):
         self.path = str(path)
-        self.headers: dict[str, str] = {}
+        headers: dict[str, str] = {}
         self.rows: list[tuple[int, str]] = []  # top-level data rows
         self.sections: list[tuple[str, list[tuple[int, str]]]] = []
         current: list[tuple[int, str]] | None = None
@@ -121,20 +180,22 @@ class _Scanner:
                 continue
             kv = _KV_RE.match(line)
             if kv:
-                self.headers[kv.group(1)] = kv.group(2).strip()
+                headers[kv.group(1)] = kv.group(2).strip()
             else:
                 self.rows.append((lineno, line))
-
-    def require_header(self, key: str, expected: str) -> None:
-        if key not in self.headers:
-            raise FileFormatError(self.path, None,
-                                  f"missing required header '{key}={expected}'")
-        got = self.headers[key]
-        if got != expected:
-            raise FileFormatError(
-                self.path, None,
-                f"header mismatch: {key}={got!r}, this toolkit requires "
-                f"{key}={expected!r} (no silent reinterpretation)")
+        required = {"units": UNITS_VALUE}
+        if convention:
+            required["convention"] = CONVENTION_VALUE
+        for key, expected in required.items():
+            got = headers.get(key)
+            if got is None:
+                raise FileFormatError(self.path, None,
+                                      f"missing required header '{key}={expected}'")
+            if got != expected:
+                raise FileFormatError(
+                    self.path, None,
+                    f"header mismatch: {key}={got!r}, this toolkit requires "
+                    f"{key}={expected!r} (no silent reinterpretation)")
 
     def section(self, name: str):
         for sec_name, rows in self.sections:
@@ -143,217 +204,149 @@ class _Scanner:
         raise FileFormatError(self.path, None, f"missing required section [{name}]")
 
 
-def _parse_floats(path, lineno, tokens, expected: int):
-    if len(tokens) != expected:
-        raise FileFormatError(path, lineno,
-                              f"expected {expected} numeric fields, got {len(tokens)}")
-    values = []
-    for tok in tokens:
-        try:
-            v = float(tok)
-        except ValueError:
-            raise FileFormatError(path, lineno, f"bad number {tok!r}")
-        if not np.isfinite(v):
-            raise FileFormatError(path, lineno, f"non-finite value {tok!r}")
-        values.append(v)
-    return values
+def _float_rows(path, rows, width, what, *, names=0, sep=None) -> list[tuple]:
+    """(line number, *names, numbers) of each (line number, text) row: the
+    text split on `sep` (None: whitespace) into `names` text fields and then
+    `width` finite numbers. There must be at least one row."""
+    if not rows:
+        raise FileFormatError(path, None, f"no {what} rows found")
+    out = []
+    for lineno, line in rows:
+        fields = line.split(sep)
+        if len(fields) != names + width:
+            raise FileFormatError(path, lineno, f"{what} row needs {names + width} "
+                                  f"fields, got {len(fields)}")
+        values = []
+        for tok in fields[names:]:
+            try:
+                v = float(tok)
+            except ValueError:
+                raise FileFormatError(path, lineno, f"bad number {tok!r}") from None
+            if not math.isfinite(v):
+                raise FileFormatError(path, lineno, f"non-finite value {tok!r}")
+            values.append(v)
+        out.append((lineno, *fields[:names], values))
+    return out
 
 
-def _pose_from_row(path, lineno, values) -> Pose:
-    q = np.array(values[:4])
-    t = np.array(values[4:7])
+def _rotation(path, lineno, q) -> np.ndarray:
+    """Rotation of a (w, x, y, z) quaternion field. Its norm must be 1 to
+    QUAT_NORM_TOL; a quaternion unit to 1e-12, as every writer here writes
+    one, is used as written, any other is first divided by its norm."""
+    q = np.array(q)
     norm = float(np.linalg.norm(q))
     if abs(norm - 1.0) > QUAT_NORM_TOL:
         raise FileFormatError(path, lineno,
                               f"quaternion norm {norm:.8f} deviates from 1 by more "
                               f"than {QUAT_NORM_TOL:g}")
-    if abs(norm - 1.0) > 1e-12:  # keep already-unit quaternions bit-exact
+    if abs(norm - 1.0) > 1e-12:
         q = q / norm
-    return Pose(quat_to_matrix(q), t)
+    return quat_to_matrix(q)
 
 
-def _pose_row(pose: Pose) -> str:
-    q = matrix_to_quat(pose.rotation)
-    t = pose.translation
-    return " ".join(_fmt(v) for v in (*q, *t))
+def _build(path, lineno, make, *args):
+    """make(*args), a ValidationError from it reported as a fault of the file,
+    at `lineno` when one row is at fault."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise FileFormatError(path, lineno, str(exc)) from exc
+
+
+def _pose(path, lineno, values) -> Pose:
+    return _build(path, lineno, Pose, _rotation(path, lineno, values[:4]), values[4:])
 
 
 # ---------------------------------------------------------------------------
-# Pose lists
+# Pose and point lists, marker boards, hand-eye views, correspondences
 
 
 def save_pose_list(path, poses, comment: str = "") -> None:
-    lines = ["# robocal pose-list v1"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines += [f"units={UNITS_VALUE}", f"convention={CONVENTION_VALUE}",
-              "# columns: qw qx qy qz tx ty tz"]
-    lines += [_pose_row(p) for p in poses]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "pose-list", [_row(_pose_values(p)) for p in poses],
+                comment=comment, convention=True, columns="qw qx qy qz tx ty tz")
 
 
 def load_pose_list(path) -> list[Pose]:
-    sc = _Scanner(path)
-    sc.require_header("units", UNITS_VALUE)
-    sc.require_header("convention", CONVENTION_VALUE)
-    poses = []
-    for lineno, line in sc.rows:
-        values = _parse_floats(path, lineno, line.split(), 7)
-        poses.append(_pose_from_row(path, lineno, values))
-    if not poses:
-        raise FileFormatError(path, None, "no pose rows found")
-    return poses
-
-
-# ---------------------------------------------------------------------------
-# Point lists
+    rows = _Scanner(path, convention=True).rows
+    return [_pose(path, lineno, v) for lineno, v in _float_rows(path, rows, 7, "pose")]
 
 
 def save_point_list(path, points, comment: str = "") -> None:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    lines = ["# robocal point-list v1"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines += [f"units={UNITS_VALUE}", "# columns: x y z"]
-    lines += [" ".join(_fmt(v) for v in p) for p in pts]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "point-list", [_row(p) for p in pts], comment=comment,
+                columns="x y z")
 
 
-def _points_from_rows(path, rows) -> np.ndarray:
-    pts = [_parse_floats(path, lineno, line.split(), 3) for lineno, line in rows]
-    if not pts:
-        raise FileFormatError(path, None, "no point rows found")
-    return np.array(pts)
+def _points(path, rows) -> np.ndarray:
+    return np.array([v for _, v in _float_rows(path, rows, 3, "point")])
 
 
 def load_point_list(path) -> np.ndarray:
-    sc = _Scanner(path)
-    sc.require_header("units", UNITS_VALUE)
-    return _points_from_rows(path, sc.rows)
-
-
-# ---------------------------------------------------------------------------
-# Marker boards
+    return _points(path, _Scanner(path).rows)
 
 
 def save_marker_board(path, board: MarkerBoard) -> None:
-    lines = ["# robocal marker-board v1", f"units={UNITS_VALUE}",
-             "[board_points]"]
-    lines += [" ".join(_fmt(v) for v in p) for p in board.board_points]
-    lines.append("[measured_points]")
-    lines += [" ".join(_fmt(v) for v in p) for p in board.measured_points]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "marker-board", sections=[
+        ("board_points", [_row(p) for p in board.board_points]),
+        ("measured_points", [_row(p) for p in board.measured_points])])
 
 
 def load_marker_board(path) -> MarkerBoard:
     sc = _Scanner(path)
-    sc.require_header("units", UNITS_VALUE)
-    board = _points_from_rows(path, sc.section("board_points"))
-    measured = _points_from_rows(path, sc.section("measured_points"))
-    return MarkerBoard(board, measured)
-
-
-# ---------------------------------------------------------------------------
-# Hand-eye view lists
+    return _build(path, None, MarkerBoard, _points(path, sc.section("board_points")),
+                  _points(path, sc.section("measured_points")))
 
 
 def save_views(path, views) -> None:
-    lines = ["# robocal handeye-views v1", f"units={UNITS_VALUE}",
-             f"convention={CONVENTION_VALUE}",
-             "# columns: ee(qw qx qy qz tx ty tz) marker_in_cam(qw qx qy qz tx ty tz)"]
-    for v in views:
-        lines.append(_pose_row(v.ee_pose) + " " + _pose_row(v.marker_in_cam))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "handeye-views",
+                [_row((*_pose_values(v.ee_pose), *_pose_values(v.marker_in_cam)))
+                 for v in views],
+                convention=True,
+                columns="ee(qw qx qy qz tx ty tz) marker_in_cam(qw qx qy qz tx ty tz)")
 
 
 def load_views(path) -> list[HandEyeView]:
-    sc = _Scanner(path)
-    sc.require_header("units", UNITS_VALUE)
-    sc.require_header("convention", CONVENTION_VALUE)
-    views = []
-    for lineno, line in sc.rows:
-        values = _parse_floats(path, lineno, line.split(), 14)
-        views.append(HandEyeView(
-            ee_pose=_pose_from_row(path, lineno, values[:7]),
-            marker_in_cam=_pose_from_row(path, lineno, values[7:]),
-        ))
-    if not views:
-        raise FileFormatError(path, None, "no view rows found")
-    return views
-
-
-# ---------------------------------------------------------------------------
-# Correspondences
+    rows = _Scanner(path, convention=True).rows
+    return [HandEyeView(_pose(path, lineno, v[:7]), _pose(path, lineno, v[7:]))
+            for lineno, v in _float_rows(path, rows, 14, "view")]
 
 
 def save_correspondences(path, c: Correspondences) -> None:
-    lines = ["# robocal correspondences v1", f"units={UNITS_VALUE}",
-             "# columns: measured(x y z) model(x y z)"]
-    for m, q in zip(c.measured, c.model):
-        lines.append(" ".join(_fmt(v) for v in (*m, *q)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "correspondences",
+                [_row((*m, *q)) for m, q in zip(c.measured, c.model)],
+                columns="measured(x y z) model(x y z)")
 
 
 def load_correspondences(path) -> Correspondences:
-    sc = _Scanner(path)
-    sc.require_header("units", UNITS_VALUE)
-    measured = []
-    model = []
-    for lineno, line in sc.rows:
-        values = _parse_floats(path, lineno, line.split(), 6)
-        measured.append(values[:3])
-        model.append(values[3:])
-    if not measured:
-        raise FileFormatError(path, None, "no correspondence rows found")
-    return Correspondences(np.array(measured), np.array(model))
+    rows = [v for _, v in _float_rows(path, _Scanner(path).rows, 6, "correspondence")]
+    return _build(path, None, Correspondences, np.array([r[:3] for r in rows]),
+                  np.array([r[3:] for r in rows]))
 
 
 # ---------------------------------------------------------------------------
 # Scenes
 
 
-def _check_name(name: str) -> str:
-    if not name or any(ch.isspace() for ch in name):
-        raise ValidationError(f"names in scene files cannot contain spaces: {name!r}")
-    return name
-
-
 def save_scene(path, scene: SceneConfig) -> None:
-    lines = ["# robocal scene v1", f"units={UNITS_VALUE}",
-             f"convention={CONVENTION_VALUE}", "[cameras]"]
-    for cam in scene.cameras:
-        lines.append(f"{_check_name(cam.name)} {_pose_row(cam.cam_to_ee)}")
-    lines.append("[objects]")
-    for obj in scene.objects:
-        lines.append(f"{_check_name(obj.name)} {_check_name(obj.mesh_ref)} "
-                     f"{_pose_row(obj.pose)}")
-    for traj in scene.trajectories:
-        lines.append(f"[trajectory {_check_name(traj.name)}]")
-        lines += [_pose_row(p) for p in traj.poses]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cameras = [_row(_pose_values(cam.cam_to_ee), [_check_field(cam.name, None)])
+               for cam in scene.cameras]
+    objects = [_row(_pose_values(obj.pose), [_check_field(obj.name, None),
+                                             _check_field(obj.mesh_ref, None)])
+               for obj in scene.objects]
+    trajectories = [(f"trajectory {_check_field(traj.name, None)}",
+                     [_row(_pose_values(p)) for p in traj.poses])
+                    for traj in scene.trajectories]
+    _write_text(path, "scene", convention=True,
+                sections=[("cameras", cameras), ("objects", objects), *trajectories])
 
 
 def load_scene(path) -> SceneConfig:
-    sc = _Scanner(path)
-    sc.require_header("units", UNITS_VALUE)
-    sc.require_header("convention", CONVENTION_VALUE)
-    cameras = []
-    for lineno, line in sc.section("cameras"):
-        parts = line.split()
-        if len(parts) != 8:
-            raise FileFormatError(path, lineno,
-                                  "camera row needs: name qw qx qy qz tx ty tz")
-        values = _parse_floats(path, lineno, parts[1:], 7)
-        cameras.append(Camera(parts[0], _pose_from_row(path, lineno, values)))
-    objects = []
-    for lineno, line in sc.section("objects"):
-        parts = line.split()
-        if len(parts) != 9:
-            raise FileFormatError(
-                path, lineno, "object row needs: name mesh_ref qw qx qy qz tx ty tz")
-        values = _parse_floats(path, lineno, parts[2:], 7)
-        objects.append(SceneObject(parts[0], parts[1],
-                                   _pose_from_row(path, lineno, values)))
+    sc = _Scanner(path, convention=True)
+    cameras = [Camera(name, _pose(path, lineno, v)) for lineno, name, v
+               in _float_rows(path, sc.section("cameras"), 7, "camera", names=1)]
+    objects = [SceneObject(name, mesh_ref, _pose(path, lineno, v))
+               for lineno, name, mesh_ref, v
+               in _float_rows(path, sc.section("objects"), 7, "object", names=2)]
     trajectories = []
     for sec_name, rows in sc.sections:
         if not sec_name.startswith("trajectory"):
@@ -362,12 +355,10 @@ def load_scene(path) -> SceneConfig:
         if len(parts) != 2:
             raise FileFormatError(path, None,
                                   f"bad trajectory section name [{sec_name}]")
-        poses = []
-        for lineno, line in rows:
-            values = _parse_floats(path, lineno, line.split(), 7)
-            poses.append(_pose_from_row(path, lineno, values))
+        poses = [_pose(path, lineno, v) for lineno, v
+                 in _float_rows(path, rows, 7, f"[{sec_name}] pose")]
         trajectories.append(Trajectory(parts[1], tuple(poses)))
-    return SceneConfig(tuple(objects), tuple(cameras), tuple(trajectories))
+    return _build(path, None, SceneConfig, objects, cameras, trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -377,55 +368,32 @@ PRED_HEADER = "category,score,cx,cy,cz,ex,ey,ez,qw,qx,qy,qz"
 GT_HEADER = "category,cx,cy,cz,ex,ey,ez,qw,qx,qy,qz"
 
 
-def _box_from_fields(path, lineno, fields) -> OrientedBox:
-    center = np.array(fields[:3])
-    half = np.array(fields[3:6])
-    q = np.array(fields[6:10])
-    norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > QUAT_NORM_TOL:
+def _csv_rows(path, header, width) -> list[tuple]:
+    """(line number, category, numbers) of each row of a detection CSV; a CSV
+    may hold no rows."""
+    lines = read_lines(path)
+    if not lines:
+        raise FileFormatError(path, None, f"missing CSV header {header!r}")
+    lineno, first = lines[0]
+    if first != header:
         raise FileFormatError(path, lineno,
-                              f"box quaternion norm {norm:.8f} deviates from 1")
-    if np.any(half <= 0):
-        raise FileFormatError(path, lineno, "box half extents must be positive")
-    return OrientedBox(center, half, quat_to_matrix(q / norm))
+                              f"bad CSV header; expected {header!r}, got {first!r}")
+    return _float_rows(path, lines[1:], width, "box", names=1, sep=",") if lines[1:] else []
 
 
-def _read_csv_rows(path, expected_header):
-    rows = []
-    header_seen = False
-    for lineno, line in read_lines(path):
-        if not header_seen:
-            if line != expected_header:
-                raise FileFormatError(
-                    path, lineno,
-                    f"bad CSV header; expected {expected_header!r}, got {line!r}")
-            header_seen = True
-            continue
-        rows.append((lineno, line.split(",")))
-    if not header_seen:
-        raise FileFormatError(path, None, f"missing CSV header {expected_header!r}")
-    return rows
+def _box(path, lineno, values) -> OrientedBox:
+    return _build(path, lineno, OrientedBox, values[:3], values[3:6],
+                  _rotation(path, lineno, values[6:]))
 
 
 def load_ground_truth_csv(path) -> list[GroundTruthBox]:
-    out = []
-    for lineno, parts in _read_csv_rows(path, GT_HEADER):
-        if len(parts) != 11:
-            raise FileFormatError(path, lineno, f"expected 11 fields, got {len(parts)}")
-        fields = _parse_floats(path, lineno, parts[1:], 10)
-        out.append(GroundTruthBox(parts[0], _box_from_fields(path, lineno, fields)))
-    return out
+    return [GroundTruthBox(category, _box(path, lineno, v))
+            for lineno, category, v in _csv_rows(path, GT_HEADER, 10)]
 
 
 def load_predictions_csv(path) -> list[Detection]:
-    out = []
-    for lineno, parts in _read_csv_rows(path, PRED_HEADER):
-        if len(parts) != 12:
-            raise FileFormatError(path, lineno, f"expected 12 fields, got {len(parts)}")
-        score = _parse_floats(path, lineno, parts[1:2], 1)[0]
-        fields = _parse_floats(path, lineno, parts[2:], 10)
-        out.append(Detection(parts[0], _box_from_fields(path, lineno, fields), score))
-    return out
+    return [Detection(category, _box(path, lineno, v[1:]), v[0])
+            for lineno, category, v in _csv_rows(path, PRED_HEADER, 11)]
 
 
 def load_detection_set(gt_path, pred_path) -> DetectionSet:
@@ -433,33 +401,19 @@ def load_detection_set(gt_path, pred_path) -> DetectionSet:
                         ground_truth=load_ground_truth_csv(gt_path))
 
 
-def _check_category(category: str) -> str:
-    """A category that reads back unchanged: the reader splits rows on
-    commas and line breaks, strips each line and skips '#' comment lines."""
-    if (category != category.strip() or category.startswith("#")
-            or any(ch in category for ch in ",\r\n")):
-        raise ValidationError(
-            f"category {category!r} cannot be written to a detection CSV: it "
-            "starts with '#', has surrounding whitespace, a comma or a line break")
-    return category
+def _box_row(category, box: OrientedBox, *lead) -> str:
+    return _row((*lead, *box.center, *box.half_extents, *matrix_to_quat(box.rotation)),
+                [_check_field(category, ",")], ",")
 
 
 def save_ground_truth_csv(path, ground_truth) -> None:
-    lines = [GT_HEADER]
-    for gt in ground_truth:
-        q = matrix_to_quat(gt.box.rotation)
-        nums = (*gt.box.center, *gt.box.half_extents, *q)
-        lines.append(",".join([_check_category(gt.category)] + [_fmt(v) for v in nums]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [_box_row(gt.category, gt.box) for gt in ground_truth]
+    atomic_write_text(path, "\n".join([GT_HEADER, *rows]) + "\n")
 
 
 def save_predictions_csv(path, detections) -> None:
-    lines = [PRED_HEADER]
-    for det in detections:
-        q = matrix_to_quat(det.box.rotation)
-        nums = (det.score, *det.box.center, *det.box.half_extents, *q)
-        lines.append(",".join([_check_category(det.category)] + [_fmt(v) for v in nums]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [_box_row(det.category, det.box, det.score) for det in detections]
+    atomic_write_text(path, "\n".join([PRED_HEADER, *rows]) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -139,13 +139,6 @@ def apply(a: Pose, points):
     return pts @ a.rotation.T + a.translation
 
 
-def normalize_rotation(R) -> np.ndarray:
-    """Project a near-rotation onto SO(3); never returns a reflection."""
-    U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
-    return U @ D @ Vt
-
-
 def axis_angle(axis, angle_deg: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis by an angle in degrees."""
     ax = _as_vec3(axis, "axis")

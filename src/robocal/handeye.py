@@ -30,7 +30,6 @@ class MarkerBoard:
 
     board_points: np.ndarray  # (K, 3) mm, marker frame
     measured_points: np.ndarray  # (K, 3) mm, robot-base frame
-    rigidity_tol_mm: float = DEFAULT_RIGIDITY_TOL_MM
 
     def __post_init__(self):
         board = np.asarray(self.board_points, dtype=float).reshape(-1, 3)
@@ -44,10 +43,10 @@ class MarkerBoard:
         object.__setattr__(self, "board_points", board)
         object.__setattr__(self, "measured_points", measured)
         worst = _max_pairwise_distance_mismatch(board, measured)
-        if worst > self.rigidity_tol_mm:
+        if worst > DEFAULT_RIGIDITY_TOL_MM:
             raise InconsistentMeasurementError(
                 f"board and measured pairwise distances disagree by up to "
-                f"{worst:.3f} mm (tolerance {self.rigidity_tol_mm:g} mm); "
+                f"{worst:.3f} mm (tolerance {DEFAULT_RIGIDITY_TOL_MM:g} mm); "
                 "measured points do not match the rigid board geometry")
 
 

@@ -38,7 +38,7 @@ DEFAULT_CATEGORIES = ("bottle", "box", "can", "cup", "remote", "teapot",
                       "cutlery", "glassware")
 
 # corners of a unit box (+-1 per axis), and its 6 quad faces, wound
-# counter-clockwise seen from outside and in the order of half_spaces()
+# counter-clockwise seen from outside and in the order of _half_spaces()
 _CORNER_SIGNS = np.array([[sx, sy, sz]
                           for sx in (-1.0, 1.0)
                           for sy in (-1.0, 1.0)
@@ -85,10 +85,6 @@ class OrientedBox:
 
     def corners(self) -> np.ndarray:
         return _corners(self.center, self.half_extents, self.rotation)
-
-    def half_spaces(self):
-        """6 (normal, offset) pairs; inside means normal . x <= offset."""
-        return _half_spaces(self.center, self.half_extents, self.rotation)
 
     def contains(self, points) -> np.ndarray:
         local = (np.asarray(points, dtype=float) - self.center) @ self.rotation

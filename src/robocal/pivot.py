@@ -28,7 +28,6 @@ class PivotResult:
     tip_offset: np.ndarray  # tip in end-effector frame, mm
     pivot_point: np.ndarray  # tip location in base frame, mm
     residual_rms: float  # rms spread of per-pose tip locations (tip variance), mm
-    rank: int
     n_poses: int
 
 
@@ -80,7 +79,7 @@ def solve_pivot(poses, min_diversity_deg: float = DEFAULT_MIN_DIVERSITY_DEG) -> 
     pivot = tips.mean(axis=0)
     residual = float(np.sqrt(np.mean(np.sum((tips - pivot) ** 2, axis=1))))
     return PivotResult(tip_offset=tip, pivot_point=pivot,
-                       residual_rms=residual, rank=int(rank), n_poses=n)
+                       residual_rms=residual, n_poses=n)
 
 
 def synthesize_pivot_poses(tip_offset, pivot_point, n, rng, *,

@@ -219,7 +219,6 @@ class IcpResult:
     iterations: int
     converged: bool
     rms_distance: float  # final rms point-to-surface distance, mm
-    mean_distance: float
     rms_history: list[float] = field(default_factory=list)
 
 
@@ -290,7 +289,6 @@ def icp_refine(measured_points, surface: SpatialIndex, initial: Pose,
         dist = match(pose)[1]
     return IcpResult(pose=pose, iterations=iterations, converged=converged,
                      rms_distance=float(np.sqrt(np.mean(dist ** 2))),
-                     mean_distance=float(dist.mean()),
                      rms_history=rms_history)
 
 

@@ -136,7 +136,6 @@ class SimReport:
     draws: int
     per_camera_rmse_draws: dict  # camera -> array of per-draw overall rmse
     per_camera_rmse_mean: dict  # camera -> mean over draws
-    noise: NoiseSpec
 
 
 def perturbed_pose(pose: Pose, translation_dir, translation_mm: float,
@@ -331,7 +330,6 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
         draws=draws,
         per_camera_rmse_draws={k: np.array(v) for k, v in per_camera_draws.items()},
         per_camera_rmse_mean={k: float(np.mean(v)) for k, v in per_camera_draws.items()},
-        noise=spec,
     )
 
 

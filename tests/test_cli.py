@@ -74,6 +74,18 @@ def test_degenerate_input_exits_2_with_error_line(tmp_path, capsys):
     assert "rotation diversity" in err
 
 
+@pytest.mark.parametrize("measured, code, message", [
+    ("0 0 0\n40 0 0\n", 1, "{path}: board has 3 nominal points but 2 measured points"),
+    ("3 0 0\n40 0 0\n0 30 0\n", 2, "board and measured pairwise distances disagree"),
+], ids=["missing-point", "not-rigid"])
+def test_board_file_errors_exit_codes(measured, code, message, tmp_path, capsys):
+    path = tmp_path / "board.txt"
+    path.write_text("units=mm\n[board_points]\n0 0 0\n40 0 0\n0 30 0\n"
+                    "[measured_points]\n" + measured)
+    assert cli.main(["handeye", str(path), str(tmp_path / "views.txt")]) == code
+    assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+
+
 def test_simulate_has_no_mesh_samples_flag(tmp_path, capsys):
     argv = ["simulate", "--template", "phocal-like", "--seed", "1",
             "--mesh-samples", "200", "--out-dir", str(tmp_path / "out")]

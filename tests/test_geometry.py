@@ -4,9 +4,9 @@ import pytest
 from robocal import geometry
 from robocal.errors import ValidationError
 from robocal.geometry import (Pose, apply, axis_angle, compose, invert,
-                              make_rng, matrix_to_quat, normalize_rotation,
-                              quat_to_matrix, random_rotation,
-                              random_unit_vector, rotation_distance)
+                              make_rng, matrix_to_quat, quat_to_matrix,
+                              random_rotation, random_unit_vector,
+                              rotation_distance)
 from robocal.mesh import chamfered_box
 from robocal.registration import (SpatialIndex, absolute_orientation,
                                   icp_refine, pose_error,
@@ -227,14 +227,6 @@ class TestPoseType:
         a = random_pose(rng)
         np.testing.assert_array_equal(Pose.from_matrix(a.as_matrix()).as_matrix(),
                                       a.as_matrix())
-
-    def test_normalize_rotation_never_reflects(self):
-        rng = make_rng(15)
-        for _ in range(100):
-            noisy = random_rotation(rng) + rng.normal(0, 1e-4, (3, 3))
-            R = normalize_rotation(noisy)
-            np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
-            assert np.linalg.det(R) > 0
 
     def test_quaternion_round_trip(self):
         rng = make_rng(16)
