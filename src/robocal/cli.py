@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 validation error (bad flags, malformed files),
 2 numerical/degeneracy error. Randomized commands take --seed; when it is
 omitted a seed is generated and recorded in the run manifest.
+
+Each command imports the domain modules it runs in its own body, so that a
+command loads and compiles only what it uses; keep domain imports out of the
+top of this module, where one would load its module for every command.
 """
 
 from __future__ import annotations
@@ -16,18 +20,13 @@ import sys
 from . import __version__
 from .errors import RobocalError, ValidationError
 from .geometry import make_rng, matrix_to_quat
-from .handeye import marker_from_base, solve_handeye
-from .mesh import load_obj
-from .metrics import average_precision
-from .pivot import (REFERENCE_TIP_VARIANCE_MM, solve_pivot,
-                    DEFAULT_MIN_DIVERSITY_DEG)
-from .registration import (IcpParams, SpatialIndex, icp_refine, initial_pose,
-                           recovery_benchmark)
-from .simulate import (NoiseSpec, SCENE_TEMPLATES, generate_scene,
-                       simulate_annotation_error)
+from .pivot import DEFAULT_MIN_DIVERSITY_DEG
 from . import fileio
 
 INITIAL_FIT_WARN_MM = 0.5
+
+# the names live in robocal.simulate, whose generate_scene refuses an unknown one
+_TEMPLATE_HELP = "named scene template; an unknown name lists the known ones"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +64,8 @@ def _write_report(path, manifest, header, rows, extra_comments=()):
 
 
 def _cmd_pivot_calib(args) -> int:
+    from .pivot import REFERENCE_TIP_VARIANCE_MM, solve_pivot
+
     poses = fileio.load_pose_list(args.poses_file)
     result = solve_pivot(poses, min_diversity_deg=args.min_diversity_deg)
     tip = result.tip_offset
@@ -90,6 +91,8 @@ def _cmd_pivot_calib(args) -> int:
 
 
 def _cmd_handeye(args) -> int:
+    from .handeye import marker_from_base, solve_handeye
+
     board = fileio.load_marker_board(args.board_file)
     views = fileio.load_views(args.views_file)
     marker_base, marker_rms = marker_from_base(board)
@@ -115,6 +118,8 @@ def _cmd_handeye(args) -> int:
 
 
 def _parse_icp_params(text: str) -> IcpParams:
+    from .registration import IcpParams
+
     if not text:
         return IcpParams()
     types = {f.name: type(f.default) for f in dataclasses.fields(IcpParams)}
@@ -135,6 +140,9 @@ def _parse_icp_params(text: str) -> IcpParams:
 
 
 def _cmd_annotate(args) -> int:
+    from .mesh import load_obj
+    from .registration import SpatialIndex, icp_refine, initial_pose
+
     params = _parse_icp_params(args.icp_params)
     points = fileio.load_point_list(args.points_file)
     mesh = load_obj(args.mesh_file)
@@ -180,6 +188,8 @@ def _parse_handeye_targets(items) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import NoiseSpec, generate_scene, simulate_annotation_error
+
     if (args.scene_file is None) == (args.template is None):
         raise ValidationError("give exactly one of <scene-file> or --template")
     seed = _resolve_seed(args)
@@ -212,6 +222,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_icp_bench(args) -> int:
+    from .registration import recovery_benchmark
+
     seed = _resolve_seed(args)
     report = recovery_benchmark(make_rng(seed), patch_fraction=args.patch_fraction)
     for case in report.cases:
@@ -226,6 +238,8 @@ def _cmd_icp_bench(args) -> int:
 
 
 def _cmd_eval_iou(args) -> int:
+    from .metrics import average_precision
+
     detections = fileio.load_detection_set(args.gt_file, args.pred_file)
     result = average_precision(detections, args.threshold)
     for cat, ap in result.per_category.items():
@@ -252,6 +266,8 @@ def _cmd_eval_iou(args) -> int:
 
 
 def _cmd_gen_scene(args) -> int:
+    from .simulate import generate_scene
+
     seed = _resolve_seed(args)
     scene = generate_scene(args.template, seed)
     fileio.save_scene(args.out, scene)
@@ -296,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulated annotation-quality evaluation")
     p.add_argument("scene_file", nargs="?")
-    p.add_argument("--template", choices=sorted(SCENE_TEMPLATES))
+    p.add_argument("--template", help=_TEMPLATE_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--noise-translation", type=float, default=0.20,
                    help="object translation noise, mm")
@@ -324,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval_iou)
 
     p = sub.add_parser("gen-scene", help="generate a synthetic scene file")
-    p.add_argument("--template", required=True, choices=sorted(SCENE_TEMPLATES))
+    p.add_argument("--template", required=True, help=_TEMPLATE_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="scene.txt")
     p.set_defaults(func=_cmd_gen_scene)

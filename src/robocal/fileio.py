@@ -12,6 +12,9 @@ written as unit quaternions: a loaded rotation matrix differs from the
 saved one by a few ulp per entry (at most 8 in the round-trip tests), and
 each further load/save cycle can move it again. Writes are atomic (temp
 file then rename).
+
+A loader imports the domain type it builds in its own body, so that reading
+one format does not load the modules of every other.
 """
 
 from __future__ import annotations
@@ -30,10 +33,6 @@ import numpy as np
 from . import __version__
 from .errors import FileFormatError, ValidationError
 from .geometry import Pose, matrix_to_quat, quat_to_matrix
-from .handeye import HandEyeView, MarkerBoard
-from .metrics import Detection, DetectionSet, GroundTruthBox, OrientedBox
-from .registration import Correspondences
-from .simulate import Camera, SceneConfig, SceneObject, SimReport, Trajectory
 from .textio import read_bytes, read_lines
 
 UNITS_VALUE = "mm"
@@ -42,6 +41,8 @@ QUAT_NORM_TOL = 1e-6
 
 _KV_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
 _SECTION_RE = re.compile(r"^\[([^\]]+)\]$")
+_BOARD_SECTIONS = re.compile(r"board_points|measured_points")
+_SCENE_SECTIONS = re.compile(r"cameras|objects|trajectory (\S+)")
 
 
 def _fmt(x: float) -> str:
@@ -114,7 +115,12 @@ def _write_text(path, kind, rows=(), *, comment="", convention=False, columns=""
                 sections=()) -> None:
     """Write a structured text file: the '# robocal <kind> v1' line, the
     comment, the units (and pose-convention) headers, the '# columns:' line,
-    the top-level rows, then each (name, rows) section."""
+    the top-level rows, then each (name, rows) section. A comment with a line
+    break, which would add rows to the file, is refused before anything is
+    written."""
+    if "\n" in comment or "\r" in comment:
+        raise ValidationError(f"comment {comment!r} cannot be written: it holds a "
+                              "line break, and each line after it would read as a row")
     lines = [f"# robocal {kind} v1"]
     if comment:
         lines.append(f"# {comment}")
@@ -161,19 +167,29 @@ def _check_field(value: str, separator: str | None) -> str:
 class _Scanner:
     """The meaningful lines of a structured text file: headers, top-level
     rows and [sections]. The units header, and with `convention` the
-    pose-convention header, must be present and hold this toolkit's value."""
+    pose-convention header, must be present and hold this toolkit's value.
+    Each section name must match the `sections` pattern in full and appear
+    once; a format without sections leaves the pattern unset."""
 
-    def __init__(self, path, convention=False):
+    def __init__(self, path, convention=False, sections: re.Pattern | None = None):
         self.path = str(path)
         headers: dict[str, str] = {}
         self.rows: list[tuple[int, str]] = []  # top-level data rows
-        self.sections: list[tuple[str, list[tuple[int, str]]]] = []
+        # name -> (line number of its header, its rows), in file order
+        self.sections: dict[str, tuple[int, list[tuple[int, str]]]] = {}
         current: list[tuple[int, str]] | None = None
         for lineno, line in read_lines(self.path):
             section = _SECTION_RE.match(line)
             if section:
+                name = section.group(1).strip()
+                if sections is None or not sections.fullmatch(name):
+                    raise FileFormatError(self.path, lineno, f"unknown section [{name}]")
+                if name in self.sections:
+                    raise FileFormatError(
+                        self.path, lineno, f"repeated section [{name}], first at "
+                        f"line {self.sections[name][0]}")
                 current = []
-                self.sections.append((section.group(1).strip(), current))
+                self.sections[name] = (lineno, current)
                 continue
             if current is not None:
                 current.append((lineno, line))
@@ -198,10 +214,9 @@ class _Scanner:
                     f"{key}={expected!r} (no silent reinterpretation)")
 
     def section(self, name: str):
-        for sec_name, rows in self.sections:
-            if sec_name == name:
-                return rows
-        raise FileFormatError(self.path, None, f"missing required section [{name}]")
+        if name not in self.sections:
+            raise FileFormatError(self.path, None, f"missing required section [{name}]")
+        return self.sections[name][1]
 
 
 def _float_rows(path, rows, width, what, *, names=0, sep=None) -> list[tuple]:
@@ -292,7 +307,9 @@ def save_marker_board(path, board: MarkerBoard) -> None:
 
 
 def load_marker_board(path) -> MarkerBoard:
-    sc = _Scanner(path)
+    from .handeye import MarkerBoard
+
+    sc = _Scanner(path, sections=_BOARD_SECTIONS)
     return _build(path, None, MarkerBoard, _points(path, sc.section("board_points")),
                   _points(path, sc.section("measured_points")))
 
@@ -306,6 +323,8 @@ def save_views(path, views) -> None:
 
 
 def load_views(path) -> list[HandEyeView]:
+    from .handeye import HandEyeView
+
     rows = _Scanner(path, convention=True).rows
     return [HandEyeView(_pose(path, lineno, v[:7]), _pose(path, lineno, v[7:]))
             for lineno, v in _float_rows(path, rows, 14, "view")]
@@ -318,6 +337,8 @@ def save_correspondences(path, c: Correspondences) -> None:
 
 
 def load_correspondences(path) -> Correspondences:
+    from .registration import Correspondences
+
     rows = [v for _, v in _float_rows(path, _Scanner(path).rows, 6, "correspondence")]
     return _build(path, None, Correspondences, np.array([r[:3] for r in rows]),
                   np.array([r[3:] for r in rows]))
@@ -336,28 +357,30 @@ def save_scene(path, scene: SceneConfig) -> None:
     trajectories = [(f"trajectory {_check_field(traj.name, None)}",
                      [_row(_pose_values(p)) for p in traj.poses])
                     for traj in scene.trajectories]
+    if len({name for name, _ in trajectories}) < len(trajectories):
+        raise ValidationError("trajectory names repeat; a scene file holds one "
+                              "[trajectory <name>] section per name")
     _write_text(path, "scene", convention=True,
                 sections=[("cameras", cameras), ("objects", objects), *trajectories])
 
 
 def load_scene(path) -> SceneConfig:
-    sc = _Scanner(path, convention=True)
+    from .simulate import Camera, SceneConfig, SceneObject, Trajectory
+
+    sc = _Scanner(path, convention=True, sections=_SCENE_SECTIONS)
     cameras = [Camera(name, _pose(path, lineno, v)) for lineno, name, v
                in _float_rows(path, sc.section("cameras"), 7, "camera", names=1)]
     objects = [SceneObject(name, mesh_ref, _pose(path, lineno, v))
                for lineno, name, mesh_ref, v
                in _float_rows(path, sc.section("objects"), 7, "object", names=2)]
     trajectories = []
-    for sec_name, rows in sc.sections:
-        if not sec_name.startswith("trajectory"):
+    for sec_name, (_, rows) in sc.sections.items():
+        traj_name = _SCENE_SECTIONS.fullmatch(sec_name).group(1)
+        if traj_name is None:
             continue
-        parts = sec_name.split()
-        if len(parts) != 2:
-            raise FileFormatError(path, None,
-                                  f"bad trajectory section name [{sec_name}]")
         poses = [_pose(path, lineno, v) for lineno, v
                  in _float_rows(path, rows, 7, f"[{sec_name}] pose")]
-        trajectories.append(Trajectory(parts[1], tuple(poses)))
+        trajectories.append(Trajectory(traj_name, tuple(poses)))
     return _build(path, None, SceneConfig, objects, cameras, trajectories)
 
 
@@ -382,21 +405,29 @@ def _csv_rows(path, header, width) -> list[tuple]:
 
 
 def _box(path, lineno, values) -> OrientedBox:
+    from .metrics import OrientedBox
+
     return _build(path, lineno, OrientedBox, values[:3], values[3:6],
                   _rotation(path, lineno, values[6:]))
 
 
 def load_ground_truth_csv(path) -> list[GroundTruthBox]:
+    from .metrics import GroundTruthBox
+
     return [GroundTruthBox(category, _box(path, lineno, v))
             for lineno, category, v in _csv_rows(path, GT_HEADER, 10)]
 
 
 def load_predictions_csv(path) -> list[Detection]:
+    from .metrics import Detection
+
     return [Detection(category, _box(path, lineno, v[1:]), v[0])
             for lineno, category, v in _csv_rows(path, PRED_HEADER, 11)]
 
 
 def load_detection_set(gt_path, pred_path) -> DetectionSet:
+    from .metrics import DetectionSet
+
     return DetectionSet(predictions=load_predictions_csv(pred_path),
                         ground_truth=load_ground_truth_csv(gt_path))
 

@@ -1,4 +1,5 @@
-"""SE(3) poses, rotation helpers and seeded random streams.
+"""SE(3) poses, rotation helpers, the closed-form point-set fit and seeded
+random streams.
 
 Conventions used throughout the toolkit:
 
@@ -15,11 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateGeometryError, ValidationError
 
 # Construction-time orthonormality guard. Internal operations keep rotations
 # far tighter than this; the loose bound is for user-supplied matrices.
 _ORTHO_TOL = 1e-6
+
+# Points are treated as collinear when the span of the centered set collapses
+# below this relative to its largest singular value.
+_COLLINEAR_RCOND = 1e-9
 
 
 def _as_vec3(v, name="vector"):
@@ -137,6 +142,45 @@ def apply(a: Pose, points):
     if pts.ndim == 1:
         return a.rotation @ pts + a.translation
     return pts @ a.rotation.T + a.translation
+
+
+def _kabsch(source: np.ndarray, target: np.ndarray):
+    """Least-squares rotation+translation mapping source onto target (no scale)."""
+    src_c = source.mean(axis=0)
+    dst_c = target.mean(axis=0)
+    H = (source - src_c).T @ (target - dst_c)
+    U, _, Vt = np.linalg.svd(H)
+    d = np.sign(np.linalg.det(Vt.T @ U.T))
+    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
+    t = dst_c - R @ src_c
+    return R, t
+
+
+def absolute_orientation(model_points, measured_points) -> tuple[Pose, float]:
+    """Closed-form rigid transform mapping model points onto measured points.
+
+    Returns (pose, residual_rms_mm). Raises DegenerateGeometryError for
+    fewer than 3 points or collinear model points, where the rotation is
+    not unique.
+    """
+    model = np.asarray(model_points, dtype=float).reshape(-1, 3)
+    measured = np.asarray(measured_points, dtype=float).reshape(-1, 3)
+    if len(model) != len(measured):
+        raise ValidationError(
+            f"point lists differ in length: {len(model)} model vs "
+            f"{len(measured)} measured")
+    if len(model) < 3:
+        raise DegenerateGeometryError(
+            f"absolute orientation needs >= 3 points, got {len(model)}")
+    centered = model - model.mean(axis=0)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    if sv[1] <= _COLLINEAR_RCOND * max(sv[0], 1.0):
+        raise DegenerateGeometryError(
+            "model points are collinear; rotation about the line is free")
+    pose = _trusted_pose(*_kabsch(model, measured))
+    residual = apply(pose, model) - measured
+    rms = float(np.sqrt(np.mean(np.sum(residual ** 2, axis=1))))
+    return pose, rms
 
 
 def axis_angle(axis, angle_deg: float) -> np.ndarray:

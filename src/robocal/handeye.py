@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentMeasurementError, ValidationError
-from .geometry import (Pose, _trusted_pose, apply, compose, invert,
-                       matrix_to_quat, quat_to_matrix, rotation_distance)
-from .registration import absolute_orientation
+from .geometry import (Pose, _trusted_pose, absolute_orientation, apply, compose,
+                       invert, matrix_to_quat, quat_to_matrix, rotation_distance)
 
 DEFAULT_RIGIDITY_TOL_MM = 1.0
 
@@ -40,10 +39,13 @@ class MarkerBoard:
                 "measured points")
         if len(board) < 3:
             raise ValidationError(f"marker board needs >= 3 points, got {len(board)}")
+        if not (np.all(np.isfinite(board)) and np.all(np.isfinite(measured))):
+            raise ValidationError("marker board points have non-finite coordinates")
         object.__setattr__(self, "board_points", board)
         object.__setattr__(self, "measured_points", measured)
         worst = _max_pairwise_distance_mismatch(board, measured)
-        if worst > DEFAULT_RIGIDITY_TOL_MM:
+        # a mismatch that overflows to inf or nan is not a rigid board either
+        if not worst <= DEFAULT_RIGIDITY_TOL_MM:
             raise InconsistentMeasurementError(
                 f"board and measured pairwise distances disagree by up to "
                 f"{worst:.3f} mm (tolerance {DEFAULT_RIGIDITY_TOL_MM:g} mm); "
@@ -51,9 +53,12 @@ class MarkerBoard:
 
 
 def _max_pairwise_distance_mismatch(a: np.ndarray, b: np.ndarray) -> float:
-    da = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1)
-    db = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
-    return float(np.abs(da - db).max())
+    """Largest difference between a pairwise distance of `a` and of `b`; inf
+    or nan when the finite coordinates' distances overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1)
+        db = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
+        return float(np.abs(da - db).max())
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ValidationError
-from .geometry import (Pose, _trusted_pose, apply, axis_angle, compose, invert,
-                       random_unit_vector, rotation_distance)
+from .errors import ValidationError
+from .geometry import (Pose, _trusted_pose, absolute_orientation, apply, axis_angle,
+                       compose, invert, random_unit_vector, rotation_distance)
 from .mesh import Mesh, drop_degenerate_triangles, sample_surface
-
-# Points are treated as collinear when the span of the centered set collapses
-# below this relative to its largest singular value.
-_COLLINEAR_RCOND = 1e-9
 
 # Largest (points x triangles) block a surface query holds at once, 8 MB an array.
 _QUERY_BLOCK = 1 << 20
@@ -48,45 +44,6 @@ class Correspondences:
             raise ValidationError(f"need >= 3 correspondences, got {len(measured)}")
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "model", model)
-
-
-def _kabsch(source: np.ndarray, target: np.ndarray):
-    """Least-squares rotation+translation mapping source onto target (no scale)."""
-    src_c = source.mean(axis=0)
-    dst_c = target.mean(axis=0)
-    H = (source - src_c).T @ (target - dst_c)
-    U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    t = dst_c - R @ src_c
-    return R, t
-
-
-def absolute_orientation(model_points, measured_points) -> tuple[Pose, float]:
-    """Closed-form rigid transform mapping model points onto measured points.
-
-    Returns (pose, residual_rms_mm). Raises DegenerateGeometryError for
-    fewer than 3 points or collinear model points, where the rotation is
-    not unique.
-    """
-    model = np.asarray(model_points, dtype=float).reshape(-1, 3)
-    measured = np.asarray(measured_points, dtype=float).reshape(-1, 3)
-    if len(model) != len(measured):
-        raise ValidationError(
-            f"point lists differ in length: {len(model)} model vs "
-            f"{len(measured)} measured")
-    if len(model) < 3:
-        raise DegenerateGeometryError(
-            f"absolute orientation needs >= 3 points, got {len(model)}")
-    centered = model - model.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[1] <= _COLLINEAR_RCOND * max(sv[0], 1.0):
-        raise DegenerateGeometryError(
-            "model points are collinear; rotation about the line is free")
-    pose = _trusted_pose(*_kabsch(model, measured))
-    residual = apply(pose, model) - measured
-    rms = float(np.sqrt(np.mean(np.sum(residual ** 2, axis=1))))
-    return pose, rms
 
 
 def initial_pose(c: Correspondences) -> tuple[Pose, float]:

@@ -15,7 +15,8 @@ from robocal.metrics import (Detection, GroundTruthBox, OrientedBox,
                              average_precision)
 from robocal.pivot import synthesize_pivot_poses
 from robocal.registration import Correspondences
-from robocal.simulate import Camera, SceneConfig, SceneObject, Trajectory
+from robocal.simulate import (Camera, SceneConfig, SceneObject, Trajectory,
+                              generate_scene)
 
 
 def _annotate_inputs(tmp_path):
@@ -217,19 +218,9 @@ def test_eval_iou_sidecar_counts_pairs(tmp_path, capsys):
                         if k not in ("counts", "timestamp")}
 
 
-# Runs in a fresh interpreter: other tests load scipy into this one.
-SCIPY_GUARD = """
-import json, sys
-import robocal.cli as cli
-assert "scipy" not in sys.modules, "import robocal.cli loaded scipy"
-for argv in json.loads(sys.argv[1]):
-    assert cli.main(argv) == 0, argv
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    assert not loaded, f"{argv[0]} loaded {loaded[:3]}"
-"""
-
-
-def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
+def _write_command_inputs(tmp_path):
+    """Small valid inputs for every command of COMMAND_ARGVS, written with the
+    fileio writers; returns the object pose the annotate inputs were made from."""
     rng = make_rng(6)
     poses = synthesize_pivot_poses(np.array([17.0, -2.0, 55.0]),
                                    np.array([400.0, 80.0, 120.0]), 20, rng,
@@ -267,19 +258,112 @@ def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
                            apply(truth, sample_surface(mesh, 30, rng)))
     fileio.save_correspondences(tmp_path / "keypoints.txt", Correspondences(
         apply(truth, mesh.vertices[:6]), mesh.vertices[:6]))
+    return truth
 
-    argvs = [["pivot-calib", "poses.txt", "--out", "pivot.csv"],
-             ["handeye", "board.txt", "views.txt", "--out", "handeye.csv"],
-             ["eval-iou", "gt.csv", "pred.csv", "--threshold", "0.5", "--out", "ap.csv"],
-             ["simulate", "scene.txt", "--seed", "1", "--out-dir", "sim"],
-             ["icp-bench", "--seed", "1"],
-             ["annotate", "points.txt", "box.obj", "keypoints.txt", "--out", "pose.txt"]]
+
+COMMAND_ARGVS = {
+    "--version": ["--version"],
+    "pivot-calib": ["pivot-calib", "poses.txt", "--out", "pivot.csv"],
+    "handeye": ["handeye", "board.txt", "views.txt", "--out", "handeye.csv"],
+    "eval-iou": ["eval-iou", "gt.csv", "pred.csv", "--threshold", "0.5", "--out", "ap.csv"],
+    "simulate": ["simulate", "scene.txt", "--seed", "1", "--out-dir", "sim"],
+    "icp-bench": ["icp-bench", "--seed", "1"],
+    "annotate": ["annotate", "points.txt", "box.obj", "keypoints.txt", "--out", "pose.txt"],
+}
+
+
+def _run_fresh(script, arg, cwd):
+    """`script` with `arg` as its argument, in a fresh interpreter that imports
+    robocal from this checkout."""
     src = os.path.dirname(os.path.dirname(robocal.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    run = subprocess.run([sys.executable, "-c", SCIPY_GUARD, json.dumps(argvs)],
-                         cwd=tmp_path, env=env, capture_output=True, text=True,
-                         timeout=120)
+    return subprocess.run([sys.executable, "-c", script, arg], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# Runs in a fresh interpreter: other tests load scipy into this one.
+SCIPY_GUARD = """
+import json, sys
+import robocal.cli as cli
+assert "scipy" not in sys.modules, "import robocal.cli loaded scipy"
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{argv[0]} loaded {loaded[:3]}"
+"""
+
+
+def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
+    truth = _write_command_inputs(tmp_path)
+    argvs = [COMMAND_ARGVS[name] for name in ("pivot-calib", "handeye", "eval-iou",
+                                              "simulate", "icp-bench", "annotate")]
+    run = _run_fresh(SCIPY_GUARD, json.dumps(argvs), tmp_path)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "sim" / "sim_report.csv").exists()
     refined = fileio.load_pose_list(tmp_path / "pose.txt")[0]
     assert np.allclose(refined.as_matrix(), truth.as_matrix(), atol=1e-6)
+
+
+# The robocal modules a command must not load: each command imports the
+# modules it runs in its own body.
+IMPORT_FOOTPRINT = {
+    "--version": ("simulate", "metrics", "registration", "mesh", "handeye"),
+    "pivot-calib": ("simulate", "metrics", "registration", "mesh", "handeye"),
+    "handeye": ("simulate", "metrics", "registration", "mesh"),
+    "annotate": ("simulate", "metrics", "handeye"),
+    "eval-iou": ("simulate", "registration", "mesh", "handeye"),
+}
+
+FOOTPRINT_GUARD = """
+import json, sys
+import robocal.cli as cli
+argv, unused = json.loads(sys.argv[1])
+try:
+    code = cli.main(argv)
+except SystemExit as exc:  # --version prints the version and exits
+    code = exc.code
+assert code == 0, f"exit code {code}"
+loaded = [name for name in unused if "robocal." + name in sys.modules]
+assert not loaded, f"{argv[0]} loaded robocal modules it does not run: {loaded}"
+"""
+
+
+@pytest.mark.parametrize("command", sorted(IMPORT_FOOTPRINT))
+def test_command_loads_only_the_modules_it_runs(command, tmp_path):
+    _write_command_inputs(tmp_path)
+    run = _run_fresh(FOOTPRINT_GUARD,
+                     json.dumps([COMMAND_ARGVS[command], IMPORT_FOOTPRINT[command]]),
+                     tmp_path)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen-scene"])
+def test_unknown_template_exits_1_naming_the_known_ones(command, tmp_path, capsys):
+    argv = {"simulate": ["simulate", "--template", "nope", "--seed", "1",
+                         "--out-dir", str(tmp_path / "out")],
+            "gen-scene": ["gen-scene", "--template", "nope", "--seed", "1",
+                          "--out", str(tmp_path / "scene.txt")]}[command]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown scene template 'nope'")
+    assert "phocal-like" in err
+    assert os.listdir(tmp_path) == []
+
+
+# a phocal-like scene with one of its sections misspelled or repeated; the
+# parent skipped that section without a word and simulated the rest
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("[trajectory traj-b]", "[trajectroy traj-b]"),
+     "unknown section [trajectroy traj-b]"),
+    (lambda text: text + "[cameras]\nextra 1 0 0 0 0 0 0\n",
+     "repeated section [cameras], first at line 4"),
+], ids=["misspelled-trajectory", "repeated-cameras"])
+def test_simulate_refuses_a_scene_with_a_lost_section(edit, message, tmp_path, capsys):
+    path = tmp_path / "scene.txt"
+    fileio.save_scene(path, generate_scene("phocal-like", 1))
+    path.write_text(edit(path.read_text()))
+    argv = ["simulate", str(path), "--seed", "1", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and message in err
+    assert not (tmp_path / "out").exists()

@@ -155,8 +155,9 @@ def test_correspondences_round_trip(pairs):
     SceneConfig,
     st.lists(st.builds(SceneObject, scene_names, scene_names, poses), min_size=1, max_size=3),
     st.lists(st.builds(Camera, scene_names, poses), min_size=1, max_size=3),
+    # a scene file holds one [trajectory <name>] section per name
     st.lists(st.builds(Trajectory, scene_names, st.lists(poses, min_size=1, max_size=3)),
-             min_size=1, max_size=2)))
+             min_size=1, max_size=2, unique_by=lambda traj: traj.name)))
 def test_scene_round_trip(saved):
     loaded = round_trip(fileio.save_scene, fileio.load_scene, saved)
     for got, want in zip(loaded.cameras, saved.cameras, strict=True):
@@ -353,3 +354,50 @@ def test_loader_error_names_the_file(loader, tmp_path):
     with pytest.raises(FileFormatError) as raised:
         load(path)
     assert str(raised.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+def test_comment_with_line_break_rejected_before_writing(brk, tmp_path):
+    # at the parent the comment's second line read back as a second pose
+    with pytest.raises(ValidationError, match="line break"):
+        fileio.save_pose_list(tmp_path / "poses.txt", [Pose.identity()],
+                              comment=f"note{brk}0 0 0 1 5 5 5")
+    assert os.listdir(tmp_path) == []
+
+
+_SCENE_TEXT = (_HEADER + "[cameras]\nrgbd 1 0 0 0 0 0 0\n"
+               "[objects]\ncup0 proc:cup 1 0 0 0 0 0 0\n"
+               "[trajectory a]\n1 0 0 0 0 0 0\n")
+
+
+# each section that the parent skipped without a word, and the line it starts on
+@pytest.mark.parametrize("extra, message", [
+    ("[trajectroy b]\n1 0 0 0 0 0 0\n", ":9: unknown section [trajectroy b]"),
+    ("[trajectory]\n1 0 0 0 0 0 0\n", ":9: unknown section [trajectory]"),
+    ("[cameras]\npol 1 0 0 0 0 0 0\n", ":9: repeated section [cameras], first at line 3"),
+    ("[objects]\nbox0 proc:box 1 0 0 0 0 0 0\n",
+     ":9: repeated section [objects], first at line 5"),
+    ("[trajectory a]\n1 0 0 0 0 0 0\n",
+     ":9: repeated section [trajectory a], first at line 7"),
+], ids=["misspelled", "unnamed-trajectory", "cameras", "objects", "trajectory"])
+def test_scene_section_unknown_or_repeated_cites_its_line(extra, message, tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_text(_SCENE_TEXT + extra)
+    with pytest.raises(FileFormatError) as raised:
+        fileio.load_scene(path)
+    assert str(raised.value) == f"{path}{message}"
+
+
+def test_section_in_a_format_without_sections_is_refused(tmp_path):
+    # the rows under it were dropped at the parent
+    path = tmp_path / "poses.txt"
+    path.write_text(_HEADER + "1 0 0 0 0 0 0\n[more]\n1 0 0 0 5 5 5\n")
+    with pytest.raises(FileFormatError, match=r"poses\.txt:4: unknown section \[more\]"):
+        fileio.load_pose_list(path)
+
+
+def test_scene_with_repeated_trajectory_name_rejected_before_writing(tmp_path):
+    scene = replace(_SCENE, trajectories=(Trajectory("orbit", (_I,)),) * 2)
+    with pytest.raises(ValidationError, match="trajectory names repeat"):
+        fileio.save_scene(tmp_path / "scene.txt", scene)
+    assert os.listdir(tmp_path) == []

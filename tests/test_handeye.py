@@ -65,6 +65,23 @@ class TestMarkerFromBase:
         with pytest.raises(ValidationError):
             MarkerBoard(bp, bp[:-1])
 
+    def test_overflowing_distances_are_not_rigid(self):
+        # the pairwise distances overflow to inf, so their mismatch is nan;
+        # the parent compared nan > tol, which is false, and built the board
+        bp = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1e200, 0.0]])
+        measured = bp.copy()
+        measured[2, 1] += 1e190
+        with pytest.raises(InconsistentMeasurementError):
+            MarkerBoard(bp, measured)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        bp = default_board_points()
+        measured = bp.copy()
+        measured[1, 2] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            MarkerBoard(bp, measured)
+
 
 class TestSolveHandEye:
     def test_single_view_exact(self):
