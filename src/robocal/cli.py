@@ -193,8 +193,8 @@ def _cmd_simulate(args) -> int:
     if (args.scene_file is None) == (args.template is None):
         raise ValidationError("give exactly one of <scene-file> or --template")
     seed = _resolve_seed(args)
-    targets = dict(NoiseSpec().handeye_target_rmse)
-    targets.update(_parse_handeye_targets(args.handeye_rmse))
+    user_targets = _parse_handeye_targets(args.handeye_rmse)
+    targets = {**NoiseSpec().handeye_target_rmse, **user_targets}
     spec = NoiseSpec(obj_translation_mm=args.noise_translation,
                      obj_rotation_deg=args.noise_rotation,
                      handeye_target_rmse=targets, seed=seed)
@@ -206,6 +206,13 @@ def _cmd_simulate(args) -> int:
     else:
         scene = generate_scene(args.template, seed)
         base_dir = None
+    # a default target for a camera the scene lacks stays unused; a camera
+    # the user names must exist, or its target would be dropped silently
+    cameras = [c.name for c in scene.cameras]
+    unknown = [name for name in user_targets if name not in cameras]
+    if unknown:
+        raise ValidationError(f"--handeye-rmse names camera(s) {unknown} that the "
+                              f"scene lacks; its cameras: {cameras}")
     report = simulate_annotation_error(scene, spec, draws=args.draws,
                                        base_dir=base_dir)
     manifest = fileio.RunManifest.create(
@@ -319,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-rotation", type=float, default=0.38,
                    help="object rotation noise, degrees")
     p.add_argument("--handeye-rmse", action="append", metavar="CAMERA=MM",
-                   help="per-camera hand-eye RMSE target (repeatable)")
+                   help="hand-eye RMSE target of one of the scene's cameras "
+                        "(repeatable)")
     p.add_argument("--draws", type=int, default=1)
     p.add_argument("--out-dir", default="sim-out")
     p.set_defaults(func=_cmd_simulate)

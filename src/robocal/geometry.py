@@ -36,6 +36,14 @@ def _as_vec3(v, name="vector"):
     return arr
 
 
+def _as_unit_vec3(v, name="vector"):
+    arr = _as_vec3(v, name)
+    norm = np.linalg.norm(arr)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValidationError(f"{name} must be unit length (|{name}| = {norm:.12f})")
+    return arr
+
+
 def _as_rotation(R, name="rotation"):
     arr = np.array(R, dtype=float)
     if arr.shape != (3, 3):
@@ -185,10 +193,7 @@ def absolute_orientation(model_points, measured_points) -> tuple[Pose, float]:
 
 def axis_angle(axis, angle_deg: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis by an angle in degrees."""
-    ax = _as_vec3(axis, "axis")
-    norm = np.linalg.norm(ax)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValidationError(f"axis must be unit length (|axis| = {norm:.12f})")
+    ax = _as_unit_vec3(axis, "axis")
     theta = np.radians(angle_deg)
     K = np.array([[0.0, -ax[2], ax[1]],
                   [ax[2], 0.0, -ax[0]],

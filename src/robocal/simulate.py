@@ -13,7 +13,7 @@ object's surface: for rigid A and B it is sqrt(tr(D M D^T)), with D the top
 3x4 rows of A - B and M the surface's second moment (mesh.surface_moment),
 so no surface points are sampled. Object-pose noise has fixed magnitude
 (translation plus rotation about the object's own origin); the hand-eye
-perturbation is searched so that its evaluated board RMSE hits a target.
+perturbation is solved on the same closed form so its board RMSE is a target.
 """
 
 from __future__ import annotations
@@ -24,26 +24,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SearchFailureError, ValidationError
-from .geometry import (Pose, _as_vec3, _trusted_pose, apply, axis_angle, compose,
-                       invert, make_rng, random_unit_vector)
-from .handeye import (MarkerBoard, default_board_points, evaluate_handeye,
-                      synthesize_views)
+from .geometry import (Pose, _as_unit_vec3, _trusted_pose, apply, axis_angle,
+                       compose, invert, make_rng, random_unit_vector)
+from .handeye import MarkerBoard, default_board_points, synthesize_views
 from .mesh import procedural_ref, resolve_mesh, surface_moment
 
 # rng stream layout per simulation seed: two streams per draw (object noise,
-# hand-eye search), numbered from 1; stream 0 is left unused so that a seed
+# hand-eye perturbation), numbered from 1; stream 0 is left unused so that a seed
 # keeps the noise draws it gave when stream 0 sampled mesh surfaces
 
 
 def _draw_streams(draw: int) -> tuple[int, int]:
     return 1 + 2 * draw, 2 + 2 * draw
-
-
-# hand-eye rig and search used by simulate_annotation_error: board views per
-# camera, evaluation budget and relative tolerance on the target RMSE
-_RIG_VIEWS_PER_CAMERA = 10
-_CALIB_BUDGET = 10_000
-_CALIB_REL_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -145,17 +137,25 @@ def perturbed_pose(pose: Pose, translation_dir, translation_mm: float,
     The rotation error multiplies the orientation only and the translation
     error adds to the position, so the pose error of the result is exactly
     (translation_mm, rotation_deg) regardless of where the pose sits.
-    Directions are interpreted in the pose's own frame, which keeps the
+    Directions are unit vectors in the pose's own frame, which keeps the
     whole simulation equivariant under re-basing the scene.
     """
-    # the inputs are checked here because the result is built unchecked;
-    # axis_angle checks the axis
+    d = _perturbation(pose, translation_dir, translation_mm, rotation_axis, rotation_deg)
+    return _trusted_pose(pose.rotation + d[:, :3], pose.translation + d[:, 3])
+
+
+def _perturbation(pose: Pose, translation_dir, translation_mm: float,
+                  rotation_axis, rotation_deg: float) -> np.ndarray:
+    """perturbed_pose(...) minus pose, top 3x4 rows, at full relative precision;
+    checks the inputs, as perturbed_pose builds its result unchecked."""
     if not (math.isfinite(translation_mm) and math.isfinite(rotation_deg)):
         raise ValidationError("perturbation magnitudes must be finite")
-    t_dir = pose.rotation @ _as_vec3(translation_dir, "translation direction")
-    axis = pose.rotation @ np.asarray(rotation_axis, dtype=float)
-    R = axis_angle(axis / np.linalg.norm(axis), rotation_deg) @ pose.rotation
-    return _trusted_pose(R, pose.translation + translation_mm * t_dir)
+    t_dir = pose.rotation @ _as_unit_vec3(translation_dir, "translation direction")
+    axis = pose.rotation @ _as_unit_vec3(rotation_axis, "rotation axis")
+    K = np.cross(axis, np.eye(3)).T  # K @ v = axis x v
+    theta = math.radians(rotation_deg)
+    rotation = (math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)) @ pose.rotation
+    return np.column_stack([rotation, translation_mm * t_dir])
 
 
 def perturb_object_pose(pose: Pose, spec: NoiseSpec,
@@ -172,58 +172,66 @@ def perturb_object_pose(pose: Pose, spec: NoiseSpec,
                           u_r, spec.obj_rotation_deg)
 
 
+def _moment_rmse(d: np.ndarray, moment: np.ndarray):
+    """sqrt(tr(d M d^T)) over the leading axes of d (..., 3, 4): the RMSE that
+    rigid transforms differing by d give over points of second moment M."""
+    return np.sqrt(np.einsum("...ij,jl,...il->...", d, moment, d))
+
+
 def calibrate_handeye_perturbation(cam_to_ee: Pose, board: MarkerBoard,
                                    views, target_rmse: float,
-                                   rng: np.random.Generator, *,
-                                   budget: int = _CALIB_BUDGET,
-                                   rel_tol: float = _CALIB_REL_TOL,
-                                   rotation_sweep: bool = True) -> CalibratedPerturbation:
-    """Search for a cam-to-ee perturbation whose evaluated RMSE hits a target.
+                                   rng: np.random.Generator) -> CalibratedPerturbation:
+    """Perturb cam_to_ee so that its board RMSE equals target_rmse.
 
-    Random perturbation directions (translation direction and rotation axis)
-    are drawn repeatedly; for each, the magnitude is swept until the board
-    evaluation RMSE lands within rel_tol of target_rmse. Every evaluation
-    counts against the budget; exhausting it raises SearchFailureError.
+    Directions and a rotation share are drawn once from rng; both magnitudes
+    scale by the s that solves RMSE(s) = target_rmse, RMSE the closed form
+    sqrt(tr(D M D^T)) with M the second moment of the views' camera-frame
+    board points: evaluate_handeye's value for noise-free views of an
+    exactly measured board, which _marker_rig + synthesize_views make.
+    RMSE(0) = 0 and the translation part (>= 30%) makes RMSE unbounded, so
+    doubling s from the small-angle guess 1 brackets a root; Illinois regula
+    falsi closes it to rounding. `evaluations` counts closed-form RMSEs.
     """
     if not (math.isfinite(target_rmse) and target_rmse > 0):
         raise ValidationError(f"target RMSE must be finite and > 0, got {target_rmse}")
     views = list(views)
     if not views:
         raise ValidationError("perturbation calibration needs >= 1 view")
+    points = np.concatenate([apply(v.marker_in_cam, board.board_points) for v in views])
+    points = np.column_stack([points, np.ones(len(points))])
+    moment = points.T @ points / len(points)
+    lever = math.sqrt(np.trace(moment[:3, :3]))  # rms camera-to-point distance
 
-    # typical camera-to-board-point distance: lever arm of the rotation part
-    lever = float(np.median([
-        np.linalg.norm(apply(v.marker_in_cam, board.board_points), axis=1).mean()
-        for v in views]))
+    u_t = random_unit_vector(rng)
+    u_r = random_unit_vector(rng)
+    weight = rng.uniform(0.0, 0.7)
+    base_t = (1.0 - weight) * target_rmse
+    base_r = np.degrees(weight * target_rmse / max(lever, 1.0))
+    excesses = []  # closed-form RMSE minus target, per evaluation
 
-    evaluations = 0
-    lo, hi = 1.0 - rel_tol, 1.0 + rel_tol
-    while evaluations < budget:
-        u_t = random_unit_vector(rng)
-        u_r = random_unit_vector(rng)
-        weight = rng.uniform(0.0, 0.7) if rotation_sweep else 0.0
-        base_t = (1.0 - weight) * target_rmse
-        base_r = np.degrees(weight * target_rmse / max(lever, 1.0))
-        scale = 1.0
-        for _ in range(12):
-            if evaluations >= budget:
-                break
-            candidate = perturbed_pose(cam_to_ee, u_t, scale * base_t,
-                                       u_r, scale * base_r)
-            achieved = evaluate_handeye(views, candidate, board)
-            evaluations += 1
-            if achieved <= 0:
-                break  # direction annihilated the error; redraw
-            ratio = achieved / target_rmse
-            if lo <= ratio <= hi:
-                return CalibratedPerturbation(candidate, achieved, evaluations)
-            scale *= 1.0 / ratio  # evaluated RMSE is near-linear in scale
-    raise SearchFailureError(
-        f"no perturbation within {rel_tol:.0%} of {target_rmse} mm after "
-        f"{budget} evaluations; widen the sweep or relax the tolerance")
+    def excess(scale: float) -> float:
+        d = _perturbation(cam_to_ee, u_t, scale * base_t, u_r, scale * base_r)
+        excesses.append(float(_moment_rmse(d, moment)) - target_rmse)
+        return excesses[-1]
+
+    a, g_a, b, g_b = 0.0, -target_rmse, 1.0, excess(1.0)
+    while g_b < 0.0:
+        a, g_a, b = b, g_b, 2.0 * b
+        g_b = excess(b)
+    while abs(g_b) > np.finfo(float).eps * target_rmse:  # a root lies between a and b
+        c = b - g_b * (b - a) / (g_b - g_a)
+        if (c - a) * (c - b) >= 0.0:
+            break  # the bracket is closed to rounding
+        g_c = excess(c)
+        # keep the end that brackets the root; Illinois halves a kept end's value
+        a, g_a = (b, g_b) if g_c * g_b < 0.0 else (a, g_a / 2.0)
+        b, g_b = c, g_c
+    return CalibratedPerturbation(
+        perturbed_pose(cam_to_ee, u_t, b * base_t, u_r, b * base_r),
+        target_rmse + g_b, len(excesses))
 
 
-def _marker_rig(scene: SceneConfig, views_per_camera: int):
+def _marker_rig(scene: SceneConfig, views_per_camera: int = 10):
     """Deterministic board-and-views rig used to calibrate hand-eye noise.
 
     Derived covariantly from the scene (marker pose from the object layout,
@@ -261,7 +269,9 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
     moments = {obj.name: surface_moment(resolve_mesh(obj.mesh_ref, base_dir))
                for obj in scene.objects}
 
-    marker_base, board, rig_ee_poses = _marker_rig(scene, _RIG_VIEWS_PER_CAMERA)
+    marker_base, board, rig_ee_poses = _marker_rig(scene)
+    rig_views = {cam.name: synthesize_views(cam.cam_to_ee, marker_base, rig_ee_poses)
+                 for cam in scene.cameras}
 
     # (frames, 4, 4): base to end-effector at every stop, in replay order
     ee_inv = np.stack([invert(pose).as_matrix() for traj in scene.trajectories
@@ -283,37 +293,26 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
             perturbed_objects[obj.name] = perturb_object_pose(obj.pose, spec, obj_rng)
 
         handeye_perturbations = {}
-        perturbed_cams = {}
-        for cam in scene.cameras:
-            target = spec.handeye_target_rmse.get(cam.name, 0.0)
-            if target > 0.0:
-                rig_views = synthesize_views(cam.cam_to_ee, marker_base, rig_ee_poses)
-                calib = calibrate_handeye_perturbation(
-                    cam.cam_to_ee, board, rig_views, target, calib_rng)
-                handeye_perturbations[cam.name] = calib
-                perturbed_cams[cam.name] = calib.pose
-            else:
-                handeye_perturbations[cam.name] = None
-                perturbed_cams[cam.name] = cam.cam_to_ee
-
         frame_rmse = {}
         per_object = {}
         per_camera = {}
         for cam in scene.cameras:
+            target = spec.handeye_target_rmse.get(cam.name, 0.0)
+            calib = handeye_perturbations[cam.name] = (calibrate_handeye_perturbation(
+                cam.cam_to_ee, board, rig_views[cam.name], target, calib_rng)
+                if target > 0.0 else None)
             # left-multiplying both chains by T_cam_to_ee keeps their RMSE, so
             # the hand-eye error enters only through delta
-            delta = compose(cam.cam_to_ee, invert(perturbed_cams[cam.name])).as_matrix()
-            object_means = []
+            perturbed_cam = cam.cam_to_ee if calib is None else calib.pose
+            delta = compose(cam.cam_to_ee, invert(perturbed_cam)).as_matrix()
             for obj in scene.objects:
                 gt = ee_inv @ obj.pose.as_matrix()
                 ann = delta @ ee_inv @ perturbed_objects[obj.name].as_matrix()
-                d = (gt - ann)[:, :3]
-                series = np.sqrt(np.einsum("kij,jl,kil->k", d, moments[obj.name], d))
+                series = _moment_rmse((gt - ann)[:, :3], moments[obj.name])
                 frame_rmse[(cam.name, obj.name)] = series
-                mean = float(series.mean())
-                per_object[(cam.name, obj.name)] = mean
-                object_means.append(mean)
-            per_camera[cam.name] = float(np.mean(object_means))
+                per_object[(cam.name, obj.name)] = float(series.mean())
+            per_camera[cam.name] = float(np.mean(
+                [per_object[(cam.name, obj.name)] for obj in scene.objects]))
             per_camera_draws[cam.name].append(per_camera[cam.name])
 
         if draw == 0:

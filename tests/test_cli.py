@@ -106,6 +106,17 @@ def test_simulate_non_finite_noise_exits_1(flag, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_refuses_a_hand_eye_target_for_an_unknown_camera(tmp_path, capsys):
+    # a misspelled camera would leave the real one at its default target
+    argv = ["simulate", "--template", "phocal-like", "--seed", "1",
+            "--handeye-rmse", "rgdb=0.3", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --handeye-rmse names camera(s) ['rgdb']")
+    assert "['rgbd', 'polarization']" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["icp-bench", "--seed", "1", "--samples", "5"], "--samples"),
     (["annotate", "p.txt", "m.obj", "k.txt", "--seed", "1"], "--seed"),
