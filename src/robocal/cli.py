@@ -102,7 +102,7 @@ def _cmd_handeye(args) -> int:
     print(f"cam-to-ee:            {_fmt_pose(result.cam_to_ee)}")
     print(f"overall rmse:         {result.overall_rmse:.4f} mm")
     if result.rotation_outliers:
-        print(f"flagged views (> 5 deg from mean): {list(result.rotation_outliers)}")
+        print(f"flagged views (> 5 deg from the fit): {list(result.rotation_outliers)}")
     for i, rmse in enumerate(result.per_view_rmse):
         print(f"  view {i}: rmse {rmse:.4f} mm")
     if args.out:

@@ -1,10 +1,10 @@
 """Marker-point hand-eye calibration and its point-RMSE evaluation.
 
 The marker board is measured twice: once with the calibrated tool tip in
-the robot base frame, and once per view by the camera. Because the board's
-base-frame pose is known directly from the tip measurements, each view
-yields a closed-form camera-to-end-effector estimate; multiple views are
-fused by chordal averaging. No AX=XB solver is involved.
+the robot base frame, and once per view by the camera. The transform that
+minimises the reported chain RMSE is one absolute orientation over all
+views' points pooled (Arun, Huang & Blostein 1987; Umeyama 1991); no AX=XB
+solver is involved.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentMeasurementError, ValidationError
-from .geometry import (Pose, _trusted_pose, absolute_orientation, apply, compose,
-                       invert, matrix_to_quat, quat_to_matrix, rotation_distance)
+from .geometry import (Pose, absolute_orientation, apply, compose, invert,
+                       rotation_distance)
 
 DEFAULT_RIGIDITY_TOL_MM = 1.0
 
-# per-view rotations farther than this from the fused mean get flagged
+# per-view rotations farther than this from the pooled fit get flagged
 ROTATION_OUTLIER_DEG = 5.0
 
 
@@ -72,7 +72,7 @@ class HandEyeResult:
     cam_to_ee: Pose
     per_view_rmse: np.ndarray  # mm, one entry per view
     overall_rmse: float  # mm, pooled over all views and points
-    rotation_outliers: tuple[int, ...]  # views > 5 deg from the fused mean
+    rotation_outliers: tuple[int, ...]  # views > 5 deg from the pooled fit
     per_view_estimates: list[Pose]
 
 
@@ -93,39 +93,28 @@ def marker_from_base(board: MarkerBoard) -> tuple[Pose, float]:
     return absolute_orientation(board.board_points, board.measured_points)
 
 
-def _chordal_mean_rotation(rotations) -> np.ndarray:
-    quats = np.array([matrix_to_quat(R) for R in rotations])
-    # eigenvector of the largest eigenvalue of sum q q^T: order-invariant
-    M = np.zeros((4, 4))
-    for q in quats:
-        M += np.outer(q, q)
-    _, vecs = np.linalg.eigh(M)
-    q = vecs[:, -1]
-    # quat_to_matrix is even in q, so the eigenvector's sign needs no fixing
-    return quat_to_matrix(q / np.linalg.norm(q))
-
-
 def solve_handeye(views, marker_base: Pose, board: MarkerBoard) -> HandEyeResult:
     """Camera-to-end-effector transform from detected views plus the
     tip-measured marker pose.
 
-    Each view gives the closed-form estimate
-    ``inv(ee_pose) * marker_base * inv(marker_in_cam)``; estimates are fused
-    by quaternion chordal mean (rotation) and arithmetic mean (translation).
-    Views whose rotation deviates more than 5 degrees from the mean are
-    flagged in the result but kept.
+    The least-squares transform maps every view's camera-frame board points
+    onto its end-effector-frame measured points in one absolute orientation.
+    Each view's closed form ``inv(ee_pose) * marker_base * inv(marker_in_cam)``
+    is kept in ``per_view_estimates``; views whose rotation is more than 5
+    degrees from the fit are flagged in the result but kept.
     """
     views = list(views)
     if not views:
         raise ValidationError("hand-eye calibration needs >= 1 view")
+    in_cam = np.vstack([apply(v.marker_in_cam, board.board_points) for v in views])
+    in_ee = np.vstack([apply(invert(v.ee_pose), board.measured_points) for v in views])
+    cam_to_ee, _ = absolute_orientation(in_cam, in_ee)
     estimates = [compose(invert(v.ee_pose), marker_base, invert(v.marker_in_cam))
                  for v in views]
-    rotation = _chordal_mean_rotation([e.rotation for e in estimates])
-    translation = np.mean([e.translation for e in estimates], axis=0)
-    cam_to_ee = _trusted_pose(rotation, translation)
 
     outliers = tuple(i for i, e in enumerate(estimates)
-                     if rotation_distance(e.rotation, rotation) > ROTATION_OUTLIER_DEG)
+                     if rotation_distance(e.rotation, cam_to_ee.rotation)
+                     > ROTATION_OUTLIER_DEG)
     d2 = _view_sq_distances(views, cam_to_ee, board)
     return HandEyeResult(cam_to_ee=cam_to_ee, per_view_rmse=np.sqrt(d2.mean(axis=1)),
                          overall_rmse=float(np.sqrt(d2.ravel().mean())),

@@ -1,10 +1,10 @@
 """Tool-tip pivot calibration from end-effector poses.
 
-The tool tip is held at a fixed point while the arm pivots around it. Each
-pair of end-effector poses (R_i, t_i), (R_j, t_j) then constrains the tip
-offset x through (R_i - R_j) x = t_j - t_i. The solver stacks consecutive
-pairs plus a cyclic closing pair and takes the minimum-norm least-squares
-solution via SVD.
+The tool tip is held at a fixed point p while the arm pivots around it, so
+each pose (R_i, t_i) gives R_i x + t_i = p for the tip offset x (Yaniv,
+"Which pivot calibration?", SPIE Medical Imaging 2015). Eliminating
+p = mean(R_i x + t_i) leaves the centred system (R_i - R_mean) x = t_mean - t_i,
+whose one least-squares solve minimises the rms spread of the per-pose tips.
 """
 
 from __future__ import annotations
@@ -51,31 +51,29 @@ def solve_pivot(poses, min_diversity_deg: float = DEFAULT_MIN_DIVERSITY_DEG) -> 
     the base frame (mean of per-pose tip positions) and the rms deviation of
     those positions from their mean.
 
-    Raises DegenerateGeometryError when the rotations do not span enough
-    directions to determine the offset (e.g. identical or single-axis poses).
+    Raises ValidationError for fewer than 3 poses or a diversity minimum
+    outside [0, 180] deg, and DegenerateGeometryError when the rotations do
+    not determine the offset (e.g. identical or single-axis poses).
     """
     poses = list(poses)
     n = len(poses)
     if n < 3:
         raise ValidationError(f"pivot calibration needs >= 3 poses, got {n}")
+    if not 0.0 <= min_diversity_deg <= 180.0:
+        raise ValidationError(f"rotation diversity minimum must be in [0, 180] deg, "
+                              f"got {min_diversity_deg!r}")
     _check_diversity(poses, min_diversity_deg)
 
-    rows = []
-    rhs = []
-    for i in range(n):
-        j = (i + 1) % n
-        rows.append(poses[i].rotation - poses[j].rotation)
-        rhs.append(poses[j].translation - poses[i].translation)
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-
-    tip, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    R = np.array([p.rotation for p in poses])
+    t = np.array([p.translation for p in poses])
+    tip, _, rank, _ = np.linalg.lstsq((R - R.mean(axis=0)).reshape(-1, 3),
+                                      (t.mean(axis=0) - t).ravel(), rcond=None)
     if rank < 3:
         raise DegenerateGeometryError(
             f"stacked pivot system is rank {rank} (needs 3); "
             "pose set is a degenerate pivot configuration")
 
-    tips = np.array([p.rotation @ tip + p.translation for p in poses])
+    tips = R @ tip + t
     pivot = tips.mean(axis=0)
     residual = float(np.sqrt(np.mean(np.sum((tips - pivot) ** 2, axis=1))))
     return PivotResult(tip_offset=tip, pivot_point=pivot,

@@ -75,6 +75,16 @@ def test_degenerate_input_exits_2_with_error_line(tmp_path, capsys):
     assert "rotation diversity" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "180.5"])
+def test_pivot_calib_bad_diversity_minimum_exits_1(value, tmp_path, capsys):
+    poses = synthesize_pivot_poses(np.array([17.0, -2.0, 55.0]),
+                                   np.array([400.0, 80.0, 120.0]), 10, make_rng(2))
+    fileio.save_pose_list(tmp_path / "poses.txt", poses)
+    argv = ["pivot-calib", str(tmp_path / "poses.txt"), "--min-diversity-deg", value]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: rotation diversity minimum")
+
+
 @pytest.mark.parametrize("measured, code, message", [
     ("0 0 0\n40 0 0\n", 1, "{path}: board has 3 nominal points but 2 measured points"),
     ("3 0 0\n40 0 0\n0 30 0\n", 2, "board and measured pairwise distances disagree"),

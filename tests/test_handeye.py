@@ -22,6 +22,18 @@ def make_chain(rng, n_views=10):
     return cam_to_ee, marker_base, board, views
 
 
+def add_detection_noise(views, rng, deg=0.2, mm=0.3):
+    """Views with each detected marker pose turned about a random axis by
+    N(0, deg) degrees and shifted by N(0, mm) mm per axis."""
+    noisy = []
+    for v in views:
+        R = axis_angle(random_unit_vector(rng),
+                       rng.normal(0.0, deg)) @ v.marker_in_cam.rotation
+        t = v.marker_in_cam.translation + rng.normal(0.0, mm, 3)
+        noisy.append(HandEyeView(v.ee_pose, Pose(R, t)))
+    return noisy
+
+
 class TestMarkerFromBase:
     def test_identity(self):
         bp = default_board_points()
@@ -103,14 +115,26 @@ class TestSolveHandEye:
         for seed in range(15):
             rng = make_rng(seed, stream=6)
             _, marker_base, board, views = make_chain(rng)
-            noisy = []
-            for v in views:
-                R = axis_angle(random_unit_vector(rng),
-                               rng.normal(0.0, 0.2)) @ v.marker_in_cam.rotation
-                t = v.marker_in_cam.translation + rng.normal(0.0, 0.3, 3)
-                noisy.append(HandEyeView(v.ee_pose, Pose(R, t)))
+            noisy = add_detection_noise(views, rng)
             values.append(solve_handeye(noisy, marker_base, board).overall_rmse)
         assert 0.2 <= min(values) and max(values) <= 2.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_solution_minimises_the_chain_rmse(self, seed):
+        # the pooled absolute orientation is the least-squares cam_to_ee, so
+        # no small step along any of its six axes lowers the reported RMSE
+        rng = make_rng(seed, stream=14)
+        _, marker_base, board, views = make_chain(rng)
+        views = add_detection_noise(views, rng)
+        solved = solve_handeye(views, marker_base, board)
+        X = solved.cam_to_ee
+        assert evaluate_handeye(views, X, board) == solved.overall_rmse
+        for axis in np.eye(3):
+            for step in (1e-3, -1e-3):
+                moved = Pose(X.rotation, X.translation + step * axis)
+                turned = Pose(axis_angle(axis, step) @ X.rotation, X.translation)
+                assert evaluate_handeye(views, moved, board) >= solved.overall_rmse
+                assert evaluate_handeye(views, turned, board) >= solved.overall_rmse
 
     def test_empty_views_rejected(self):
         _, marker_base, board, _ = make_chain(make_rng(4))

@@ -60,6 +60,26 @@ def test_noise_envelope():
     assert 0.02 <= min(values) and max(values) <= 0.12
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_tip_minimises_the_reported_spread(seed):
+    poses = synthesize_pivot_poses(TIP, PIVOT, 20, make_rng(seed, stream=78),
+                                   translation_noise_mm=0.05)
+    result = solve_pivot(poses)
+    R = np.array([p.rotation for p in poses])
+    t = np.array([p.translation for p in poses])
+
+    def spread(tip):
+        tips = R @ tip + t
+        return float(np.sqrt(np.mean(np.sum((tips - tips.mean(axis=0)) ** 2, axis=1))))
+
+    np.testing.assert_allclose(result.pivot_point, (R @ result.tip_offset + t).mean(axis=0),
+                               rtol=0.0, atol=1e-9)
+    assert spread(result.tip_offset) == pytest.approx(result.residual_rms, rel=1e-12)
+    for axis in np.eye(3):
+        for step in (1e-3, -1e-3):
+            assert spread(result.tip_offset + step * axis) >= result.residual_rms
+
+
 def test_equivariance_under_rigid_motion():
     rng = make_rng(6)
     poses = synthesize_pivot_poses(TIP, PIVOT, 20, rng)

@@ -306,15 +306,3 @@ def test_recovery_benchmark_builds_one_index_per_mesh(monkeypatch):
     assert len(report.cases) == 6
     assert built == [44, 192]  # one index per mesh, over its triangles
 
-
-def test_recovery_matches_paper_accuracy():
-    # The paper's annotation accuracy, 0.20 mm / 0.38 deg, against the means
-    # pooled over seeds 0-7 (120 cases). Single seeds scatter around it (seed
-    # 4 alone reads 0.43 deg), so the pooled means are the tested quantity,
-    # not each seed's.
-    cases = [case for seed in range(8)
-             for case in recovery_benchmark(make_rng(seed)).cases]
-    assert len(cases) == 120
-    assert all(case.converged for case in cases)
-    assert np.mean([c.translation_error_mm for c in cases]) <= 0.20
-    assert np.mean([c.rotation_error_deg for c in cases]) <= 0.38
