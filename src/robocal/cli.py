@@ -222,8 +222,9 @@ def _cmd_simulate(args) -> int:
          "noise_rotation_deg": args.noise_rotation,
          "handeye_target_rmse": targets, "draws": args.draws},
         inputs)
-    csv_path, txt_path = fileio.save_sim_report(args.out_dir, report, manifest)
-    print(fileio.sim_report_text(report, manifest))
+    text = fileio.sim_report_text(report, manifest)
+    csv_path, txt_path = fileio.save_sim_report(args.out_dir, report, manifest, text)
+    print(text)
     print(f"reports written to {csv_path} and {txt_path}")
     return 0
 

@@ -3,8 +3,11 @@
 Every format is strict: units and pose-convention headers are mandatory
 and mismatches are hard errors, quaternion fields must be unit to 1e-6,
 parsers never guess, and a value that a domain type rejects is reported
-with the file, and with the line when one row is at fault. A writer
-rejects a name that its reader would not give back, before it writes.
+with the file, and with the line when one row is at fault. A pose or box
+reader tests all of its rows at once, in array operations, before it builds
+anything, and reports the fault that reading row by row would meet first.
+A writer rejects a name that its reader would not give back, before it
+writes.
 
 Floats are written with repr(), so translations, points, box centres and
 half extents, scores and names read back bit for bit. Rotations are
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import FileFormatError, ValidationError
-from .geometry import Pose, matrix_to_quat, quat_to_matrix
+from .geometry import Pose, _rotation_checks, _trusted_pose, matrix_to_quat, quat_to_matrix
 from .textio import read_bytes, read_lines
 
 UNITS_VALUE = "mm"
@@ -244,32 +247,59 @@ def _float_rows(path, rows, width, what, *, names=0, sep=None) -> list[tuple]:
     return out
 
 
-def _rotation(path, lineno, q) -> np.ndarray:
-    """Rotation of a (w, x, y, z) quaternion field. Its norm must be 1 to
-    QUAT_NORM_TOL; a quaternion unit to 1e-12, as every writer here writes
-    one, is used as written, any other is first divided by its norm."""
-    q = np.array(q)
-    norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > QUAT_NORM_TOL:
-        raise FileFormatError(path, lineno,
-                              f"quaternion norm {norm:.8f} deviates from 1 by more "
-                              f"than {QUAT_NORM_TOL:g}")
-    if abs(norm - 1.0) > 1e-12:
-        q = q / norm
-    return quat_to_matrix(q)
-
-
-def _build(path, lineno, make, *args):
-    """make(*args), a ValidationError from it reported as a fault of the file,
-    at `lineno` when one row is at fault."""
+def _build(path, make, *args):
+    """make(*args), a ValidationError from it reported as a fault of the file."""
     try:
         return make(*args)
     except ValidationError as exc:
-        raise FileFormatError(path, lineno, str(exc)) from exc
+        raise FileFormatError(path, None, str(exc)) from exc
 
 
-def _pose(path, lineno, values) -> Pose:
-    return _build(path, lineno, Pose, _rotation(path, lineno, values[:4]), values[4:])
+def _check_rows(path, linenos, checks) -> None:
+    """Raise FileFormatError at the first of `linenos` whose row fails a test,
+    with the message of the first test that row fails: the fault that reading
+    the rows one at a time would meet first. Each test is a pair (mask of the
+    failing rows, message of failing row i), in the order they run on a row."""
+    first = [int(np.argmax(failed)) if failed.any() else len(linenos)
+             for failed, _ in checks]
+    row = min(first)
+    if row < len(linenos):
+        raise FileFormatError(path, linenos[row], checks[first.index(row)][1](row))
+
+
+def _rotations(q):
+    """Rotations (N, 3, 3) of a stack of (w, x, y, z) quaternion fields (N, 4),
+    and the test of their norms, which must be 1 to QUAT_NORM_TOL (see
+    _check_rows). A quaternion unit to 1e-12, as every writer here writes one,
+    is used as written; any other is first divided by its norm."""
+    # per row the dot product of np.linalg.norm(q[i]), bit for bit; a norm
+    # that overflows is inf, and fails the test
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0, 0]
+    off = np.abs(norm - 1.0)
+    bad = off > QUAT_NORM_TOL
+    # a failing row becomes the identity, so that none overflows or divides by 0
+    scale = np.where(bad | (off <= 1e-12), 1.0, norm)
+    q = np.where(bad[:, None], (1.0, 0.0, 0.0, 0.0), q / scale[:, None])
+    return quat_to_matrix(q), (bad, lambda i: f"quaternion norm {norm[i]:.8f} deviates "
+                               f"from 1 by more than {QUAT_NORM_TOL:g}")
+
+
+def _poses(path, parsed, count=1) -> list[list[Pose]]:
+    """The poses of `_float_rows` rows whose numbers are `count` pose fields
+    (qw qx qy qz tx ty tz), one list per field. Every row is tested before any
+    pose is built; a row's fields are tested in order, the quaternion of each
+    before its rotation."""
+    values = np.array([row[-1] for row in parsed])
+    fields = [values[:, 7 * k:7 * k + 7] for k in range(count)]
+    checks, rotations = [], []
+    for v in fields:
+        R, norm_check = _rotations(v[:, :4])
+        checks += [norm_check, *_rotation_checks(R)]
+        rotations.append(R)
+    _check_rows(path, [row[0] for row in parsed], checks)
+    return [[_trusted_pose(R, t) for R, t in zip(Rs, v[:, 4:])]
+            for Rs, v in zip(rotations, fields)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +313,7 @@ def save_pose_list(path, poses, comment: str = "") -> None:
 
 def load_pose_list(path) -> list[Pose]:
     rows = _Scanner(path, convention=True).rows
-    return [_pose(path, lineno, v) for lineno, v in _float_rows(path, rows, 7, "pose")]
+    return _poses(path, _float_rows(path, rows, 7, "pose"))[0]
 
 
 def save_point_list(path, points, comment: str = "") -> None:
@@ -310,7 +340,7 @@ def load_marker_board(path) -> MarkerBoard:
     from .handeye import MarkerBoard
 
     sc = _Scanner(path, sections=_BOARD_SECTIONS)
-    return _build(path, None, MarkerBoard, _points(path, sc.section("board_points")),
+    return _build(path, MarkerBoard, _points(path, sc.section("board_points")),
                   _points(path, sc.section("measured_points")))
 
 
@@ -326,8 +356,8 @@ def load_views(path) -> list[HandEyeView]:
     from .handeye import HandEyeView
 
     rows = _Scanner(path, convention=True).rows
-    return [HandEyeView(_pose(path, lineno, v[:7]), _pose(path, lineno, v[7:]))
-            for lineno, v in _float_rows(path, rows, 14, "view")]
+    ee_poses, markers = _poses(path, _float_rows(path, rows, 14, "view"), 2)
+    return [HandEyeView(ee, marker) for ee, marker in zip(ee_poses, markers)]
 
 
 def save_correspondences(path, c: Correspondences) -> None:
@@ -340,7 +370,7 @@ def load_correspondences(path) -> Correspondences:
     from .registration import Correspondences
 
     rows = [v for _, v in _float_rows(path, _Scanner(path).rows, 6, "correspondence")]
-    return _build(path, None, Correspondences, np.array([r[:3] for r in rows]),
+    return _build(path, Correspondences, np.array([r[:3] for r in rows]),
                   np.array([r[3:] for r in rows]))
 
 
@@ -368,20 +398,19 @@ def load_scene(path) -> SceneConfig:
     from .simulate import Camera, SceneConfig, SceneObject, Trajectory
 
     sc = _Scanner(path, convention=True, sections=_SCENE_SECTIONS)
-    cameras = [Camera(name, _pose(path, lineno, v)) for lineno, name, v
-               in _float_rows(path, sc.section("cameras"), 7, "camera", names=1)]
-    objects = [SceneObject(name, mesh_ref, _pose(path, lineno, v))
-               for lineno, name, mesh_ref, v
-               in _float_rows(path, sc.section("objects"), 7, "object", names=2)]
+    rows = _float_rows(path, sc.section("cameras"), 7, "camera", names=1)
+    cameras = [Camera(name, pose) for (_, name, _), pose in zip(rows, _poses(path, rows)[0])]
+    rows = _float_rows(path, sc.section("objects"), 7, "object", names=2)
+    objects = [SceneObject(name, mesh_ref, pose)
+               for (_, name, mesh_ref, _), pose in zip(rows, _poses(path, rows)[0])]
     trajectories = []
     for sec_name, (_, rows) in sc.sections.items():
         traj_name = _SCENE_SECTIONS.fullmatch(sec_name).group(1)
         if traj_name is None:
             continue
-        poses = [_pose(path, lineno, v) for lineno, v
-                 in _float_rows(path, rows, 7, f"[{sec_name}] pose")]
+        poses = _poses(path, _float_rows(path, rows, 7, f"[{sec_name}] pose"))[0]
         trajectories.append(Trajectory(traj_name, tuple(poses)))
-    return _build(path, None, SceneConfig, objects, cameras, trajectories)
+    return _build(path, SceneConfig, objects, cameras, trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +433,37 @@ def _csv_rows(path, header, width) -> list[tuple]:
     return _float_rows(path, lines[1:], width, "box", names=1, sep=",") if lines[1:] else []
 
 
-def _box(path, lineno, values) -> OrientedBox:
-    from .metrics import OrientedBox
+def _boxes(path, parsed, lead=0) -> list[OrientedBox]:
+    """The boxes of `_csv_rows` rows whose numbers are `lead` others, then the
+    centre, half extents and quaternion of a box. Every row is tested before
+    any box is built, in OrientedBox's order after the quaternion."""
+    from .metrics import _extent_check, _trusted_box
 
-    return _build(path, lineno, OrientedBox, values[:3], values[3:6],
-                  _rotation(path, lineno, values[6:]))
+    if not parsed:
+        return []
+    values = np.array([row[-1] for row in parsed])[:, lead:]
+    centers, half_extents = values[:, :3], values[:, 3:6]
+    rotations, norm_check = _rotations(values[:, 6:])
+    _check_rows(path, [row[0] for row in parsed],
+                [norm_check, _extent_check(half_extents),
+                 *_rotation_checks(rotations, "box rotation")])
+    return [_trusted_box(*box) for box in zip(centers, half_extents, rotations)]
 
 
 def load_ground_truth_csv(path) -> list[GroundTruthBox]:
     from .metrics import GroundTruthBox
 
-    return [GroundTruthBox(category, _box(path, lineno, v))
-            for lineno, category, v in _csv_rows(path, GT_HEADER, 10)]
+    rows = _csv_rows(path, GT_HEADER, 10)
+    return [GroundTruthBox(category, box)
+            for (_, category, _), box in zip(rows, _boxes(path, rows))]
 
 
 def load_predictions_csv(path) -> list[Detection]:
     from .metrics import Detection
 
-    return [Detection(category, _box(path, lineno, v[1:]), v[0])
-            for lineno, category, v in _csv_rows(path, PRED_HEADER, 11)]
+    rows = _csv_rows(path, PRED_HEADER, 11)
+    return [Detection(category, box, v[0])
+            for (_, category, v), box in zip(rows, _boxes(path, rows, lead=1))]
 
 
 def load_detection_set(gt_path, pred_path) -> DetectionSet:
@@ -462,7 +503,7 @@ def sim_report_csv(report: SimReport, manifest: RunManifest) -> str:
 
 
 def sim_report_text(report: SimReport, manifest: RunManifest) -> str:
-    from .metrics import annotation_quality_table
+    from .simulate import annotation_quality_table
 
     lines = [manifest.embed_line(), "simulated annotation-quality report", ""]
     lines.append(f"draws: {report.draws}")
@@ -488,11 +529,13 @@ def sim_report_text(report: SimReport, manifest: RunManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_sim_report(out_dir, report: SimReport, manifest: RunManifest):
+def save_sim_report(out_dir, report: SimReport, manifest: RunManifest, text: str):
+    """Write the report's CSV, its `text` (from sim_report_text) and the
+    manifest sidecar into `out_dir`."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sim_report.csv")
     txt_path = os.path.join(out_dir, "sim_report.txt")
     atomic_write_text(csv_path, sim_report_csv(report, manifest))
-    atomic_write_text(txt_path, sim_report_text(report, manifest))
+    atomic_write_text(txt_path, text)
     manifest.write_sidecar(os.path.join(out_dir, "sim_report"))
     return csv_path, txt_path

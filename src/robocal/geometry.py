@@ -50,12 +50,26 @@ def _as_rotation(R, name="rotation"):
         raise ValidationError(f"{name} must have shape (3, 3), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} has non-finite entries")
-    err = np.abs(arr @ arr.T - np.eye(3)).max()
-    if err > _ORTHO_TOL:
-        raise ValidationError(f"{name} is not orthonormal (max deviation {err:.3g})")
-    if abs(np.linalg.det(arr) - 1.0) > _ORTHO_TOL:
-        raise ValidationError(f"{name} has determinant != +1 (reflection?)")
+    for failed, message in _rotation_checks(arr[None], name):
+        if failed[0]:
+            raise ValidationError(message(0))
     return arr
+
+
+def _rotation_checks(R, name="rotation"):
+    """The tests that a stack of finite matrices (N, 3, 3) are rotations, in
+    the order they run: orthonormal to _ORTHO_TOL, then determinant +1.
+
+    Each test is a pair (mask of the failing matrices, message of failing
+    matrix i), so a reader can test all of its rows at once and still report
+    the first fault of one row.
+    """
+    err = np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3)).max(axis=(-2, -1))
+    det_err = np.abs(np.linalg.det(R) - 1.0)
+    return [(err > _ORTHO_TOL,
+             lambda i: f"{name} is not orthonormal (max deviation {err[i]:.3g})"),
+            (det_err > _ORTHO_TOL,
+             lambda i: f"{name} has determinant != +1 (reflection?)")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,13 +231,16 @@ def rotation_distance(a, b) -> float:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) to rotation matrix."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array([
+    """Unit quaternion (w, x, y, z) to rotation matrix; a stack of quaternions
+    (..., 4) gives a stack of matrices (..., 3, 3), each entry computed as for
+    its quaternion alone."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    m = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
+    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
 
 
 def matrix_to_quat(R) -> np.ndarray:

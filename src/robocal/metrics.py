@@ -73,12 +73,10 @@ class OrientedBox:
         half = np.asarray(self.half_extents, dtype=float).reshape(3)
         if not (np.all(np.isfinite(center)) and np.all(np.isfinite(half))):
             raise ValidationError("box has non-finite parameters")
-        if not np.all(half > 0):
-            raise ValidationError(f"half extents must be strictly positive, got {half}")
-        R = _as_rotation(self.rotation, "box rotation")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "half_extents", half)
-        object.__setattr__(self, "rotation", R)
+        failed, message = _extent_check(half[None])
+        if failed[0]:
+            raise ValidationError(message(0))
+        _store_box(self, center, half, _as_rotation(self.rotation, "box rotation"))
 
     def volume(self) -> float:
         return float(8.0 * np.prod(self.half_extents))
@@ -86,13 +84,32 @@ class OrientedBox:
     def corners(self) -> np.ndarray:
         return _corners(self.center, self.half_extents, self.rotation)
 
-    def contains(self, points) -> np.ndarray:
-        local = (np.asarray(points, dtype=float) - self.center) @ self.rotation
-        return np.all(np.abs(local) <= self.half_extents + _CLIP_EPS, axis=-1)
 
-    def transformed(self, pose: Pose) -> "OrientedBox":
-        return OrientedBox(apply(pose, self.center), self.half_extents,
-                           pose.rotation @ self.rotation)
+def _extent_check(half_extents):
+    """The test that each of a stack of half extents (N, 3) is strictly
+    positive, as a pair (mask of the failing rows, message of failing row i)
+    like the tests of geometry._rotation_checks."""
+    return (~np.all(half_extents > 0, axis=-1),
+            lambda i: f"half extents must be strictly positive, got {half_extents[i]}")
+
+
+def _store_box(box: OrientedBox, center, half_extents, rotation) -> None:
+    object.__setattr__(box, "center", center)
+    object.__setattr__(box, "half_extents", half_extents)
+    object.__setattr__(box, "rotation", rotation)
+
+
+def _trusted_box(center, half_extents, rotation) -> OrientedBox:
+    """OrientedBox of values that have passed OrientedBox's tests already.
+
+    Skips them; the caller guarantees float arrays of shapes (3,), (3,) and
+    (3, 3) with finite entries, strictly positive half extents and a rotation
+    (to rounding). A file reader tests all of its rows at once and builds its
+    boxes with this.
+    """
+    box = object.__new__(OrientedBox)
+    _store_box(box, center, half_extents, rotation)
+    return box
 
 
 # The functions below take one box, or stacks of boxes: centres (..., 3),
@@ -398,30 +415,3 @@ def pointwise_rmse(points, gt: Pose, est: Pose) -> float:
     diff = apply(gt, pts) - apply(est, pts)
     return float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
 
-
-# ---------------------------------------------------------------------------
-# Annotation-quality comparison table
-
-# Published point-RMSE levels of other labeling setups, used as fixed
-# reference lines when reporting simulated annotation quality.
-REFERENCE_RMSE_MM = (
-    ("depth-map labeling", ">=", 17.0),
-    ("multi-view keypoints (opaque twin)", "=", 3.4),
-    ("multi-view large-scale", "=", 2.3),
-    ("robotic tip annotation", "=", 0.80),
-)
-
-
-def annotation_quality_table(achieved: dict[str, float]) -> str:
-    """Aligned-text table comparing achieved RMSE against reference setups.
-
-    `achieved` maps row labels (e.g. camera names) to RMSE in mm.
-    """
-    rows = [(label, f"{rel}{value:.2f}") for label, rel, value in REFERENCE_RMSE_MM]
-    rows += [(f"simulated: {name}", f"{value:.2f}") for name, value in achieved.items()]
-    width = max(len(label) for label, _ in rows)
-    lines = [f"{'setup'.ljust(width)}  point RMSE [mm]",
-             f"{'-' * width}  ---------------"]
-    for label, value in rows:
-        lines.append(f"{label.ljust(width)}  {value}")
-    return "\n".join(lines)

@@ -245,8 +245,9 @@ def _marker_rig(scene: SceneConfig, views_per_camera: int = 10):
     board = MarkerBoard(board_pts, apply(marker_base, board_pts))
 
     stops = scene.trajectories[0].poses
-    idx = np.unique(np.linspace(0, len(stops) - 1,
-                                min(views_per_camera, len(stops))).round().astype(int))
+    # ascending already; deduplicated in Python, as np.unique imports numpy.ma
+    idx = sorted(set(np.linspace(0, len(stops) - 1, min(views_per_camera, len(stops)))
+                     .round().astype(int).tolist()))
     ee_poses = [stops[i] for i in idx]
     return marker_base, board, ee_poses
 
@@ -330,6 +331,34 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
         per_camera_rmse_draws={k: np.array(v) for k, v in per_camera_draws.items()},
         per_camera_rmse_mean={k: float(np.mean(v)) for k, v in per_camera_draws.items()},
     )
+
+
+# ---------------------------------------------------------------------------
+# Annotation-quality comparison table
+
+# Published point-RMSE levels of other labeling setups, used as fixed
+# reference lines when reporting simulated annotation quality.
+REFERENCE_RMSE_MM = (
+    ("depth-map labeling", ">=", 17.0),
+    ("multi-view keypoints (opaque twin)", "=", 3.4),
+    ("multi-view large-scale", "=", 2.3),
+    ("robotic tip annotation", "=", 0.80),
+)
+
+
+def annotation_quality_table(achieved: dict[str, float]) -> str:
+    """Aligned-text table comparing achieved RMSE against reference setups.
+
+    `achieved` maps row labels (e.g. camera names) to RMSE in mm.
+    """
+    rows = [(label, f"{rel}{value:.2f}") for label, rel, value in REFERENCE_RMSE_MM]
+    rows += [(f"simulated: {name}", f"{value:.2f}") for name, value in achieved.items()]
+    width = max(len(label) for label, _ in rows)
+    lines = [f"{'setup'.ljust(width)}  point RMSE [mm]",
+             f"{'-' * width}  ---------------"]
+    for label, value in rows:
+        lines.append(f"{label.ljust(width)}  {value}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

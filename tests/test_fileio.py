@@ -2,6 +2,7 @@ import os
 import stat
 import tempfile
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -401,3 +402,157 @@ def test_scene_with_repeated_trajectory_name_rejected_before_writing(tmp_path):
     with pytest.raises(ValidationError, match="trajectory names repeat"):
         fileio.save_scene(tmp_path / "scene.txt", scene)
     assert os.listdir(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
+# Pose and box readers test all of their rows at once: an error cites the
+# first faulty line with that row's first fault, and a quaternion decodes to
+# the bits of quat_to_matrix on that quaternion alone
+
+
+def _q(values, sep=" ") -> str:
+    return sep.join(map(repr, map(float, values)))
+
+
+class Row(NamedTuple):
+    """A test row: its quaternion, and what only some readers read: the
+    marker quaternion after it (views) and a half extent (boxes)."""
+    q: tuple = (1.0, 0.0, 0.0, 0.0)
+    marker: tuple = (1.0, 0.0, 0.0, 0.0)
+    half: float = 4.0
+
+
+# reader -> (load, file text of Rows, line of the first Row, rotations of the
+# loaded rows)
+ROW_READERS = {
+    "pose_list": (
+        fileio.load_pose_list,
+        lambda rows: _HEADER + "".join(f"{_q(r.q)} 1.5 -2.0 3.0\n" for r in rows), 3,
+        lambda loaded: [p.rotation for p in loaded]),
+    "views": (
+        fileio.load_views,
+        lambda rows: _HEADER + "".join(f"{_q(r.q)} 1 2 3 {_q(r.marker)} 4 5 6\n"
+                                       for r in rows),
+        3, lambda loaded: [v.ee_pose.rotation for v in loaded]),
+    "scene_cameras": (
+        fileio.load_scene,
+        lambda rows: (_HEADER + "[cameras]\n"
+                      + "".join(f"cam{k} {_q(r.q)} 1 2 3\n" for k, r in enumerate(rows))
+                      + "[objects]\ncup0 proc:cup 1 0 0 0 0 0 0\n"
+                        "[trajectory a]\n1 0 0 0 0 0 0\n"), 4,
+        lambda loaded: [c.cam_to_ee.rotation for c in loaded.cameras]),
+    "scene_objects": (
+        fileio.load_scene,
+        lambda rows: (_HEADER + "[cameras]\nrgbd 1 0 0 0 0 0 0\n[objects]\n"
+                      + "".join(f"obj{k} proc:cup {_q(r.q)} 1 2 3\n"
+                                for k, r in enumerate(rows))
+                      + "[trajectory a]\n1 0 0 0 0 0 0\n"), 6,
+        lambda loaded: [o.pose.rotation for o in loaded.objects]),
+    "scene_trajectory": (
+        fileio.load_scene,
+        lambda rows: (_HEADER + "[cameras]\nrgbd 1 0 0 0 0 0 0\n"
+                      "[objects]\ncup0 proc:cup 1 0 0 0 0 0 0\n[trajectory a]\n"
+                      + "".join(f"{_q(r.q)} 1 2 3\n" for r in rows)), 8,
+        lambda loaded: [p.rotation for p in loaded.trajectories[0].poses]),
+    "ground_truth_csv": (
+        fileio.load_ground_truth_csv,
+        lambda rows: fileio.GT_HEADER + "\n" + "".join(
+            f"cup,1,2,3,{_q([r.half] * 3, ',')},{_q(r.q, ',')}\n" for r in rows), 2,
+        lambda loaded: [g.box.rotation for g in loaded]),
+    "predictions_csv": (
+        fileio.load_predictions_csv,
+        lambda rows: fileio.PRED_HEADER + "\n" + "".join(
+            f"cup,0.5,1,2,3,{_q([r.half] * 3, ',')},{_q(r.q, ',')}\n" for r in rows), 2,
+        lambda loaded: [d.box.rotation for d in loaded]),
+}
+_BOX_READERS = ("ground_truth_csv", "predictions_csv")
+
+
+def _norm_message(norm: str) -> str:
+    return f"quaternion norm {norm} deviates from 1 by more than 1e-06"
+
+
+def _load_rows(reader, rows, tmp_path):
+    load, text, _, _ = ROW_READERS[reader]
+    path = tmp_path / "input.txt"
+    path.write_text(text(rows))
+    return load, path
+
+
+def _assert_row_error(reader, rows, line_in_rows, message, tmp_path):
+    load, path = _load_rows(reader, rows, tmp_path)
+    with pytest.raises(FileFormatError) as raised:
+        load(path)
+    first_line = ROW_READERS[reader][2]
+    assert str(raised.value) == f"{path}:{first_line + line_in_rows}: {message}"
+
+
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+def test_bad_quaternion_after_good_rows_cites_its_line(reader, tmp_path):
+    rows = [Row(), Row((0.0, 0.0, 0.0, 1.0)), Row((1.00001, 0.0, 0.0, 0.0))]
+    _assert_row_error(reader, rows, 2, _norm_message("1.00001000"), tmp_path)
+
+
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+def test_first_of_two_faulty_rows_is_reported(reader, tmp_path):
+    rows = [Row(), Row((0.0, 3.0, 0.0, 0.0)), Row(), Row((2.0, 0.0, 0.0, 0.0))]
+    _assert_row_error(reader, rows, 1, _norm_message("3.00000000"), tmp_path)
+
+
+@pytest.mark.parametrize("q, norm", [((1e200, 0.0, 0.0, 0.0), "inf"),
+                                     ((0.0, 0.0, 0.0, 0.0), "0.00000000")],
+                         ids=["overflowing", "zero"])
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+def test_overflowing_or_zero_quaternion_is_refused_without_a_warning(reader, q, norm,
+                                                                     tmp_path):
+    # RuntimeWarnings are errors in this suite
+    _assert_row_error(reader, [Row(), Row(q)], 1, _norm_message(norm), tmp_path)
+
+
+def test_views_test_the_ee_quaternion_before_the_marker_quaternion(tmp_path):
+    bad_marker = Row(marker=(0.0, 0.0, 3.0, 0.0))
+    both_bad = Row((2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0))
+    _assert_row_error("views", [Row(), bad_marker, both_bad], 1, _norm_message("3.00000000"),
+                      tmp_path)
+    _assert_row_error("views", [Row(), both_bad], 1, _norm_message("2.00000000"), tmp_path)
+
+
+@pytest.mark.parametrize("reader", _BOX_READERS)
+def test_boxes_test_the_quaternion_before_the_half_extents(reader, tmp_path):
+    extents = "half extents must be strictly positive, got [0. 0. 0.]"
+    flat, turned = Row(half=0.0), Row((2.0, 0.0, 0.0, 0.0))
+    _assert_row_error(reader, [Row(), Row(), flat], 2, extents, tmp_path)
+    _assert_row_error(reader, [Row(), turned._replace(half=0.0)], 1,
+                      _norm_message("2.00000000"), tmp_path)
+    # the lower row wins, whatever its fault
+    _assert_row_error(reader, [Row(), flat, turned], 1, extents, tmp_path)
+
+
+def _decoded(reader, quaternions, tmp_path):
+    load, path = _load_rows(reader, [Row(tuple(q)) for q in quaternions], tmp_path)
+    return ROW_READERS[reader][3](load(path))
+
+
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+def test_near_unit_quaternion_decodes_as_it_did_one_row_at_a_time(reader, tmp_path):
+    rng = make_rng(41)
+    unit = rng.standard_normal((40, 4))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    # off unit by 1e-11 to 9e-7 (up to the tolerance of 1e-6), either way
+    off = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-11.0, np.log10(9e-7), 40)
+    quaternions = unit * (1.0 + off)[:, None]
+    quaternions[0] = [0.9999995, 0.0, 0.0, 0.0]
+    for q, got in zip(quaternions, _decoded(reader, quaternions, tmp_path), strict=True):
+        norm = np.linalg.norm(q)
+        assert 1e-12 < abs(norm - 1.0) <= 1e-6
+        assert bits(got) == bits(quat_to_matrix(q / norm))
+
+
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+def test_unit_quaternion_decodes_as_written(reader, tmp_path):
+    quaternions = [q / np.linalg.norm(q) for q in make_rng(42).standard_normal((40, 4))]
+    quaternions += [np.array(q) for q in ((0.0, 0.0, 0.0, 1.0), (0.5, -0.5, 0.5, 0.5),
+                                          (1.0 + 5e-13, 0.0, 0.0, 0.0))]
+    for q, got in zip(quaternions, _decoded(reader, quaternions, tmp_path), strict=True):
+        assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
+        assert bits(got) == bits(quat_to_matrix(q))

@@ -235,6 +235,23 @@ class TestPoseType:
             np.testing.assert_allclose(quat_to_matrix(matrix_to_quat(R)), R,
                                        atol=1e-12)
 
+    def test_quaternion_stack_gives_each_quaternion_its_own_matrix(self):
+        q = make_rng(19).standard_normal((2, 5, 4))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        stacked = quat_to_matrix(q)
+        assert stacked.shape == (2, 5, 3, 3)
+        for index in np.ndindex(2, 5):
+            assert stacked[index].tobytes() == quat_to_matrix(q[index]).tobytes()
+
+    def test_rotation_errors_name_their_test(self):
+        # the messages that the file readers repeat for a faulty row
+        with pytest.raises(ValidationError) as raised:
+            Pose(np.eye(3) * 1.01, np.zeros(3))
+        assert str(raised.value) == "rotation is not orthonormal (max deviation 0.0201)"
+        with pytest.raises(ValidationError) as raised:
+            Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+        assert str(raised.value) == "rotation has determinant != +1 (reflection?)"
+
 
 class TestTrustedResults:
     def test_internal_results_skip_validation(self, monkeypatch):
