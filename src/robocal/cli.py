@@ -14,13 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import secrets
 import sys
 
 from . import __version__
 from .errors import RobocalError, ValidationError
 from .geometry import make_rng, matrix_to_quat
-from .pivot import DEFAULT_MIN_DIVERSITY_DEG
 from . import fileio
 
 INITIAL_FIT_WARN_MM = 0.5
@@ -45,6 +43,8 @@ def _fmt_pose(pose) -> str:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
+    import secrets
+
     seed = secrets.randbits(63)
     print(f"no --seed given; generated seed {seed} (recorded in manifest)")
     return seed
@@ -64,10 +64,12 @@ def _write_report(path, manifest, header, rows, extra_comments=()):
 
 
 def _cmd_pivot_calib(args) -> int:
-    from .pivot import REFERENCE_TIP_VARIANCE_MM, solve_pivot
+    from .pivot import DEFAULT_MIN_DIVERSITY_DEG, REFERENCE_TIP_VARIANCE_MM, solve_pivot
 
+    min_diversity_deg = (DEFAULT_MIN_DIVERSITY_DEG if args.min_diversity_deg is None
+                         else args.min_diversity_deg)
     poses = fileio.load_pose_list(args.poses_file)
-    result = solve_pivot(poses, min_diversity_deg=args.min_diversity_deg)
+    result = solve_pivot(poses, min_diversity_deg=min_diversity_deg)
     tip = result.tip_offset
     pivot = result.pivot_point
     print(f"poses:           {result.n_poses}")
@@ -79,7 +81,7 @@ def _cmd_pivot_calib(args) -> int:
         manifest = fileio.RunManifest.create(
             "pivot-calib",
             {"poses_file": args.poses_file,
-             "min_diversity_deg": args.min_diversity_deg},
+             "min_diversity_deg": min_diversity_deg},
             [args.poses_file])
         header = ("tip_x_mm,tip_y_mm,tip_z_mm,pivot_x_mm,pivot_y_mm,pivot_z_mm,"
                   "residual_rms_mm,n_poses")
@@ -188,7 +190,8 @@ def _parse_handeye_targets(items) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    from .simulate import NoiseSpec, generate_scene, simulate_annotation_error
+    from .simulate import (NoiseSpec, generate_scene, save_sim_report,
+                           sim_report_text, simulate_annotation_error)
 
     if (args.scene_file is None) == (args.template is None):
         raise ValidationError("give exactly one of <scene-file> or --template")
@@ -222,15 +225,16 @@ def _cmd_simulate(args) -> int:
          "noise_rotation_deg": args.noise_rotation,
          "handeye_target_rmse": targets, "draws": args.draws},
         inputs)
-    text = fileio.sim_report_text(report, manifest)
-    csv_path, txt_path = fileio.save_sim_report(args.out_dir, report, manifest, text)
+    text = sim_report_text(report, manifest)
+    csv_path, txt_path = save_sim_report(args.out_dir, report, manifest, text)
     print(text)
     print(f"reports written to {csv_path} and {txt_path}")
     return 0
 
 
 def _cmd_icp_bench(args) -> int:
-    from .registration import recovery_benchmark
+    from .registration import (REFERENCE_ROTATION_DEG, REFERENCE_TRANSLATION_MM,
+                               recovery_benchmark)
 
     seed = _resolve_seed(args)
     report = recovery_benchmark(make_rng(seed), patch_fraction=args.patch_fraction)
@@ -239,9 +243,9 @@ def _cmd_icp_bench(args) -> int:
               f"dr {case.rotation_error_deg:7.4f} deg   "
               f"({case.iterations} iters, converged={case.converged})")
     print(f"mean translation error: {report.mean_translation_mm:.4f} mm "
-          f"(annotation pipeline reference: {report.reference_translation_mm} mm)")
+          f"(annotation pipeline reference: {REFERENCE_TRANSLATION_MM} mm)")
     print(f"mean rotation error:    {report.mean_rotation_deg:.4f} deg "
-          f"(annotation pipeline reference: {report.reference_rotation_deg} deg)")
+          f"(annotation pipeline reference: {REFERENCE_ROTATION_DEG} deg)")
     return 0
 
 
@@ -298,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pivot-calib", help="tool-tip pivot calibration")
     p.add_argument("poses_file")
-    p.add_argument("--min-diversity-deg", type=float,
-                   default=DEFAULT_MIN_DIVERSITY_DEG)
+    p.add_argument("--min-diversity-deg", type=float)  # None: solve_pivot's default
     p.add_argument("--out", help="write a CSV report")
     p.set_defaults(func=_cmd_pivot_calib)
 

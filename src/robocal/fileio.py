@@ -27,7 +27,6 @@ import json
 import math
 import os
 import re
-import secrets
 import time
 from dataclasses import dataclass, field
 
@@ -55,7 +54,7 @@ def _fmt(x: float) -> str:
 def atomic_write_text(path, text: str) -> None:
     path = str(path)
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     # mode 0o666 less the umask, as open() gives a new file
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -486,56 +485,3 @@ def save_ground_truth_csv(path, ground_truth) -> None:
 def save_predictions_csv(path, detections) -> None:
     rows = [_box_row(det.category, det.box, det.score) for det in detections]
     atomic_write_text(path, "\n".join([PRED_HEADER, *rows]) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Simulation report
-
-
-def sim_report_csv(report: SimReport, manifest: RunManifest) -> str:
-    lines = [manifest.embed_line(), "camera,object,frame,rmse_mm"]
-    for cam in report.camera_names:
-        for obj in report.object_names:
-            series = report.frame_rmse[(cam, obj)]
-            for k, v in enumerate(series):
-                lines.append(f"{cam},{obj},{k},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def sim_report_text(report: SimReport, manifest: RunManifest) -> str:
-    from .simulate import annotation_quality_table
-
-    lines = [manifest.embed_line(), "simulated annotation-quality report", ""]
-    lines.append(f"draws: {report.draws}")
-    for cam in report.camera_names:
-        lines.append(f"\ncamera {cam}:")
-        calib = report.handeye_perturbations[cam]
-        if calib is None:
-            lines.append("  hand-eye perturbation: none (target 0)")
-        else:
-            lines.append(f"  hand-eye perturbation RMSE: "
-                         f"{_fmt(calib.achieved_rmse_mm)} mm "
-                         f"({calib.evaluations} evaluations)")
-        for obj in report.object_names:
-            lines.append(f"  {obj}: {_fmt(report.per_object_rmse[(cam, obj)])} mm")
-        lines.append(f"  per-camera RMSE (first draw): "
-                     f"{_fmt(report.per_camera_rmse[cam])} mm")
-        if report.draws > 1:
-            lines.append(f"  per-camera RMSE ({report.draws}-draw mean): "
-                         f"{_fmt(report.per_camera_rmse_mean[cam])} mm")
-    lines.append("")
-    lines.append(annotation_quality_table(
-        {cam: report.per_camera_rmse_mean[cam] for cam in report.camera_names}))
-    return "\n".join(lines) + "\n"
-
-
-def save_sim_report(out_dir, report: SimReport, manifest: RunManifest, text: str):
-    """Write the report's CSV, its `text` (from sim_report_text) and the
-    manifest sidecar into `out_dir`."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "sim_report.csv")
-    txt_path = os.path.join(out_dir, "sim_report.txt")
-    atomic_write_text(csv_path, sim_report_csv(report, manifest))
-    atomic_write_text(txt_path, text)
-    manifest.write_sidecar(os.path.join(out_dir, "sim_report"))
-    return csv_path, txt_path

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import (Pose, _trusted_pose, absolute_orientation, apply, axis_angle,
                        compose, invert, random_unit_vector, rotation_distance)
-from .mesh import Mesh, drop_degenerate_triangles, sample_surface
+from .mesh import Mesh, blade, chamfered_box, cup, drop_degenerate_triangles, sample_surface
 
 # Largest (points x triangles) block a surface query holds at once, 8 MB an array.
 _QUERY_BLOCK = 1 << 20
@@ -127,33 +127,35 @@ class SpatialIndex:
     def query(self, queries):
         """For each query point: (distance, closest surface point, triangle id).
 
-        Exact: the distance to the triangle with the nearest centroid bounds
-        the answer from above, a triangle whose sphere lies farther away than
-        that bound cannot hold the closest point, and the closest point is
-        computed exactly on every triangle left. Ties go to the lowest id.
+        Exact: a centroid lies on its triangle, so the nearest centroid's
+        distance bounds the answer from above. A triangle whose sphere or whose
+        plane lies farther away than that bound cannot hold the closest point;
+        the closest point is computed exactly, in one pass, on every (point,
+        triangle) pair left. Ties go to the lowest id.
         """
         p = np.asarray(queries, dtype=float).reshape(-1, 3)
-        n_tri = len(self.points)
-        dist = np.empty(len(p))
-        tri = np.empty(len(p), dtype=np.int64)
-        block = max(1, _QUERY_BLOCK // n_tri)  # bounds the (points, triangles) arrays
+        if not np.isfinite(p).all():  # a finite point keeps at least one pair below
+            raise ValidationError("surface query points must be finite")
+        block = max(1, _QUERY_BLOCK // len(self.points))  # points per block
+        rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # no points, no pairs
         for lo in range(0, len(p), block):
             q = p[lo:lo + block]
             qq = _dot(q, q)
             d2 = qq[:, None] - 2.0 * (q @ self.points.T) + self._sq_norms
             centroid_dist = np.sqrt(np.maximum(d2, 0.0))
-            nearest = centroid_dist.argmin(axis=1)
-            upper = np.linalg.norm(q - self._closest(q, nearest), axis=1)
             # the matmul loses up to ~3e-8 * scale of the centroid distance
-            slack = 1e-7 * (np.sqrt(qq) + self._extent)
-            rows, cols = np.nonzero(centroid_dist - self.radii
-                                    <= (upper + slack)[:, None])
-            exact = np.full(centroid_dist.shape, np.inf)
-            exact[rows, cols] = np.linalg.norm(
-                q[rows] - self._closest(q[rows], cols), axis=1)
-            tri[lo:lo + block] = exact.argmin(axis=1)
-            dist[lo:lo + block] = exact[np.arange(len(q)), tri[lo:lo + block]]
-        return dist, self._closest(p, tri), tri
+            bound = centroid_dist.min(axis=1) + 1e-7 * (np.sqrt(qq) + self._extent)
+            r, c = np.nonzero(centroid_dist - self.radii <= bound[:, None])
+            plane = np.abs(_dot(q[r] - self.points[c], self.normals[c]))
+            keep = plane <= bound[r]
+            rows.append(r[keep] + lo)
+            cols.append(c[keep])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        closest = self._closest(p[rows], cols)
+        dist = np.linalg.norm(p[rows] - closest, axis=1)
+        order = np.lexsort((cols, dist, rows))  # per point: nearest, then lowest id
+        best = order[np.diff(rows[order], prepend=-1) != 0]
+        return dist[best], closest[best], cols[best]
 
 
 @dataclass(frozen=True)
@@ -252,6 +254,16 @@ def icp_refine(measured_points, surface: SpatialIndex, initial: Pose,
 # ---------------------------------------------------------------------------
 # Pose recovery benchmark (the annotation-refinement accuracy protocol)
 
+# annotation accuracy of the original physical pipeline, for comparison
+REFERENCE_TRANSLATION_MM = 0.20
+REFERENCE_ROTATION_DEG = 0.38
+
+# the protocol: tip touches per mesh, their noise, and the start pose's error
+RECOVERY_POINTS = 25
+RECOVERY_POINT_NOISE_MM = 0.2  # per axis, uniform
+RECOVERY_MAX_TRANSLATION_MM = 2.0  # per axis, uniform
+RECOVERY_MAX_ROTATION_DEG = 4.0
+
 
 @dataclass
 class RecoveryCase:
@@ -267,10 +279,6 @@ class RecoveryReport:
     cases: list[RecoveryCase]
     mean_translation_mm: float
     mean_rotation_deg: float
-
-    # annotation accuracy of the original physical pipeline, for comparison
-    reference_translation_mm: float = 0.20
-    reference_rotation_deg: float = 0.38
 
 
 def _farthest_point_subset(points: np.ndarray, count: int,
@@ -314,44 +322,35 @@ def random_pose_perturbation(rng: np.random.Generator,
     return Pose(R, t)
 
 
-def default_benchmark_meshes() -> list[Mesh]:
-    from .mesh import blade, chamfered_box, cup
-
-    return [chamfered_box(), cup(), blade()]
-
-
 def recovery_benchmark(rng: np.random.Generator,
                        meshes: list[Mesh] | None = None,
                        perturbations_per_mesh: int = 5,
-                       n_points: int = 25,
-                       point_noise_mm: float = 0.2,
-                       max_translation_mm: float = 2.0,
-                       max_rotation_deg: float = 4.0,
-                       patch_fraction: float = 0.85,
-                       params: IcpParams = IcpParams()) -> RecoveryReport:
+                       patch_fraction: float = 0.85) -> RecoveryReport:
     """Measure how well ICP recovers a perturbed pose from noisy patch points.
 
-    Per mesh: pick n_points once on a surface patch whose radius is
+    Per mesh: pick RECOVERY_POINTS once on a surface patch whose radius is
     patch_fraction of the bounding-box diagonal; per trial: add per-axis
-    uniform noise of +-point_noise_mm to them, perturb the true (identity)
-    pose by +-max_translation_mm per axis and up to max_rotation_deg about
-    a random axis, run ICP from the perturbed pose and record the
-    remaining pose error. One surface index is built per mesh and shared by
-    all of its trials.
+    uniform noise of +-RECOVERY_POINT_NOISE_MM to them, perturb the true
+    (identity) pose by +-RECOVERY_MAX_TRANSLATION_MM per axis and up to
+    RECOVERY_MAX_ROTATION_DEG about a random axis, run ICP with the default
+    IcpParams from the perturbed pose and record the remaining pose error.
+    One surface index is built per mesh and shared by all of its trials.
     """
     if meshes is None:
-        meshes = default_benchmark_meshes()
+        meshes = [chamfered_box(), cup(), blade()]
     cases = []
     for mesh in meshes:
         surface = SpatialIndex(mesh)
         lo, hi = mesh.bounds()
         patch_radius = patch_fraction * float(np.linalg.norm(hi - lo))
-        patch = sample_patch(mesh, n_points, rng, patch_radius)
+        patch = sample_patch(mesh, RECOVERY_POINTS, rng, patch_radius)
         for _ in range(perturbations_per_mesh):
-            noise = rng.uniform(-point_noise_mm, point_noise_mm, size=patch.shape)
+            noise = rng.uniform(-RECOVERY_POINT_NOISE_MM, RECOVERY_POINT_NOISE_MM,
+                                size=patch.shape)
             measured = patch + noise
-            start = random_pose_perturbation(rng, max_translation_mm, max_rotation_deg)
-            result = icp_refine(measured, surface, start, params)
+            start = random_pose_perturbation(rng, RECOVERY_MAX_TRANSLATION_MM,
+                                             RECOVERY_MAX_ROTATION_DEG)
+            result = icp_refine(measured, surface, start)
             dt, dr = pose_error(Pose.identity(), result.pose)
             cases.append(RecoveryCase(mesh.name, dt, dr,
                                       result.iterations, result.converged))

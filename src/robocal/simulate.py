@@ -19,6 +19,7 @@ perturbation is solved on the same closed form so its board RMSE is a target.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import SearchFailureError, ValidationError
 from .geometry import (Pose, _as_unit_vec3, _trusted_pose, apply, axis_angle,
                        compose, invert, make_rng, random_unit_vector)
+from .fileio import RunManifest, _fmt, atomic_write_text
 from .handeye import MarkerBoard, default_board_points, synthesize_views
 from .mesh import procedural_ref, resolve_mesh, surface_moment
 
@@ -359,6 +361,53 @@ def annotation_quality_table(achieved: dict[str, float]) -> str:
     for label, value in rows:
         lines.append(f"{label.ljust(width)}  {value}")
     return "\n".join(lines)
+
+
+def sim_report_csv(report: SimReport, manifest: RunManifest) -> str:
+    lines = [manifest.embed_line(), "camera,object,frame,rmse_mm"]
+    for cam in report.camera_names:
+        for obj in report.object_names:
+            series = report.frame_rmse[(cam, obj)]
+            for k, v in enumerate(series):
+                lines.append(f"{cam},{obj},{k},{_fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def sim_report_text(report: SimReport, manifest: RunManifest) -> str:
+    lines = [manifest.embed_line(), "simulated annotation-quality report", ""]
+    lines.append(f"draws: {report.draws}")
+    for cam in report.camera_names:
+        lines.append(f"\ncamera {cam}:")
+        calib = report.handeye_perturbations[cam]
+        if calib is None:
+            lines.append("  hand-eye perturbation: none (target 0)")
+        else:
+            lines.append(f"  hand-eye perturbation RMSE: "
+                         f"{_fmt(calib.achieved_rmse_mm)} mm "
+                         f"({calib.evaluations} evaluations)")
+        for obj in report.object_names:
+            lines.append(f"  {obj}: {_fmt(report.per_object_rmse[(cam, obj)])} mm")
+        lines.append(f"  per-camera RMSE (first draw): "
+                     f"{_fmt(report.per_camera_rmse[cam])} mm")
+        if report.draws > 1:
+            lines.append(f"  per-camera RMSE ({report.draws}-draw mean): "
+                         f"{_fmt(report.per_camera_rmse_mean[cam])} mm")
+    lines.append("")
+    lines.append(annotation_quality_table(
+        {cam: report.per_camera_rmse_mean[cam] for cam in report.camera_names}))
+    return "\n".join(lines) + "\n"
+
+
+def save_sim_report(out_dir, report: SimReport, manifest: RunManifest, text: str):
+    """Write the report's CSV, its `text` (from sim_report_text) and the
+    manifest sidecar into `out_dir`."""
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "sim_report.csv")
+    txt_path = os.path.join(out_dir, "sim_report.txt")
+    atomic_write_text(csv_path, sim_report_csv(report, manifest))
+    atomic_write_text(txt_path, text)
+    manifest.write_sidecar(os.path.join(out_dir, "sim_report"))
+    return csv_path, txt_path
 
 
 # ---------------------------------------------------------------------------

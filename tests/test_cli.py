@@ -205,6 +205,9 @@ def test_pivot_calib_report_header(tmp_path, capsys):
     assert header == ("tip_x_mm,tip_y_mm,tip_z_mm,pivot_x_mm,pivot_y_mm,pivot_z_mm,"
                       "residual_rms_mm,n_poses")
     assert len(row.split(",")) == 8 and row.endswith(",20")
+    # the flag was not given: the manifest records the minimum that was used
+    sidecar = json.loads((tmp_path / "pivot.csv.manifest.json").read_text())
+    assert sidecar["parameters"]["min_diversity_deg"] == 10.0
 
 
 def test_eval_iou_sidecar_counts_pairs(tmp_path, capsys):
@@ -328,17 +331,23 @@ def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
 # The modules a command must not load: each command imports the robocal
 # modules it runs in its own body. simulate's report table lives in
 # robocal.simulate, and its rig avoids np.unique, which imports numpy.ma.
+# secrets is imported only to generate a seed; simulate and icp-bench load it
+# all the same, through numpy.random, whose generators they run.
 IMPORT_FOOTPRINT = {
     "--version": ("robocal.simulate", "robocal.metrics", "robocal.registration",
-                  "robocal.mesh", "robocal.handeye"),
+                  "robocal.mesh", "robocal.handeye", "robocal.pivot", "secrets"),
     "pivot-calib": ("robocal.simulate", "robocal.metrics", "robocal.registration",
-                    "robocal.mesh", "robocal.handeye"),
+                    "robocal.mesh", "robocal.handeye", "secrets"),
     "handeye": ("robocal.simulate", "robocal.metrics", "robocal.registration",
-                "robocal.mesh"),
-    "annotate": ("robocal.simulate", "robocal.metrics", "robocal.handeye"),
+                "robocal.mesh", "robocal.pivot", "secrets"),
+    "annotate": ("robocal.simulate", "robocal.metrics", "robocal.handeye",
+                 "robocal.pivot", "secrets"),
     "eval-iou": ("robocal.simulate", "robocal.registration", "robocal.mesh",
-                 "robocal.handeye"),
-    "simulate": ("robocal.metrics", "robocal.registration", "numpy.ma"),
+                 "robocal.handeye", "robocal.pivot", "secrets"),
+    "simulate": ("robocal.metrics", "robocal.registration", "numpy.ma",
+                 "robocal.pivot"),
+    "icp-bench": ("robocal.simulate", "robocal.metrics", "robocal.handeye",
+                  "robocal.pivot"),
 }
 
 FOOTPRINT_GUARD = """

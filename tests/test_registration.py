@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import robocal.registration as registration
 from robocal.errors import DegenerateGeometryError, ValidationError
 from robocal.geometry import (Pose, apply, axis_angle, compose, make_rng,
                               random_rotation)
 from robocal.mesh import Mesh, blade, can, chamfered_box, cup, sample_surface
-from robocal.registration import (Correspondences, IcpParams, SpatialIndex,
+from robocal.registration import (Correspondences, IcpParams, SpatialIndex, _dot,
                                   absolute_orientation, icp_refine, initial_pose,
                                   pose_error, recovery_benchmark,
                                   random_pose_perturbation, sample_patch)
@@ -35,6 +36,35 @@ def _brute_closest(point, a, b, c):
     candidates = np.stack(candidates)  # (4, F, 3)
     best = np.argmin(np.linalg.norm(candidates - point, axis=2), axis=0)
     return candidates[best, np.arange(len(a))]
+
+
+def _three_pass_query(self, queries):
+    """The three-pass surface query that `SpatialIndex.query` replaced, kept
+    as written as the reference for its bits: the exact distance to the
+    nearest-centroid triangle bounds the sphere cull, a dense (points x
+    triangles) matrix takes the exact distances, and the chosen triangles'
+    closest points are computed again at the end."""
+    p = np.asarray(queries, dtype=float).reshape(-1, 3)
+    n_tri = len(self.points)
+    dist = np.empty(len(p))
+    tri = np.empty(len(p), dtype=np.int64)
+    block = max(1, registration._QUERY_BLOCK // n_tri)
+    for lo in range(0, len(p), block):
+        q = p[lo:lo + block]
+        qq = _dot(q, q)
+        d2 = qq[:, None] - 2.0 * (q @ self.points.T) + self._sq_norms
+        centroid_dist = np.sqrt(np.maximum(d2, 0.0))
+        nearest = centroid_dist.argmin(axis=1)
+        upper = np.linalg.norm(q - self._closest(q, nearest), axis=1)
+        slack = 1e-7 * (np.sqrt(qq) + self._extent)
+        rows, cols = np.nonzero(centroid_dist - self.radii
+                                <= (upper + slack)[:, None])
+        exact = np.full(centroid_dist.shape, np.inf)
+        exact[rows, cols] = np.linalg.norm(
+            q[rows] - self._closest(q[rows], cols), axis=1)
+        tri[lo:lo + block] = exact.argmin(axis=1)
+        dist[lo:lo + block] = exact[np.arange(len(q)), tri[lo:lo + block]]
+    return dist, self._closest(p, tri), tri
 
 
 class TestAbsoluteOrientation:
@@ -129,6 +159,51 @@ class TestSpatialIndex:
                                     axis=1).reshape(len(queries), n_tri)
         np.testing.assert_array_equal(tri, every_dist.argmin(axis=1))
         np.testing.assert_array_equal(dist, every_dist.min(axis=1))
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("make_mesh", [chamfered_box, cup, blade, can])
+    def test_matches_three_pass_query_bit_for_bit(self, make_mesh, block, monkeypatch):
+        # points near the surface, far from it, on vertices (ties between the
+        # triangles that share one) and on centroids; blocks of 1 and 7
+        # points, and the default
+        rng = make_rng(17)
+        mesh = make_mesh()
+        index = SpatialIndex(mesh)
+        if block is not None:
+            monkeypatch.setattr("robocal.registration._QUERY_BLOCK",
+                                block * len(index.points))
+        queries = np.vstack([
+            sample_surface(mesh, 120, rng) + rng.uniform(-0.5, 0.5, (120, 3)),
+            rng.uniform(-250, 250, (40, 3)),
+            mesh.vertices[rng.permutation(len(mesh.vertices))[:40]],
+            index.points[rng.permutation(len(index.points))[:40]]])
+        expected = _three_pass_query(index, queries)
+        for got, want in zip(index.query(queries), expected):
+            assert np.array_equal(got, want)
+
+    def test_one_closest_point_pass_per_query(self, monkeypatch):
+        calls = []
+        closest = SpatialIndex._closest
+
+        def counting(self, p, tri):
+            calls.append(len(p))
+            return closest(self, p, tri)
+
+        monkeypatch.setattr(SpatialIndex, "_closest", counting)
+        index = SpatialIndex(blade())
+        # blocks of 7 points: still one pass over the pairs of every block
+        monkeypatch.setattr("robocal.registration._QUERY_BLOCK", 7 * len(index.points))
+        index.query(make_rng(18).uniform(-100, 100, (40, 3)))
+        assert len(calls) == 1
+
+    def test_empty_query(self):
+        dist, closest, tri = SpatialIndex(blade()).query(np.empty((0, 3)))
+        assert dist.shape == (0,) and closest.shape == (0, 3) and tri.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            SpatialIndex(blade()).query([[0.0, 0.0, 0.0], [1.0, bad, 2.0]])
 
     # one triangle, a = origin, b on x, c on y; expected points by hand
     TRIANGLE = Mesh(np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0]]),
@@ -290,6 +365,13 @@ def test_recovery_benchmark_smoke():
     assert report.mean_translation_mm < 1.0
     assert report.mean_rotation_deg < 2.0
     assert all(case.converged for case in report.cases)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_recovery_benchmark_same_cases_as_three_pass_query(seed, monkeypatch):
+    report = recovery_benchmark(make_rng(seed))
+    monkeypatch.setattr(SpatialIndex, "query", _three_pass_query)
+    assert recovery_benchmark(make_rng(seed)).cases == report.cases
 
 
 def test_recovery_benchmark_builds_one_index_per_mesh(monkeypatch):
