@@ -4,8 +4,10 @@ Every format is strict: units and pose-convention headers are mandatory
 and mismatches are hard errors, quaternion fields must be unit to 1e-6,
 parsers never guess, and a value that a domain type rejects is reported
 with the file, and with the line when one row is at fault. A pose or box
-reader tests all of its rows at once, in array operations, before it builds
-anything, and reports the fault that reading row by row would meet first.
+reader tests all of its rows at once, in array operations, and reports the
+fault that reading row by row would meet first. A pose reader then builds
+its poses; a detection CSV reader builds nothing, and returns its rows as
+columns: a tuple of categories and arrays of scores and box parameters.
 A writer rejects a name that its reader would not give back, before it
 writes.
 
@@ -16,7 +18,7 @@ saved one by a few ulp per entry (at most 8 in the round-trip tests), and
 each further load/save cycle can move it again. Writes are atomic (temp
 file then rename).
 
-A loader imports the domain type it builds in its own body, so that reading
+A loader imports the domain code it uses in its own body, so that reading
 one format does not load the modules of every other.
 """
 
@@ -419,9 +421,13 @@ PRED_HEADER = "category,score,cx,cy,cz,ex,ey,ez,qw,qx,qy,qz"
 GT_HEADER = "category,cx,cy,cz,ex,ey,ez,qw,qx,qy,qz"
 
 
-def _csv_rows(path, header, width) -> list[tuple]:
-    """(line number, category, numbers) of each row of a detection CSV; a CSV
-    may hold no rows."""
+def _box_columns(path, header, scored=False) -> tuple:
+    """The columns of a detection CSV: the categories (a tuple of str), with
+    `scored` the scores (N,), then the box centres (N, 3), half extents (N, 3)
+    and rotations (N, 3, 3). The CSV may hold no rows. Every row is tested
+    at once, in OrientedBox's order after the quaternion."""
+    from .metrics import _extent_check
+
     lines = read_lines(path)
     if not lines:
         raise FileFormatError(path, None, f"missing CSV header {header!r}")
@@ -429,40 +435,28 @@ def _csv_rows(path, header, width) -> list[tuple]:
     if first != header:
         raise FileFormatError(path, lineno,
                               f"bad CSV header; expected {header!r}, got {first!r}")
-    return _float_rows(path, lines[1:], width, "box", names=1, sep=",") if lines[1:] else []
-
-
-def _boxes(path, parsed, lead=0) -> list[OrientedBox]:
-    """The boxes of `_csv_rows` rows whose numbers are `lead` others, then the
-    centre, half extents and quaternion of a box. Every row is tested before
-    any box is built, in OrientedBox's order after the quaternion."""
-    from .metrics import _extent_check, _trusted_box
-
-    if not parsed:
-        return []
-    values = np.array([row[-1] for row in parsed])[:, lead:]
-    centers, half_extents = values[:, :3], values[:, 3:6]
-    rotations, norm_check = _rotations(values[:, 6:])
-    _check_rows(path, [row[0] for row in parsed],
+    lead = int(scored)
+    width = lead + 10
+    rows = _float_rows(path, lines[1:], width, "box", names=1, sep=",") if lines[1:] else []
+    values = np.array([row[-1] for row in rows]).reshape(len(rows), width)
+    half_extents = values[:, lead + 3:lead + 6]
+    rotations, norm_check = _rotations(values[:, lead + 6:])
+    _check_rows(path, [row[0] for row in rows],
                 [norm_check, _extent_check(half_extents),
                  *_rotation_checks(rotations, "box rotation")])
-    return [_trusted_box(*box) for box in zip(centers, half_extents, rotations)]
+    scores = (values[:, 0],) if scored else ()
+    return (tuple(row[1] for row in rows), *scores, values[:, lead:lead + 3], half_extents,
+            rotations)
 
 
-def load_ground_truth_csv(path) -> list[GroundTruthBox]:
-    from .metrics import GroundTruthBox
-
-    rows = _csv_rows(path, GT_HEADER, 10)
-    return [GroundTruthBox(category, box)
-            for (_, category, _), box in zip(rows, _boxes(path, rows))]
+def load_ground_truth_csv(path) -> tuple:
+    """(categories, centres, half extents, rotations): see _box_columns."""
+    return _box_columns(path, GT_HEADER)
 
 
-def load_predictions_csv(path) -> list[Detection]:
-    from .metrics import Detection
-
-    rows = _csv_rows(path, PRED_HEADER, 11)
-    return [Detection(category, box, v[0])
-            for (_, category, v), box in zip(rows, _boxes(path, rows, lead=1))]
+def load_predictions_csv(path) -> tuple:
+    """(categories, scores, centres, half extents, rotations): see _box_columns."""
+    return _box_columns(path, PRED_HEADER, scored=True)
 
 
 def load_detection_set(gt_path, pred_path) -> DetectionSet:

@@ -18,9 +18,13 @@ each on the pairs the step before it left:
    follows from the divergence theorem as a sum of signed tetrahedron
    volumes.
 
-`intersection_volume` and `iou3d` are the one-pair calls of this code, and
-`average_precision` builds one IoU matrix per category. Monte-Carlo
-estimation exists only as a test oracle.
+`intersection_volume` and `iou3d` are the one-pair calls of this code, on
+`OrientedBox` values. `average_precision` works on the columns of a
+`DetectionSet` (categories, scores, centres, half extents, rotations): it
+picks each category's rows with a mask, orders its predictions by score and
+builds one IoU matrix per category from the stacked arrays, with no per-row
+box objects. `Detection` and `GroundTruthBox` are the row types the CSV
+writers take. Monte-Carlo estimation exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -76,7 +80,9 @@ class OrientedBox:
         failed, message = _extent_check(half[None])
         if failed[0]:
             raise ValidationError(message(0))
-        _store_box(self, center, half, _as_rotation(self.rotation, "box rotation"))
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "half_extents", half)
+        object.__setattr__(self, "rotation", _as_rotation(self.rotation, "box rotation"))
 
     def volume(self) -> float:
         return float(8.0 * np.prod(self.half_extents))
@@ -91,25 +97,6 @@ def _extent_check(half_extents):
     like the tests of geometry._rotation_checks."""
     return (~np.all(half_extents > 0, axis=-1),
             lambda i: f"half extents must be strictly positive, got {half_extents[i]}")
-
-
-def _store_box(box: OrientedBox, center, half_extents, rotation) -> None:
-    object.__setattr__(box, "center", center)
-    object.__setattr__(box, "half_extents", half_extents)
-    object.__setattr__(box, "rotation", rotation)
-
-
-def _trusted_box(center, half_extents, rotation) -> OrientedBox:
-    """OrientedBox of values that have passed OrientedBox's tests already.
-
-    Skips them; the caller guarantees float arrays of shapes (3,), (3,) and
-    (3, 3) with finite entries, strictly positive half extents and a rotation
-    (to rounding). A file reader tests all of its rows at once and builds its
-    boxes with this.
-    """
-    box = object.__new__(OrientedBox)
-    _store_box(box, center, half_extents, rotation)
-    return box
 
 
 # The functions below take one box, or stacks of boxes: centres (..., 3),
@@ -278,16 +265,15 @@ def _overlaps(a, b):
     return i, j, _clip_volumes(ca[i], ha[i], Ra[i], cb[j], hb[j], Rb[j]), int(np.sum(~kept))
 
 
-def _iou_matrix(a_boxes, b_boxes) -> tuple[np.ndarray, int, int]:
-    """(IoU of every pair of a x b, pairs the separating-axis test rejected,
-    pairs clipped)."""
-    a, b = _stack(a_boxes), _stack(b_boxes)
+def _iou_matrix(a, b) -> tuple[np.ndarray, int, int]:
+    """(IoU of every pair of the stacked boxes a x b, pairs the separating-axis
+    test rejected, pairs clipped)."""
     i, j, inter, separated = _overlaps(a, b)
     # as OrientedBox.volume()
     va, vb = 8.0 * np.prod(a[1][i], axis=1), 8.0 * np.prod(b[1][j], axis=1)
     # the rounded clip volume can exceed a box's own
     inter = np.minimum(inter, np.minimum(va, vb))
-    iou = np.zeros((len(a_boxes), len(b_boxes)))
+    iou = np.zeros((len(a[0]), len(b[0])))
     iou[i, j] = np.where(inter > 0.0, inter / (va + vb - inter), 0.0)
     return iou, separated, len(i)
 
@@ -300,7 +286,7 @@ def intersection_volume(a: OrientedBox, b: OrientedBox) -> float:
 
 def iou3d(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection over union of two oriented 3D boxes, in [0, 1]."""
-    return float(_iou_matrix([a], [b])[0][0, 0])
+    return float(_iou_matrix(_stack([a]), _stack([b]))[0][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +312,17 @@ class GroundTruthBox:
 
 @dataclass
 class DetectionSet:
-    predictions: list[Detection]
-    ground_truth: list[GroundTruthBox]
+    """The boxes of an evaluation, as columns, one row per box.
+
+    `predictions` is (categories, scores, centres, half extents, rotations)
+    and `ground_truth` is (categories, centres, half extents, rotations):
+    the categories a tuple of str, the scores (P,), the centres and half
+    extents (N, 3) mm and the rotations (N, 3, 3). The rows hold values that
+    OrientedBox and Detection would accept.
+    """
+
+    predictions: tuple
+    ground_truth: tuple
 
 
 @dataclass
@@ -340,18 +335,17 @@ class APResult:
     pairs_clipped: int = 0  # pairs whose exact volume was computed
 
 
-def _category_ap(predictions, gt_boxes, iou_threshold) -> tuple[float, int, int]:
-    """(AP, pairs separated, pairs clipped) of one category."""
-    if not predictions:
+def _category_ap(predictions, ground_truth, iou_threshold) -> tuple[float, int, int]:
+    """(AP, pairs separated, pairs clipped) of one category, from its stacked
+    predicted boxes in score order and its stacked ground-truth boxes."""
+    n_pred, n_gt = len(predictions[0]), len(ground_truth[0])
+    if not n_pred:
         return 0.0, 0, 0
-    order = sorted(range(len(predictions)),
-                   key=lambda i: -predictions[i].score)  # stable for ties
-    iou, separated, clipped = _iou_matrix([predictions[i].box for i in order],
-                                          [gt.box for gt in gt_boxes])
+    iou, separated, clipped = _iou_matrix(predictions, ground_truth)
     # greedy: each prediction, by score, takes the unmatched ground truth of
     # highest IoU (the first of equals) if that IoU reaches the threshold
-    matched = np.zeros(len(gt_boxes), dtype=bool)
-    tp = np.zeros(len(order))
+    matched = np.zeros(n_gt, dtype=bool)
+    tp = np.zeros(n_pred)
     for rank, row in enumerate(iou):
         row = np.where(matched, -1.0, row)
         j = int(np.argmax(row))
@@ -359,8 +353,8 @@ def _category_ap(predictions, gt_boxes, iou_threshold) -> tuple[float, int, int]
             matched[j] = True
             tp[rank] = 1.0
     tp_cum = np.cumsum(tp)
-    recall = tp_cum / len(gt_boxes)
-    precision = tp_cum / np.arange(1, len(order) + 1)
+    recall = tp_cum / n_gt
+    precision = tp_cum / np.arange(1, n_pred + 1)
     # all-points interpolation: running max of precision from the right
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     prev_r = 0.0
@@ -375,32 +369,31 @@ def average_precision(detections: DetectionSet, iou_threshold: float) -> APResul
     """Per-category AP by score-descending greedy matching, plus the mean.
 
     A prediction matches at most one ground-truth box of its category and
-    only when their IoU reaches the threshold. Categories with predictions
-    but no ground truth have undefined AP: they are excluded from the mean
-    and listed in the result. The result also counts the prediction/ground
-    truth pairs of each category, the pairs whose bounding spheres overlap
-    but that a separating axis rejected, and the pairs whose exact
-    intersection volume was computed.
+    only when their IoU reaches the threshold; predictions of equal score
+    are taken in row order. Categories with predictions but no ground truth
+    have undefined AP: they are excluded from the mean and listed in the
+    result. The result also counts the prediction/ground truth pairs of each
+    category, the pairs whose bounding spheres overlap but that a separating
+    axis rejected, and the pairs whose exact intersection volume was computed.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValidationError(f"IoU threshold must be in (0, 1), got {iou_threshold}")
-    gt_by_cat: dict[str, list[GroundTruthBox]] = {}
-    for gt in detections.ground_truth:
-        gt_by_cat.setdefault(gt.category, []).append(gt)
-    pred_by_cat: dict[str, list[Detection]] = {}
-    for pred in detections.predictions:
-        pred_by_cat.setdefault(pred.category, []).append(pred)
+    pred_categories, scores, *pred_boxes = detections.predictions
+    gt_categories, *gt_boxes = detections.ground_truth
 
     per_category = {}
     compared = separated = clipped = 0
-    for cat in sorted(gt_by_cat):
-        predictions = pred_by_cat.get(cat, [])
+    for cat in sorted(set(gt_categories)):
+        gt = np.array([c == cat for c in gt_categories])
+        pred = np.flatnonzero([c == cat for c in pred_categories])
+        pred = pred[np.argsort(-scores[pred], kind="stable")]
         per_category[cat], n_separated, n_clipped = _category_ap(
-            predictions, gt_by_cat[cat], iou_threshold)
-        compared += len(predictions) * len(gt_by_cat[cat])
+            [column[pred] for column in pred_boxes], [column[gt] for column in gt_boxes],
+            iou_threshold)
+        compared += len(pred) * int(gt.sum())
         separated += n_separated
         clipped += n_clipped
-    undefined = sorted(set(pred_by_cat) - set(gt_by_cat))
+    undefined = sorted(set(pred_categories) - set(gt_categories))
     mean = float(np.mean(list(per_category.values()))) if per_category else 0.0
     return APResult(per_category=per_category, mean_ap=mean,
                     undefined_categories=undefined, pairs_compared=compared,

@@ -130,14 +130,15 @@ class SpatialIndex:
         Exact: a centroid lies on its triangle, so the nearest centroid's
         distance bounds the answer from above. A triangle whose sphere or whose
         plane lies farther away than that bound cannot hold the closest point;
-        the closest point is computed exactly, in one pass, on every (point,
-        triangle) pair left. Ties go to the lowest id.
+        the closest point is computed exactly, in one pass per block of points,
+        on every (point, triangle) pair left. Ties go to the lowest id.
         """
         p = np.asarray(queries, dtype=float).reshape(-1, 3)
         if not np.isfinite(p).all():  # a finite point keeps at least one pair below
             raise ValidationError("surface query points must be finite")
         block = max(1, _QUERY_BLOCK // len(self.points))  # points per block
-        rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # no points, no pairs
+        # no points, no answers
+        dist, closest, tri = [np.empty(0)], [np.empty((0, 3))], [np.empty(0, np.int64)]
         for lo in range(0, len(p), block):
             q = p[lo:lo + block]
             qq = _dot(q, q)
@@ -146,16 +147,16 @@ class SpatialIndex:
             # the matmul loses up to ~3e-8 * scale of the centroid distance
             bound = centroid_dist.min(axis=1) + 1e-7 * (np.sqrt(qq) + self._extent)
             r, c = np.nonzero(centroid_dist - self.radii <= bound[:, None])
-            plane = np.abs(_dot(q[r] - self.points[c], self.normals[c]))
-            keep = plane <= bound[r]
-            rows.append(r[keep] + lo)
-            cols.append(c[keep])
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        closest = self._closest(p[rows], cols)
-        dist = np.linalg.norm(p[rows] - closest, axis=1)
-        order = np.lexsort((cols, dist, rows))  # per point: nearest, then lowest id
-        best = order[np.diff(rows[order], prepend=-1) != 0]
-        return dist[best], closest[best], cols[best]
+            keep = np.abs(_dot(q[r] - self.points[c], self.normals[c])) <= bound[r]
+            r, c = r[keep], c[keep]
+            near = self._closest(q[r], c)
+            d = np.linalg.norm(q[r] - near, axis=1)
+            order = np.lexsort((c, d, r))  # per point: nearest, then lowest id
+            best = order[np.diff(r[order], prepend=-1) != 0]
+            dist.append(d[best])
+            closest.append(near[best])
+            tri.append(c[best])
+        return np.concatenate(dist), np.concatenate(closest), np.concatenate(tri)
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,9 @@ class IcpParams:
     def __post_init__(self):
         for name in ("max_iterations", "tol_translation_mm", "tol_rotation_deg",
                      "max_correspondence_mm"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"IcpParams.{name} must be positive")
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails too
+                raise ValidationError(f"IcpParams.{name} must be positive, got {value}")
 
 
 @dataclass
@@ -336,6 +338,9 @@ def recovery_benchmark(rng: np.random.Generator,
     IcpParams from the perturbed pose and record the remaining pose error.
     One surface index is built per mesh and shared by all of its trials.
     """
+    if not (math.isfinite(patch_fraction) and patch_fraction > 0):
+        raise ValidationError(f"patch fraction must be finite and positive, got "
+                              f"{patch_fraction}")
     if meshes is None:
         meshes = [chamfered_box(), cup(), blade()]
     cases = []

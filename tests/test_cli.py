@@ -11,12 +11,12 @@ from robocal import cli, fileio
 from robocal.geometry import Pose, apply, make_rng, random_rotation
 from robocal.handeye import MarkerBoard, default_board_points, synthesize_views
 from robocal.mesh import chamfered_box, sample_surface, save_obj
-from robocal.metrics import (Detection, GroundTruthBox, OrientedBox,
-                             average_precision)
+from robocal.metrics import Detection, GroundTruthBox, OrientedBox
 from robocal.pivot import synthesize_pivot_poses
 from robocal.registration import Correspondences
 from robocal.simulate import (Camera, SceneConfig, SceneObject, Trajectory,
                               generate_scene)
+from test_metrics import load_rows, reference_ap
 
 
 def _annotate_inputs(tmp_path):
@@ -140,6 +140,25 @@ def test_surface_sampling_options_are_gone(argv, flag, capsys):
     assert flag in err
 
 
+@pytest.mark.parametrize("entry", ["tol_translation_mm=nan", "max_correspondence_mm=nan"])
+def test_icp_params_nan_exits_1(entry, capsys):
+    # NaN once passed the check; the parameters are tested before any input
+    # file is read
+    argv = ["annotate", "p.txt", "m.obj", "k.txt", "--icp-params", entry]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: IcpParams.{entry.split('=')[0]} must be positive")
+
+
+@pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "0"])
+def test_icp_bench_patch_fraction_not_finite_and_positive_exits_1(fraction, capsys):
+    # nan, -1 and 0 once all fell back to the same nearest-candidate patch
+    assert cli.main(["icp-bench", "--seed", "1", "--patch-fraction", fraction]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: patch fraction must be finite and positive")
+    assert captured.out == ""
+
+
 def test_unknown_mesh_parameter_exits_1(tmp_path, capsys):
     stops = tuple(Pose(random_rotation(make_rng(k)), [450.0, 0.0, 400.0])
                   for k in range(3))
@@ -181,11 +200,11 @@ def test_eval_iou_report(tmp_path, capsys):
             "--out", str(out)]
     assert cli.main(argv) == 0
     assert f"report written to {out}" in capsys.readouterr().out
-    expected = average_precision(fileio.load_detection_set(gt_path, pred_path), 0.5)
-    lines = _report_lines(out)
-    assert lines[:3] == [f"# mean_ap={expected.mean_ap!r}", "# iou_threshold=0.5",
-                         "category,ap"]
-    assert [row.split(",")[0] for row in lines[3:]] == ["bottle", "cup", "teapot"]
+    per_category, mean_ap = reference_ap(*load_rows(gt_path, pred_path), 0.5)
+    assert list(per_category) == ["bottle", "cup", "teapot"]
+    assert _report_lines(out) == [f"# mean_ap={mean_ap!r}", "# iou_threshold=0.5",
+                                  "category,ap",
+                                  *[f"{cat},{ap!r}" for cat, ap in per_category.items()]]
 
 
 def test_pivot_calib_report_header(tmp_path, capsys):

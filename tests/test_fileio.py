@@ -66,12 +66,21 @@ def test_detection_csv_round_trip(tmp_path):
     fileio.save_ground_truth_csv(tmp_path / "gt.csv", ground_truth)
     fileio.save_predictions_csv(tmp_path / "pred.csv", predictions)
     loaded = fileio.load_detection_set(tmp_path / "gt.csv", tmp_path / "pred.csv")
-    assert [g.category for g in loaded.ground_truth] == categories
-    assert [p.category for p in loaded.predictions] == categories
-    assert [p.score for p in loaded.predictions] == [p.score for p in predictions]
-    for got, want in zip(loaded.ground_truth, ground_truth):
-        assert got.box.center.tolist() == want.box.center.tolist()
-        assert got.box.half_extents.tolist() == want.box.half_extents.tolist()
+    gt_categories, centers, half_extents, _ = loaded.ground_truth
+    pred_categories, scores, *_ = loaded.predictions
+    assert gt_categories == pred_categories == tuple(categories)
+    assert scores.tolist() == [p.score for p in predictions]
+    assert centers.tolist() == [g.box.center.tolist() for g in ground_truth]
+    assert half_extents.tolist() == [g.box.half_extents.tolist() for g in ground_truth]
+
+
+def test_empty_detection_csv_gives_empty_columns(tmp_path):
+    fileio.save_predictions_csv(tmp_path / "pred.csv", [])
+    categories, scores, centers, half_extents, rotations = fileio.load_predictions_csv(
+        tmp_path / "pred.csv")
+    assert categories == ()
+    assert (scores.shape, centers.shape, half_extents.shape, rotations.shape) == (
+        (0,), (0, 3), (0, 3), (0, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +191,20 @@ def assert_same_box(got: OrientedBox, want: OrientedBox):
 @given(st.lists(st.builds(GroundTruthBox, categories, boxes), max_size=4))
 def test_ground_truth_csv_round_trip(saved):
     loaded = round_trip(fileio.save_ground_truth_csv, fileio.load_ground_truth_csv, saved)
-    for got, want in zip(loaded, saved, strict=True):
-        assert got.category == want.category
-        assert_same_box(got.box, want.box)
+    assert len(loaded) == 4  # categories, centres, half extents, rotations
+    for (category, *box), want in zip(zip(*loaded), saved, strict=True):
+        assert category == want.category
+        assert_same_box(OrientedBox(*box), want.box)
 
 
 @given(st.lists(st.builds(Detection, categories, boxes, finite), max_size=4))
 def test_predictions_csv_round_trip(saved):
     loaded = round_trip(fileio.save_predictions_csv, fileio.load_predictions_csv, saved)
-    for got, want in zip(loaded, saved, strict=True):
-        assert got.category == want.category
-        assert bits(got.score) == bits(want.score)
-        assert_same_box(got.box, want.box)
+    assert len(loaded) == 5  # categories, scores, centres, half extents, rotations
+    for (category, score, *box), want in zip(zip(*loaded), saved, strict=True):
+        assert category == want.category
+        assert bits(score) == bits(want.score)
+        assert_same_box(OrientedBox(*box), want.box)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +229,9 @@ NAME_SLOTS = {
                        _SCENE, trajectories=(Trajectory(v, (_I,)),))),
                    lambda p: fileio.load_scene(p).trajectories[0].name),
     "ground_truth": (lambda p, v: fileio.save_ground_truth_csv(p, [GroundTruthBox(v, _BOX)]),
-                     lambda p: fileio.load_ground_truth_csv(p)[0].category),
+                     lambda p: fileio.load_ground_truth_csv(p)[0][0]),
     "predictions": (lambda p, v: fileio.save_predictions_csv(p, [Detection(v, _BOX, 0.5)]),
-                    lambda p: fileio.load_predictions_csv(p)[0].category),
+                    lambda p: fileio.load_predictions_csv(p)[0][0]),
 }
 
 
@@ -458,12 +469,12 @@ ROW_READERS = {
         fileio.load_ground_truth_csv,
         lambda rows: fileio.GT_HEADER + "\n" + "".join(
             f"cup,1,2,3,{_q([r.half] * 3, ',')},{_q(r.q, ',')}\n" for r in rows), 2,
-        lambda loaded: [g.box.rotation for g in loaded]),
+        lambda loaded: list(loaded[-1])),
     "predictions_csv": (
         fileio.load_predictions_csv,
         lambda rows: fileio.PRED_HEADER + "\n" + "".join(
             f"cup,0.5,1,2,3,{_q([r.half] * 3, ',')},{_q(r.q, ',')}\n" for r in rows), 2,
-        lambda loaded: [d.box.rotation for d in loaded]),
+        lambda loaded: list(loaded[-1])),
 }
 _BOX_READERS = ("ground_truth_csv", "predictions_csv")
 

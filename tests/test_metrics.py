@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from robocal import metrics
+from robocal import fileio, metrics
 from robocal.errors import ValidationError
 from robocal.geometry import (Pose, apply, axis_angle, make_rng, quat_to_matrix,
                               random_rotation, random_unit_vector)
@@ -157,7 +157,8 @@ class TestSphereRejection:
         far = OrientedBox([3.5, 0, 0], [1.0, 1, 1], np.eye(3))
         # 0.5 mm apart; the spheres overlap, the y axis separates the boxes
         apart = OrientedBox([0.0, 2.5, 0], [1.0, 1, 1], np.eye(3))
-        iou, separated, clipped = metrics._iou_matrix([a], [near, far, apart])
+        iou, separated, clipped = metrics._iou_matrix(metrics._stack([a]),
+                                                      metrics._stack([near, far, apart]))
         assert tested == [1.5, 0.0]
         assert (separated, clipped) == (1, 1)
         assert iou[0, 0] == pytest.approx(1.0 / 7.0, abs=1e-12)  # 2 / (8 + 8 - 2)
@@ -252,7 +253,7 @@ def test_volume_does_not_depend_on_the_batch():
     assert np.array_equal([clip_volume(a, b) for a, b in pairs], together)
     # one IoU matrix equals the one-pair calls, bit for bit
     a_boxes, b_boxes = [a for a, _ in pairs[:8]], [b for _, b in pairs[:8]]
-    matrix = metrics._iou_matrix(a_boxes, b_boxes)[0]
+    matrix = metrics._iou_matrix(metrics._stack(a_boxes), metrics._stack(b_boxes))[0]
     assert np.array_equal(matrix, [[iou3d(a, b) for b in b_boxes] for a in a_boxes])
 
 
@@ -355,19 +356,97 @@ def _perfect_prediction(gt, score):
     return Detection(gt.category, gt.box, score)
 
 
+def _columns(rows):
+    return (tuple(row.category for row in rows), *metrics._stack([row.box for row in rows]))
+
+
+def detection_set(predictions, ground_truth):
+    """The DetectionSet of lists of Detection and GroundTruthBox rows."""
+    categories, *boxes = _columns(predictions)
+    scores = np.array([p.score for p in predictions], dtype=float)
+    return DetectionSet((categories, scores, *boxes), _columns(ground_truth))
+
+
+def load_rows(gt_path, pred_path):
+    """(predictions, ground truth) of two detection CSVs, as row lists."""
+    categories, scores, *boxes = fileio.load_predictions_csv(pred_path)
+    predictions = [Detection(category, OrientedBox(*box), float(score))
+                   for category, score, *box in zip(categories, scores, *boxes)]
+    categories, *boxes = fileio.load_ground_truth_csv(gt_path)
+    return predictions, [GroundTruthBox(category, OrientedBox(*box))
+                         for category, *box in zip(categories, *boxes)]
+
+
+def reference_ap(predictions, ground_truth, threshold):
+    """(AP per category, mean AP) of lists of Detection and GroundTruthBox
+    rows, one pair at a time: each prediction of a category, by descending
+    score and in list order on ties, takes the unmatched ground truth of
+    highest iou3d (the first of equals) if that IoU reaches the threshold.
+    AP sums, from recall 0 up, each recall step times the best precision at
+    or after it."""
+    per_category = {}
+    for cat in sorted({g.category for g in ground_truth}):
+        gts = [g.box for g in ground_truth if g.category == cat]
+        preds = sorted((p for p in predictions if p.category == cat), key=lambda p: -p.score)
+        matched = [False] * len(gts)
+        hits, precision, recall = 0, [], []
+        for rank, pred in enumerate(preds, start=1):
+            # (IoU, -index): the highest IoU, then the lowest index
+            free = [(iou3d(pred.box, gt), -j) for j, gt in enumerate(gts) if not matched[j]]
+            iou, j = max(free, default=(-1.0, 0))
+            if iou >= threshold:
+                matched[-j] = True
+                hits += 1
+            precision.append(hits / rank)
+            recall.append(hits / len(gts))
+        ap, previous = 0.0, 0.0
+        for k, r in enumerate(recall):
+            ap += (r - previous) * max(precision[k:])
+            previous = r
+        per_category[cat] = ap
+    return per_category, float(np.mean(list(per_category.values())))
+
+
+def pooled_rows(rng):
+    """(predictions, ground truth) of pooled categories: jittered true
+    positives (IoU 0.5-0.8 with their own box) and false positives scattered
+    over the whole scene."""
+    gts, preds = [], []
+    for cat in ("bottle", "cup", "teapot"):
+        for _ in range(8):
+            box = random_box(rng, center_spread=300.0)
+            gts.append(GroundTruthBox(cat, box))
+            jittered = OrientedBox(
+                box.center + rng.normal(0.0, 1.0, 3),
+                box.half_extents * rng.uniform(0.9, 1.1, 3),
+                axis_angle(random_unit_vector(rng), rng.uniform(0.0, 10.0)) @ box.rotation)
+            preds.append(Detection(cat, jittered, rng.uniform(0.3, 1.0)))
+        for _ in range(8):
+            preds.append(Detection(cat, random_box(rng, center_spread=300.0),
+                                   rng.uniform(0.0, 1.0)))
+    return preds, gts
+
+
+def _write_csvs(tmp_path, predictions, ground_truth):
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    fileio.save_ground_truth_csv(gt_path, ground_truth)
+    fileio.save_predictions_csv(pred_path, predictions)
+    return gt_path, pred_path
+
+
 class TestAveragePrecision:
     def test_perfect_predictions(self):
         rng = make_rng(5)
         gts = [GroundTruthBox(cat, random_box(rng))
                for cat in ("cup", "cup", "box", "bottle")]
         preds = [_perfect_prediction(g, 1.0) for g in gts]
-        result = average_precision(DetectionSet(preds, gts), 0.5)
+        result = average_precision(detection_set(preds, gts), 0.5)
         assert all(ap == pytest.approx(1.0) for ap in result.per_category.values())
         assert result.mean_ap == pytest.approx(1.0)
 
     def test_no_predictions(self):
         gts = [GroundTruthBox("cup", random_box(make_rng(6)))]
-        result = average_precision(DetectionSet([], gts), 0.25)
+        result = average_precision(detection_set([], gts), 0.25)
         assert result.per_category["cup"] == 0.0
         assert result.mean_ap == 0.0
 
@@ -381,7 +460,7 @@ class TestAveragePrecision:
         far = OrientedBox(g1.box.center + 1000.0, [5.0, 5.0, 5.0], np.eye(3))
         preds = [_perfect_prediction(g1, 0.9), Detection("cup", far, 0.1)]
         for threshold in (0.25, 0.5, 0.75):
-            result = average_precision(DetectionSet(preds, [g1, g2]), threshold)
+            result = average_precision(detection_set(preds, [g1, g2]), threshold)
             assert result.per_category["cup"] == pytest.approx(0.5)
 
     def test_monotone_rescoring_invariance(self):
@@ -391,10 +470,10 @@ class TestAveragePrecision:
         for k, g in enumerate(gts[:4]):
             preds.append(_perfect_prediction(g, 0.9 - 0.1 * k))
         preds.append(Detection("box", random_box(rng), 0.05))
-        base = average_precision(DetectionSet(preds, gts), 0.25)
+        base = average_precision(detection_set(preds, gts), 0.25)
         rescored = [Detection(p.category, p.box, 10.0 + 100.0 * p.score)
                     for p in preds]
-        again = average_precision(DetectionSet(rescored, gts), 0.25)
+        again = average_precision(detection_set(rescored, gts), 0.25)
         assert base.per_category == again.per_category
 
     def test_category_without_gt_is_excluded_and_noted(self):
@@ -402,7 +481,7 @@ class TestAveragePrecision:
         gt = GroundTruthBox("cup", random_box(rng))
         preds = [_perfect_prediction(gt, 1.0),
                  Detection("teapot", random_box(rng), 0.9)]
-        result = average_precision(DetectionSet(preds, [gt]), 0.5)
+        result = average_precision(detection_set(preds, [gt]), 0.5)
         assert result.undefined_categories == ["teapot"]
         assert "teapot" not in result.per_category
         assert result.mean_ap == pytest.approx(1.0)
@@ -412,7 +491,7 @@ class TestAveragePrecision:
         gt = GroundTruthBox("can", random_box(rng))
         # two identical predictions for one ground truth: second is a FP
         preds = [_perfect_prediction(gt, 0.9), _perfect_prediction(gt, 0.8)]
-        result = average_precision(DetectionSet(preds, [gt]), 0.5)
+        result = average_precision(detection_set(preds, [gt]), 0.5)
         assert result.per_category["can"] == pytest.approx(1.0)  # recall hit at rank 1
 
     def test_pairs_compared_and_clipped(self):
@@ -426,34 +505,57 @@ class TestAveragePrecision:
                                                [5.0, 5.0, 5.0], np.eye(3)))
         far = OrientedBox(g1.box.center + 1000.0, [5.0, 5.0, 5.0], np.eye(3))
         preds = [_perfect_prediction(g1, 0.9), Detection("cup", far, 0.1)]
-        result = average_precision(DetectionSet(preds, [g1, g2]), 0.5)
+        result = average_precision(detection_set(preds, [g1, g2]), 0.5)
         assert (result.pairs_compared, result.pairs_separated,
                 result.pairs_clipped) == (4, 0, 1)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValidationError):
-            average_precision(DetectionSet([], []), 1.5)
+            average_precision(detection_set([], []), 1.5)
+
+    @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
+    def test_matches_row_reference(self, threshold):
+        preds, gts = pooled_rows(make_rng(23))
+        # scores of two decimals: ties within a category
+        preds = [Detection(p.category, p.box, round(p.score, 2)) for p in preds]
+        assert len({(p.category, p.score) for p in preds}) < len(preds)
+        result = average_precision(detection_set(preds, gts), threshold)
+        per_category, mean_ap = reference_ap(preds, gts, threshold)
+        assert result.per_category == per_category
+        assert result.mean_ap == mean_ap
+        assert any(0.0 < ap < 1.0 for ap in per_category.values())
+
+    @pytest.mark.parametrize("first_is_hit, expected", [(True, 1.0), (False, 0.5)])
+    def test_tied_scores_keep_file_order(self, first_is_hit, expected, tmp_path):
+        # hand-enumerated: a hit then a miss is precision 1 at recall 1; a
+        # miss then a hit reaches recall 1 at precision 1/2
+        gt = GroundTruthBox("cup", random_box(make_rng(24)))
+        far = OrientedBox(gt.box.center + 500.0, [5.0, 5.0, 5.0], np.eye(3))
+        preds = [_perfect_prediction(gt, 0.5), Detection("cup", far, 0.5)]
+        if not first_is_hit:
+            preds.reverse()
+        paths = _write_csvs(tmp_path, preds, [gt])
+        result = average_precision(fileio.load_detection_set(*paths), 0.5)
+        assert result.per_category == {"cup": expected}
+        assert reference_ap(*load_rows(*paths), 0.5) == ({"cup": expected}, expected)
+
+    def test_nul_suffixed_category_is_a_category_of_its_own(self, tmp_path):
+        rng = make_rng(25)
+        # merged, the two would be one category of 2 x 2 pairs
+        cup = GroundTruthBox("cup", random_box(rng))
+        far = OrientedBox(cup.box.center + 500.0, [5.0, 5.0, 5.0], np.eye(3))
+        gts = [cup, GroundTruthBox("cup\x00", far)]
+        preds = [_perfect_prediction(cup, 0.9), Detection("cup\x00", cup.box, 0.8)]
+        paths = _write_csvs(tmp_path, preds, gts)
+        result = average_precision(fileio.load_detection_set(*paths), 0.5)
+        assert result.per_category == {"cup": 1.0, "cup\x00": 0.0}
+        assert result.pairs_compared == 2
+        assert reference_ap(*load_rows(*paths), 0.5) == (result.per_category, 0.5)
 
     @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
     def test_sphere_rejection_leaves_ap_unchanged(self, threshold, monkeypatch):
-        # pooled categories: jittered true positives (IoU 0.5-0.8 with their
-        # own box) and false positives scattered over the whole scene
-        rng = make_rng(17)
-        gts, preds = [], []
-        for cat in ("bottle", "cup", "teapot"):
-            for _ in range(8):
-                box = random_box(rng, center_spread=300.0)
-                gts.append(GroundTruthBox(cat, box))
-                jittered = OrientedBox(
-                    box.center + rng.normal(0.0, 1.0, 3),
-                    box.half_extents * rng.uniform(0.9, 1.1, 3),
-                    axis_angle(random_unit_vector(rng), rng.uniform(0.0, 10.0))
-                    @ box.rotation)
-                preds.append(Detection(cat, jittered, rng.uniform(0.3, 1.0)))
-            for _ in range(8):
-                preds.append(Detection(cat, random_box(rng, center_spread=300.0),
-                                       rng.uniform(0.0, 1.0)))
-        detections = DetectionSet(preds, gts)
+        preds, gts = pooled_rows(make_rng(17))
+        detections = detection_set(preds, gts)
         result = average_precision(detections, threshold)
         # bypass both rejection tests: every pair is clipped
         monkeypatch.setattr(metrics, "_spheres_overlap",

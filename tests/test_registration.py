@@ -191,10 +191,27 @@ class TestSpatialIndex:
 
         monkeypatch.setattr(SpatialIndex, "_closest", counting)
         index = SpatialIndex(blade())
-        # blocks of 7 points: still one pass over the pairs of every block
-        monkeypatch.setattr("robocal.registration._QUERY_BLOCK", 7 * len(index.points))
-        index.query(make_rng(18).uniform(-100, 100, (40, 3)))
+        queries = make_rng(18).uniform(-100, 100, (40, 3))
+        index.query(queries)
         assert len(calls) == 1
+        # blocks of 7 points: one pass over the pairs of each block
+        calls.clear()
+        monkeypatch.setattr("robocal.registration._QUERY_BLOCK", 7 * len(index.points))
+        index.query(queries)
+        assert len(calls) == 6
+
+    def test_block_size_does_not_change_the_bits(self, monkeypatch):
+        # each point's answer depends only on its own (point, triangle) pairs
+        rng = make_rng(19)
+        mesh = cup()
+        index = SpatialIndex(mesh)
+        queries = np.vstack([sample_surface(mesh, 300, rng) + rng.uniform(-1.0, 1.0, (300, 3)),
+                             rng.uniform(-150, 150, (60, 3))])
+        default = index.query(queries)
+        for block in (1, 7, 100):
+            monkeypatch.setattr("robocal.registration._QUERY_BLOCK", block * len(index.points))
+            for got, want in zip(index.query(queries), default, strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_empty_query(self):
         dist, closest, tri = SpatialIndex(blade()).query(np.empty((0, 3)))
@@ -309,6 +326,13 @@ class TestIcp:
     def test_params_validation(self):
         with pytest.raises(ValidationError):
             IcpParams(max_iterations=0)
+
+    @pytest.mark.parametrize("value", [0, -1.0, np.nan])
+    @pytest.mark.parametrize("name", ["max_iterations", "tol_translation_mm",
+                                      "tol_rotation_deg", "max_correspondence_mm"])
+    def test_params_must_be_positive(self, name, value):
+        with pytest.raises(ValidationError, match=f"IcpParams.{name} must be positive"):
+            IcpParams(**{name: value})
 
     def test_correspondence_cap_trims(self, box_surface):
         mesh, surface = box_surface
