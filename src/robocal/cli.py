@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 validation error (bad flags, malformed files),
 2 numerical/degeneracy error. Randomized commands take --seed; when it is
 omitted a seed is generated and recorded in the run manifest.
 
-Each command imports the domain modules it runs in its own body, so that a
-command loads and compiles only what it uses; keep domain imports out of the
-top of this module, where one would load its module for every command.
+Each command imports the domain modules it runs, and `fileio` if it reads or
+writes files, in its own body, so that a command loads and compiles only what
+it uses; keep such imports out of the top of this module, where one would
+load its module (and `fileio` its json and hashlib) for every command.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import sys
 from . import __version__
 from .errors import RobocalError, ValidationError
 from .geometry import make_rng, matrix_to_quat
-from . import fileio
 
 INITIAL_FIT_WARN_MM = 0.5
 
@@ -51,6 +51,8 @@ def _resolve_seed(args) -> int:
 
 
 def _write_report(path, manifest, header, rows, extra_comments=()):
+    from . import fileio
+
     lines = [manifest.embed_line()]
     lines += [f"# {c}" for c in extra_comments]
     lines.append(header)
@@ -64,6 +66,7 @@ def _write_report(path, manifest, header, rows, extra_comments=()):
 
 
 def _cmd_pivot_calib(args) -> int:
+    from . import fileio
     from .pivot import DEFAULT_MIN_DIVERSITY_DEG, REFERENCE_TIP_VARIANCE_MM, solve_pivot
 
     min_diversity_deg = (DEFAULT_MIN_DIVERSITY_DEG if args.min_diversity_deg is None
@@ -93,6 +96,7 @@ def _cmd_pivot_calib(args) -> int:
 
 
 def _cmd_handeye(args) -> int:
+    from . import fileio
     from .handeye import marker_from_base, solve_handeye
 
     board = fileio.load_marker_board(args.board_file)
@@ -142,6 +146,7 @@ def _parse_icp_params(text: str) -> IcpParams:
 
 
 def _cmd_annotate(args) -> int:
+    from . import fileio
     from .mesh import load_obj
     from .registration import SpatialIndex, icp_refine, initial_pose
 
@@ -190,6 +195,7 @@ def _parse_handeye_targets(items) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    from . import fileio
     from .simulate import (NoiseSpec, generate_scene, save_sim_report,
                            sim_report_text, simulate_annotation_error)
 
@@ -250,6 +256,7 @@ def _cmd_icp_bench(args) -> int:
 
 
 def _cmd_eval_iou(args) -> int:
+    from . import fileio
     from .metrics import average_precision
 
     detections = fileio.load_detection_set(args.gt_file, args.pred_file)
@@ -278,6 +285,7 @@ def _cmd_eval_iou(args) -> int:
 
 
 def _cmd_gen_scene(args) -> int:
+    from . import fileio
     from .simulate import generate_scene
 
     seed = _resolve_seed(args)

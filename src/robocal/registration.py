@@ -8,11 +8,33 @@ triangle surface of the model mesh by point-to-plane ICP (Chen & Medioni
 
 The caller owns the surface: it builds one `SpatialIndex` per mesh and passes
 it to every `icp_refine` against that mesh.
+
+ICP matches the same slowly moving points again and again, so each run keeps a
+`SurfaceMatches`, a neighbour list with a skin (Verlet 1967): per point, the
+anchor where its candidate triangles were last searched, with the search
+bound widened by 2 s (s = `_SKIN_MM`). While a point lies within s of its
+anchor its candidates are reused; only the points that moved farther are
+searched again. This is exact. A point's distance to the surface, and to any
+triangle, changes by at most its motion, so a winning triangle T at p has
+d(p0, T) <= d(p, T) + s = d(p) + s <= d(p0) + 2 s, where p0 is the anchor.
+The search at p0 keeps every triangle whose lower bounds (centroid sphere and
+plane) lie within an upper bound on d(p0) plus the slack 2 s. T's lower
+bounds are at most d(p0, T), so the search kept T, together with every
+triangle that ties with it. The exact evaluation of a point depends on its
+own (point, triangle) pairs only, and picks among them as `query` does, so
+the answers are `query`'s bit for bit.
+
+An ICP run is a step generator that yields the points it needs matched. One
+driver advances any number of runs against one surface in lockstep and
+answers each round's pending matches with one `SpatialIndex.query`:
+`icp_refine` is that driver over one run, and `recovery_benchmark` refines
+all trials of a mesh together.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +46,10 @@ from .mesh import Mesh, blade, chamfered_box, cup, drop_degenerate_triangles, sa
 
 # Largest (points x triangles) block a surface query holds at once, 8 MB an array.
 _QUERY_BLOCK = 1 << 20
+
+# A point's cached candidates, searched with slack 2 * _SKIN_MM, stay exact
+# while it lies within _SKIN_MM of where they were searched (module docstring).
+_SKIN_MM = 0.5
 
 
 @dataclass(frozen=True)
@@ -124,39 +150,112 @@ class SpatialIndex:
                 t = np.where(mask, rt, t)
         return a + s[:, None] * ab + t[:, None] * ac
 
-    def query(self, queries):
-        """For each query point: (distance, closest surface point, triangle id).
+    def _candidates(self, p: np.ndarray, slack: float = 0.0):
+        """Candidate (point, triangle) pairs of the points p, in (point,
+        triangle) order, at least one per point.
 
-        Exact: a centroid lies on its triangle, so the nearest centroid's
-        distance bounds the answer from above. A triangle whose sphere or whose
-        plane lies farther away than that bound cannot hold the closest point;
-        the closest point is computed exactly, in one pass per block of points,
-        on every (point, triangle) pair left. Ties go to the lowest id.
+        A centroid lies on its triangle, so the nearest centroid's distance
+        bounds each point's answer from above. A triangle whose sphere or whose
+        plane lies farther away than that bound plus `slack` cannot hold the
+        closest point, now or after the point moves by up to slack / 2.
+        Holds one dense (points x triangles) block of _QUERY_BLOCK at a time.
         """
-        p = np.asarray(queries, dtype=float).reshape(-1, 3)
-        if not np.isfinite(p).all():  # a finite point keeps at least one pair below
-            raise ValidationError("surface query points must be finite")
         block = max(1, _QUERY_BLOCK // len(self.points))  # points per block
-        # no points, no answers
-        dist, closest, tri = [np.empty(0)], [np.empty((0, 3))], [np.empty(0, np.int64)]
+        rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for lo in range(0, len(p), block):
             q = p[lo:lo + block]
             qq = _dot(q, q)
             d2 = qq[:, None] - 2.0 * (q @ self.points.T) + self._sq_norms
             centroid_dist = np.sqrt(np.maximum(d2, 0.0))
             # the matmul loses up to ~3e-8 * scale of the centroid distance
-            bound = centroid_dist.min(axis=1) + 1e-7 * (np.sqrt(qq) + self._extent)
+            bound = centroid_dist.min(axis=1) + 1e-7 * (np.sqrt(qq) + self._extent) + slack
             r, c = np.nonzero(centroid_dist - self.radii <= bound[:, None])
             keep = np.abs(_dot(q[r] - self.points[c], self.normals[c])) <= bound[r]
-            r, c = r[keep], c[keep]
-            near = self._closest(q[r], c)
-            d = np.linalg.norm(q[r] - near, axis=1)
-            order = np.lexsort((c, d, r))  # per point: nearest, then lowest id
-            best = order[np.diff(r[order], prepend=-1) != 0]
-            dist.append(d[best])
-            closest.append(near[best])
-            tri.append(c[best])
+            rows.append(r[keep] + lo)
+            cols.append(c[keep])
+        return np.concatenate(rows), np.concatenate(cols)
+
+    def _evaluate(self, p: np.ndarray, r: np.ndarray, c: np.ndarray):
+        """(distance, closest point, triangle id) of each point p[i] over its
+        pairs (r == i, c), given in (point, triangle) order, at least one per
+        point: the exact closest point of every pair, in one pass, then per
+        point the nearest pair, ties to the lowest id."""
+        near = self._closest(p[r], c)
+        gap = p[r] - near
+        d = np.sqrt(_dot(gap, gap))
+        nearest = np.minimum.reduceat(d, np.flatnonzero(np.diff(r, prepend=-1)))
+        hits = np.flatnonzero(d == nearest[r])
+        best = hits[np.diff(r[hits], prepend=-1) != 0]  # first hit: lowest id
+        return d[best], near[best], c[best]
+
+    def query(self, queries, matches=None):
+        """For each query point: (distance, closest surface point, triangle id).
+
+        Exact: the candidate search drops only triangles that cannot hold the
+        closest point, and the closest point is computed exactly on every
+        (point, triangle) pair left. Ties go to the lowest id. Without
+        `matches`, each block of points is searched and evaluated in turn.
+        With `matches`, a sequence of `SurfaceMatches` whose sizes split the
+        queries into consecutive runs, each run's candidates come from its
+        cache, and all pairs are evaluated at once; the answers are the same.
+        """
+        p = np.asarray(queries, dtype=float).reshape(-1, 3)
+        if not np.isfinite(p).all():  # a finite point keeps at least one pair
+            raise ValidationError("surface query points must be finite")
+        if matches is not None:
+            covered = sum(run.size for run in matches)
+            if covered != len(p):
+                raise ValidationError(f"surface matches cover {covered} points, "
+                                      f"the query has {len(p)}")
+            rows, cols, lo = [np.empty(0, np.int64)], [np.empty(0, np.int64)], 0
+            for run in matches:
+                r, c = run.pairs(self, p[lo:lo + run.size])
+                rows.append(r + lo)
+                cols.append(c)
+                lo += run.size
+            return self._evaluate(p, np.concatenate(rows), np.concatenate(cols))
+        block = max(1, _QUERY_BLOCK // len(self.points))  # points per block
+        # no points, no answers
+        dist, closest, tri = [np.empty(0)], [np.empty((0, 3))], [np.empty(0, np.int64)]
+        for lo in range(0, len(p), block):
+            q = p[lo:lo + block]
+            d, near, c = self._evaluate(q, *self._candidates(q))
+            dist.append(d)
+            closest.append(near)
+            tri.append(c)
         return np.concatenate(dist), np.concatenate(closest), np.concatenate(tri)
+
+
+class SurfaceMatches:
+    """Candidate triangles of one moving point set, kept between queries.
+
+    Per point: the anchor where its candidates were last searched, with slack
+    2 * _SKIN_MM, and the candidates as (point, triangle) pairs in (point,
+    triangle) order. A point within _SKIN_MM of its anchor reuses them; one
+    that moved farther is searched again (see the module docstring). The
+    cache belongs to one surface and one ICP run.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._anchors = np.full((size, 3), np.nan)  # never searched: all stale
+        self._rows = np.empty(0, np.int64)
+        self._cols = np.empty(0, np.int64)
+
+    def pairs(self, surface: SpatialIndex, points: np.ndarray):
+        """Candidate pairs of `points` (finite, one per cached point) on `surface`."""
+        moved = points - self._anchors
+        far = ~(np.sqrt(_dot(moved, moved)) <= _SKIN_MM)  # NaN anchor: far
+        if far.any():
+            stale = np.flatnonzero(far)
+            r, c = surface._candidates(points[stale], 2.0 * _SKIN_MM)
+            kept = ~far[self._rows]
+            rows = np.concatenate([self._rows[kept], stale[r]])
+            cols = np.concatenate([self._cols[kept], c])
+            order = np.argsort(rows, kind="stable")  # keeps each point's ids ascending
+            self._rows, self._cols = rows[order], cols[order]
+            self._anchors[stale] = points[stale]
+        return self._rows, self._cols
 
 
 @dataclass(frozen=True)
@@ -211,15 +310,23 @@ def icp_refine(measured_points, surface: SpatialIndex, initial: Pose,
     measured = np.asarray(measured_points, dtype=float).reshape(-1, 3)
     if len(measured) < 3:
         raise ValidationError(f"ICP needs >= 3 measured points, got {len(measured)}")
+    return _refine_in_lockstep(surface, [(measured, initial)], params)[0]
+
+
+def _icp_steps(measured: np.ndarray, surface: SpatialIndex, initial: Pose,
+               params: IcpParams):
+    """The loop of `icp_refine` as a generator: it yields the model-frame
+    points it needs matched, is sent back their (dist, closest, tri) from
+    `surface`, and returns its IcpResult."""
 
     def match(pose):
         local = apply(invert(pose), measured)
-        dist, closest, tri = surface.query(local)
+        dist, closest, tri = yield local
         rms = float(np.sqrt(np.mean(np.minimum(dist, params.max_correspondence_mm) ** 2)))
         return local, dist, closest, tri, rms
 
     pose = initial
-    local, dist, closest, tri, rms = match(pose)
+    local, dist, closest, tri, rms = yield from match(pose)
     rms_history: list[float] = []
     converged = False
     iterations = 0
@@ -240,17 +347,43 @@ def icp_refine(measured_points, surface: SpatialIndex, initial: Pose,
             pose = trial
             converged = True
             break
-        matches = match(trial)
+        matches = yield from match(trial)
         if matches[-1] > rms:
             step = step / 2.0  # keep the matches, retry a shorter step
             continue
         pose, (local, dist, closest, tri, rms), step = trial, matches, None
 
     if converged:  # the last, accepted step moved the pose past its matches
-        dist = match(pose)[1]
+        dist = (yield from match(pose))[1]
     return IcpResult(pose=pose, iterations=iterations, converged=converged,
                      rms_distance=float(np.sqrt(np.mean(dist ** 2))),
                      rms_history=rms_history)
+
+
+def _refine_in_lockstep(surface: SpatialIndex, runs, params: IcpParams) -> list[IcpResult]:
+    """ICP for each (measured, initial) of `runs` on one surface, in lockstep.
+
+    Each round matches the points of every unfinished run with one
+    `surface.query`, each run's candidates kept in its own SurfaceMatches,
+    and advances every run by one match. Runs do not interact: each result
+    is what the run would give alone.
+    """
+    steps = [_icp_steps(measured, surface, initial, params) for measured, initial in runs]
+    caches = [SurfaceMatches(len(measured)) for measured, _ in runs]
+    results: list[IcpResult] = [None] * len(runs)
+    pending = [(k, next(step)) for k, step in enumerate(steps)]
+    while pending:
+        answers = surface.query(np.concatenate([points for _, points in pending]),
+                                [caches[k] for k, _ in pending])
+        ends = np.cumsum([len(points) for _, points in pending])[:-1]
+        waiting = []
+        for (k, _), answer in zip(pending, zip(*(np.split(a, ends) for a in answers))):
+            try:
+                waiting.append((k, steps[k].send(answer)))
+            except StopIteration as done:
+                results[k] = done.value
+        pending = waiting
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -336,26 +469,36 @@ def recovery_benchmark(rng: np.random.Generator,
     (identity) pose by +-RECOVERY_MAX_TRANSLATION_MM per axis and up to
     RECOVERY_MAX_ROTATION_DEG about a random axis, run ICP with the default
     IcpParams from the perturbed pose and record the remaining pose error.
-    One surface index is built per mesh and shared by all of its trials.
+    One surface index is built per mesh; all of its trials are drawn first,
+    in the order above, and then refined together in lockstep, each exactly
+    as `icp_refine` would refine it alone.
     """
     if not (math.isfinite(patch_fraction) and patch_fraction > 0):
         raise ValidationError(f"patch fraction must be finite and positive, got "
                               f"{patch_fraction}")
+    if not (isinstance(perturbations_per_mesh, numbers.Integral)
+            and perturbations_per_mesh >= 1):
+        raise ValidationError(f"need a whole number >= 1 of perturbations per mesh, "
+                              f"got {perturbations_per_mesh!r}")
     if meshes is None:
         meshes = [chamfered_box(), cup(), blade()]
+    if not meshes:
+        raise ValidationError("recovery benchmark needs at least one mesh")
     cases = []
     for mesh in meshes:
         surface = SpatialIndex(mesh)
         lo, hi = mesh.bounds()
         patch_radius = patch_fraction * float(np.linalg.norm(hi - lo))
         patch = sample_patch(mesh, RECOVERY_POINTS, rng, patch_radius)
+        runs = []
         for _ in range(perturbations_per_mesh):
             noise = rng.uniform(-RECOVERY_POINT_NOISE_MM, RECOVERY_POINT_NOISE_MM,
                                 size=patch.shape)
             measured = patch + noise
             start = random_pose_perturbation(rng, RECOVERY_MAX_TRANSLATION_MM,
                                              RECOVERY_MAX_ROTATION_DEG)
-            result = icp_refine(measured, surface, start)
+            runs.append((measured, start))
+        for result in _refine_in_lockstep(surface, runs, IcpParams()):
             dt, dr = pose_error(Pose.identity(), result.pose)
             cases.append(RecoveryCase(mesh.name, dt, dr,
                                       result.iterations, result.converged))

@@ -3,13 +3,17 @@ import pytest
 
 import robocal.registration as registration
 from robocal.errors import DegenerateGeometryError, ValidationError
-from robocal.geometry import (Pose, apply, axis_angle, compose, make_rng,
+from robocal.geometry import (Pose, apply, axis_angle, compose, invert, make_rng,
                               random_rotation)
 from robocal.mesh import Mesh, blade, can, chamfered_box, cup, sample_surface
-from robocal.registration import (Correspondences, IcpParams, SpatialIndex, _dot,
-                                  absolute_orientation, icp_refine, initial_pose,
-                                  pose_error, recovery_benchmark,
-                                  random_pose_perturbation, sample_patch)
+from robocal.registration import (RECOVERY_MAX_ROTATION_DEG, RECOVERY_MAX_TRANSLATION_MM,
+                                  RECOVERY_POINT_NOISE_MM, RECOVERY_POINTS,
+                                  Correspondences, IcpParams, IcpResult, RecoveryCase,
+                                  RecoveryReport, SpatialIndex, SurfaceMatches,
+                                  _SKIN_MM, _dot, _small_motion, absolute_orientation,
+                                  icp_refine, initial_pose, pose_error,
+                                  recovery_benchmark, random_pose_perturbation,
+                                  sample_patch)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +70,90 @@ def _three_pass_query(self, queries):
         dist[lo:lo + block] = exact[np.arange(len(q)), tri[lo:lo + block]]
     return dist, self._closest(p, tri), tri
 
+
+
+def _reference_icp_refine(measured_points, surface, initial, params=IcpParams()):
+    """The per-run ICP loop that the lockstep driver replaced, kept as written
+    as the reference for its bits: one `surface.query` per match, no cache."""
+    measured = np.asarray(measured_points, dtype=float).reshape(-1, 3)
+    if len(measured) < 3:
+        raise ValidationError(f"ICP needs >= 3 measured points, got {len(measured)}")
+
+    def match(pose):
+        local = apply(invert(pose), measured)
+        dist, closest, tri = surface.query(local)
+        rms = float(np.sqrt(np.mean(np.minimum(dist, params.max_correspondence_mm) ** 2)))
+        return local, dist, closest, tri, rms
+
+    pose = initial
+    local, dist, closest, tri, rms = match(pose)
+    rms_history: list[float] = []
+    converged = False
+    iterations = 0
+    step = None
+
+    for iterations in range(1, params.max_iterations + 1):
+        if step is None:  # fresh matches: solve for the full step
+            keep = dist <= params.max_correspondence_mm
+            if keep.sum() < 3:
+                break  # trimmed away too much; report non-converged
+            rms_history.append(rms)
+            l, q, n = local[keep], closest[keep], surface.normals[tri[keep]]
+            A = np.hstack([np.cross(l, n), n])
+            step, *_ = np.linalg.lstsq(A, -_dot(l - q, n), rcond=None)
+        trial = compose(pose, invert(_small_motion(step)))
+        dt, dr = pose_error(pose, trial)
+        if dt < params.tol_translation_mm and dr < params.tol_rotation_deg:
+            pose = trial
+            converged = True
+            break
+        matches = match(trial)
+        if matches[-1] > rms:
+            step = step / 2.0  # keep the matches, retry a shorter step
+            continue
+        pose, (local, dist, closest, tri, rms), step = trial, matches, None
+
+    if converged:  # the last, accepted step moved the pose past its matches
+        dist = match(pose)[1]
+    return IcpResult(pose=pose, iterations=iterations, converged=converged,
+                     rms_distance=float(np.sqrt(np.mean(dist ** 2))),
+                     rms_history=rms_history)
+
+
+def _reference_recovery(rng, meshes=None, perturbations_per_mesh=5, patch_fraction=0.85):
+    """The recovery study as it was before lockstep: each trial drawn and
+    then refined alone by `_reference_icp_refine`."""
+    if meshes is None:
+        meshes = [chamfered_box(), cup(), blade()]
+    cases = []
+    for mesh in meshes:
+        surface = SpatialIndex(mesh)
+        lo, hi = mesh.bounds()
+        patch_radius = patch_fraction * float(np.linalg.norm(hi - lo))
+        patch = sample_patch(mesh, RECOVERY_POINTS, rng, patch_radius)
+        for _ in range(perturbations_per_mesh):
+            noise = rng.uniform(-RECOVERY_POINT_NOISE_MM, RECOVERY_POINT_NOISE_MM,
+                                size=patch.shape)
+            measured = patch + noise
+            start = random_pose_perturbation(rng, RECOVERY_MAX_TRANSLATION_MM,
+                                             RECOVERY_MAX_ROTATION_DEG)
+            result = _reference_icp_refine(measured, surface, start)
+            dt, dr = pose_error(Pose.identity(), result.pose)
+            cases.append(RecoveryCase(mesh.name, dt, dr,
+                                      result.iterations, result.converged))
+    return RecoveryReport(
+        cases=cases,
+        mean_translation_mm=float(np.mean([c.translation_error_mm for c in cases])),
+        mean_rotation_deg=float(np.mean([c.rotation_error_deg for c in cases])),
+    )
+
+
+def _same_bits(got, want):
+    assert got.pose.as_matrix().tobytes() == want.pose.as_matrix().tobytes()
+    assert got.iterations == want.iterations
+    assert got.converged is want.converged
+    assert got.rms_distance.hex() == want.rms_distance.hex()
+    assert [h.hex() for h in got.rms_history] == [h.hex() for h in want.rms_history]
 
 class TestAbsoluteOrientation:
     def test_identity(self):
@@ -266,6 +354,119 @@ class TestSpatialIndex:
             SpatialIndex(Mesh(np.empty((0, 3)), np.empty((0, 3))))
 
 
+
+class TestSurfaceMatches:
+    @staticmethod
+    def _cached(index, *point_sets):
+        """Answers of one SurfaceMatches queried at each point set in turn."""
+        matches = SurfaceMatches(len(point_sets[0]))
+        return [index.query(points, [matches]) for points in point_sets]
+
+    @staticmethod
+    def _count_searches(index):
+        """The point count of each candidate search on `index` from now on."""
+        searched = []
+        search = index._candidates
+        index._candidates = lambda p, slack=0.0: searched.append(len(p)) or search(p, slack)
+        return searched
+
+    @pytest.mark.parametrize("block", [7, None])
+    @pytest.mark.parametrize("make_mesh", [chamfered_box, cup, blade, can])
+    def test_moves_up_to_the_skin_and_past_it_get_query_answers(self, make_mesh, block,
+                                                               monkeypatch):
+        # anchors on a 1/256 mm grid, so that moving one by exactly _SKIN_MM
+        # along an axis is exact; moving away from zero, the next float past
+        # that is at least one ulp of _SKIN_MM farther, and leaves the skin.
+        # The searches run in blocks of 7 points, and in the default blocks
+        rng = make_rng(20)
+        mesh = make_mesh()
+        index = SpatialIndex(mesh)
+        if block is not None:
+            monkeypatch.setattr("robocal.registration._QUERY_BLOCK",
+                                block * len(index.points))
+        anchors = np.round(256.0 * (sample_surface(mesh, 60, rng)
+                                    + rng.uniform(-0.5, 0.5, (60, 3)))) / 256.0
+        along = rng.integers(3, size=60)
+        away = np.where(anchors[np.arange(60), along] < 0.0, -1.0, 1.0)
+        axis = np.eye(3)[along] * away[:, None]
+        at_skin = anchors + _SKIN_MM * axis
+        past_skin = np.nextafter(at_skin, at_skin + axis)
+        moved = np.sqrt(_dot(at_skin - anchors, at_skin - anchors))
+        assert np.all(moved == _SKIN_MM)
+        assert np.all(np.sqrt(_dot(past_skin - anchors, past_skin - anchors)) > _SKIN_MM)
+        want = [index.query(points) for points in (anchors, at_skin, past_skin)]
+        searched = self._count_searches(index)
+        for k, moved_points in ((1, at_skin), (2, past_skin)):
+            searched.clear()
+            got = self._cached(index, anchors, moved_points)
+            for answers, expected in zip(got, (want[0], want[k])):
+                for a, b in zip(answers, expected, strict=True):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert searched == ([60] if k == 1 else [60, 60])
+
+    def test_worst_case_move_reaches_a_tie_with_a_second_surface(self):
+        # the bound's worst case: between two planes 1.5 mm apart, a point
+        # 0.25 mm over the lower one moves straight up by _SKIN_MM, to where
+        # both planes are 0.75 mm away and tie; at the anchor the upper plane
+        # lay 2 * _SKIN_MM beyond the lower one, and its triangles, which
+        # have the lower ids, must still be candidates and win
+        assert _SKIN_MM == 0.5  # the heights below are built on it
+        grid = np.linspace(-2.0, 2.0, 17)
+        x, y = np.meshgrid(grid, grid, indexing="ij")
+        plane = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
+        ids = np.arange(x.size).reshape(x.shape)
+        a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+        cells = np.vstack([np.column_stack([a.ravel(), b.ravel(), c.ravel()]),
+                           np.column_stack([a.ravel(), c.ravel(), d.ravel()])])
+        mesh = Mesh(np.vstack([plane + [0.0, 0.0, 1.5], plane]),
+                    np.vstack([cells, cells + len(plane)]))  # upper plane first
+        index = SpatialIndex(mesh)
+        rng = make_rng(26)
+        anchors = np.column_stack([rng.uniform(-1.0, 1.0, (40, 2)), np.full(40, 0.25)])
+        moved = anchors + [0.0, 0.0, _SKIN_MM]
+        searched = self._count_searches(index)
+        _, got = self._cached(index, anchors, moved)
+        assert searched == [40]  # the move reused every anchor's candidates
+        want = index.query(moved)
+        assert np.all(want[2] < len(cells))  # the upper plane wins the ties
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("make_mesh", [chamfered_box, cup, can])
+    def test_vertices_go_to_the_lowest_id_from_the_cache(self, make_mesh):
+        # the triangles that share a vertex tie on it; anchored 0.3 mm away,
+        # the cached candidates must keep all of them, and the lowest id wins
+        # as it does on the index's own rule over every triangle
+        rng = make_rng(21)
+        mesh = make_mesh()
+        index = SpatialIndex(mesh)
+        vertices = mesh.vertices[np.unique(mesh.triangles)]
+        offset = rng.standard_normal(vertices.shape)
+        anchors = vertices + 0.3 * offset / np.linalg.norm(offset, axis=1, keepdims=True)
+        _, (dist, closest, tri) = self._cached(index, anchors, vertices)
+        n_tri = len(index.points)
+        every = index._closest(np.repeat(vertices, n_tri, axis=0),
+                               np.tile(np.arange(n_tri), len(vertices)))
+        every_dist = np.linalg.norm(every - np.repeat(vertices, n_tri, axis=0),
+                                    axis=1).reshape(len(vertices), n_tri)
+        ties = (every_dist == every_dist.min(axis=1, keepdims=True)).sum(axis=1)
+        assert (ties > 1).sum() > len(vertices) // 2  # most vertices have ties to break
+        np.testing.assert_array_equal(tri, every_dist.argmin(axis=1))
+        np.testing.assert_array_equal(dist, every_dist.min(axis=1))
+        for got, want in zip((dist, closest, tri), index.query(vertices), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sizes", [[3], [3, 2]])
+    def test_matches_must_cover_the_query(self, sizes):
+        index = SpatialIndex(blade())
+        with pytest.raises(ValidationError, match=f"cover {sum(sizes)} points"):
+            index.query(np.zeros((4, 3)), [SurfaceMatches(n) for n in sizes])
+
+    def test_non_finite_points_rejected(self):
+        index = SpatialIndex(blade())
+        with pytest.raises(ValidationError, match="finite"):
+            index.query([[0.0, 0.0, 0.0], [1.0, np.nan, 2.0]], [SurfaceMatches(2)])
+
 class TestIcp:
     def test_fixed_point(self, box_surface):
         _, surface = box_surface
@@ -360,6 +561,36 @@ class TestIcp:
             np.testing.assert_array_equal(shared.as_matrix(), fresh.as_matrix())
 
 
+    @pytest.mark.parametrize("trim", [np.inf, 3.0])
+    @pytest.mark.parametrize("make_mesh", [chamfered_box, cup, blade, can])
+    def test_same_bits_as_the_per_run_loop(self, make_mesh, trim, monkeypatch):
+        # starts 10 mm / 15 deg out move the points past the skin many times;
+        # a 3 mm correspondence cap trims pairs on the way in
+        mesh = make_mesh()
+        surface = SpatialIndex(mesh)
+        searches = []
+        search = SpatialIndex._candidates
+        monkeypatch.setattr(SpatialIndex, "_candidates",
+                            lambda self, p, slack=0.0: searches.append(len(p))
+                            or search(self, p, slack))
+        params = IcpParams(max_correspondence_mm=trim)
+        rng = make_rng(22)
+        for _ in range(3):
+            patch = sample_patch(mesh, 25, rng, 60.0)
+            measured = patch + rng.uniform(-0.2, 0.2, patch.shape)
+            start = random_pose_perturbation(rng, 10.0, 15.0)
+            searches.clear()
+            got = icp_refine(measured, surface, start, params)
+            assert len(searches) > 2  # re-searched past the first match
+            _same_bits(got, _reference_icp_refine(measured, surface, start, params))
+
+    def test_nan_measured_point_rejected(self, box_surface):
+        mesh, surface = box_surface
+        measured = sample_patch(mesh, 25, make_rng(23), 60.0)
+        measured[7, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            icp_refine(measured, surface, Pose.identity())
+
 class TestPoseError:
     def test_identical(self):
         p = Pose(random_rotation(make_rng(12)), [1.0, 2.0, 3.0])
@@ -391,11 +622,59 @@ def test_recovery_benchmark_smoke():
     assert all(case.converged for case in report.cases)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_recovery_benchmark_same_report_as_per_trial_refinement(seed):
+    assert recovery_benchmark(make_rng(seed)) == _reference_recovery(make_rng(seed))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_recovery_benchmark_same_cases_as_three_pass_query(seed, monkeypatch):
+    # the study in lockstep on the cached query, against each trial refined
+    # alone on the three-pass query
     report = recovery_benchmark(make_rng(seed))
     monkeypatch.setattr(SpatialIndex, "query", _three_pass_query)
-    assert recovery_benchmark(make_rng(seed)).cases == report.cases
+    assert _reference_recovery(make_rng(seed)).cases == report.cases
+
+
+def test_recovery_benchmark_one_evaluation_per_round(monkeypatch):
+    # each round evaluates every pending run's points at once; a candidate
+    # search never holds more than one run's points
+    rounds, evaluated, searched = [], [], []
+    query, evaluate, search = (SpatialIndex.query, SpatialIndex._evaluate,
+                               SpatialIndex._candidates)
+
+    def counting_query(self, points, matches=None):
+        rounds.append(len(points))
+        return query(self, points, matches)
+
+    def counting_evaluate(self, p, r, c):
+        evaluated.append(len(p))
+        return evaluate(self, p, r, c)
+
+    def counting_search(self, p, slack=0.0):
+        searched.append(len(p))
+        return search(self, p, slack)
+
+    monkeypatch.setattr(SpatialIndex, "query", counting_query)
+    monkeypatch.setattr(SpatialIndex, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(SpatialIndex, "_candidates", counting_search)
+    report = recovery_benchmark(make_rng(24))
+    assert evaluated == rounds
+    assert rounds[0] == 5 * RECOVERY_POINTS  # all five trials of the first mesh
+    assert max(searched) <= RECOVERY_POINTS
+    # a run matches once per iteration plus once at the start and end at most
+    assert len(rounds) <= sum(case.iterations + 2 for case in report.cases)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"perturbations_per_mesh": 0}, "perturbation"),
+    ({"perturbations_per_mesh": -2}, "perturbation"),
+    ({"perturbations_per_mesh": 2.5}, "perturbation"),
+    ({"meshes": []}, "mesh"),
+])
+def test_recovery_benchmark_without_trials_rejected(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        recovery_benchmark(make_rng(25), **kwargs)
 
 
 def test_recovery_benchmark_builds_one_index_per_mesh(monkeypatch):
