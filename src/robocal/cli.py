@@ -7,7 +7,7 @@ omitted a seed is generated and recorded in the run manifest.
 Each command imports the domain modules it runs, and `fileio` if it reads or
 writes files, in its own body, so that a command loads and compiles only what
 it uses; keep such imports out of the top of this module, where one would
-load its module (and `fileio` its json and hashlib) for every command.
+load its module (and `fileio` its json) for every command.
 """
 
 from __future__ import annotations

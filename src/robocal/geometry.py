@@ -12,6 +12,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,8 +289,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic generator; distinct streams from one seed are independent.
 
     Identical (seed, stream) reproduces the identical sequence on every
-    platform, which is what makes simulation reports byte-stable.
+    platform, which is what makes simulation reports byte-stable. A seed
+    must be a whole number >= 0 (ValidationError if not).
     """
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"seed must be a whole number >= 0, got {seed!r}")
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 

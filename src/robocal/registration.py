@@ -271,6 +271,9 @@ class IcpParams:
             value = getattr(self, name)
             if not value > 0:  # NaN fails too
                 raise ValidationError(f"IcpParams.{name} must be positive, got {value}")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValidationError(f"IcpParams.max_iterations must be a whole number, "
+                                  f"got {self.max_iterations!r}")
 
 
 @dataclass

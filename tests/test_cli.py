@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -349,26 +350,30 @@ def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
 
 # The modules a command must not load: each command imports the robocal
 # modules it runs in its own body. simulate's report table lives in
-# robocal.simulate, and its rig avoids np.unique, which imports numpy.ma.
-# secrets is imported only to generate a seed; simulate and icp-bench load it
-# all the same, through numpy.random, whose generators they run.
+# robocal.simulate, and no command calls np.unique, np.isin or np.setdiff1d,
+# whose first call imports numpy.ma. secrets is imported only to generate a
+# seed; simulate and icp-bench load it all the same, through numpy.random,
+# whose generators they run, and with it hashlib and OpenSSL. The manifest
+# digests use CPython's built-in SHA-256, so the other commands load neither.
+_NO_OPENSSL = ("hashlib", "_hashlib")
 IMPORT_FOOTPRINT = {
     "--version": ("robocal.simulate", "robocal.metrics", "robocal.registration",
                   "robocal.mesh", "robocal.handeye", "robocal.pivot", "secrets",
-                  "robocal.fileio", "robocal.textio", "json", "hashlib"),
+                  "robocal.fileio", "robocal.textio", "json", *_NO_OPENSSL, "numpy.ma"),
     "pivot-calib": ("robocal.simulate", "robocal.metrics", "robocal.registration",
-                    "robocal.mesh", "robocal.handeye", "secrets"),
+                    "robocal.mesh", "robocal.handeye", "secrets", *_NO_OPENSSL,
+                    "numpy.ma"),
     "handeye": ("robocal.simulate", "robocal.metrics", "robocal.registration",
-                "robocal.mesh", "robocal.pivot", "secrets"),
+                "robocal.mesh", "robocal.pivot", "secrets", *_NO_OPENSSL, "numpy.ma"),
     "annotate": ("robocal.simulate", "robocal.metrics", "robocal.handeye",
-                 "robocal.pivot", "secrets"),
+                 "robocal.pivot", "secrets", *_NO_OPENSSL, "numpy.ma"),
     "eval-iou": ("robocal.simulate", "robocal.registration", "robocal.mesh",
-                 "robocal.handeye", "robocal.pivot", "secrets"),
+                 "robocal.handeye", "robocal.pivot", "secrets", *_NO_OPENSSL,
+                 "numpy.ma"),
     "simulate": ("robocal.metrics", "robocal.registration", "numpy.ma",
                  "robocal.pivot"),
-    # icp-bench still loads hashlib, through numpy.random's use of secrets
     "icp-bench": ("robocal.simulate", "robocal.metrics", "robocal.handeye",
-                  "robocal.pivot", "robocal.fileio", "json"),
+                  "robocal.pivot", "robocal.fileio", "json", "numpy.ma"),
 }
 
 # reads its arguments with ast, not json, which is on the unused lists
@@ -406,6 +411,64 @@ def test_unknown_template_exits_1_naming_the_known_ones(command, tmp_path, capsy
     assert err.startswith("error: unknown scene template 'nope'")
     assert "phocal-like" in err
     assert os.listdir(tmp_path) == []
+
+
+# make_rng refuses a negative seed before numpy does, with a ValueError that
+# would end the run in a traceback; simulate reaches make_rng through
+# generate_scene with --template and through simulate_annotation_error with a
+# scene file
+NEGATIVE_SEED_ARGVS = {
+    "simulate": ["simulate", "--template", "phocal-like", "--out-dir", "out"],
+    "simulate-scene-file": ["simulate", "scene.txt", "--out-dir", "out"],
+    "icp-bench": ["icp-bench"],
+    "gen-scene": ["gen-scene", "--template", "phocal-like", "--out", "out.txt"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEED_ARGVS))
+def test_negative_seed_exits_1_with_error_line(command, tmp_path, monkeypatch, capsys):
+    fileio.save_scene(tmp_path / "scene.txt", generate_scene("phocal-like", 1))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*NEGATIVE_SEED_ARGVS[command], "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a whole number >= 0, got -1\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["scene.txt"]
+
+
+# Each command of COMMAND_ARGVS that writes files: the files among them that
+# embed a '# manifest:' line, its manifest sidecar, and its input files.
+MANIFEST_OUTPUTS = {
+    "pivot-calib": (["pivot.csv"], "pivot.csv.manifest.json", ["poses.txt"]),
+    "handeye": (["handeye.csv"], "handeye.csv.manifest.json", ["board.txt", "views.txt"]),
+    "eval-iou": (["ap.csv"], "ap.csv.manifest.json", ["gt.csv", "pred.csv"]),
+    "annotate": ([], "pose.txt.manifest.json", ["points.txt", "box.obj", "keypoints.txt"]),
+    "simulate": (["sim/sim_report.csv", "sim/sim_report.txt"],
+                 "sim/sim_report.manifest.json", ["scene.txt"]),
+}
+
+
+@pytest.mark.parametrize("hash_module", ["built-in", "hashlib"])
+@pytest.mark.parametrize("command", sorted(MANIFEST_OUTPUTS))
+def test_manifest_inputs_are_sha256_of_the_files(command, hash_module, tmp_path,
+                                                 monkeypatch):
+    _write_command_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    hashed = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+    if hash_module == "hashlib":
+        # an interpreter built without CPython's own SHA-256 module
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+    assert cli.main(COMMAND_ARGVS[command]) == 0
+    embedding, sidecar, inputs = MANIFEST_OUTPUTS[command]
+    assert len(hashed) == (len(inputs) if hash_module == "hashlib" else 0)
+    expected = {name: sha256((tmp_path / name).read_bytes()).hexdigest() for name in inputs}
+    assert json.loads((tmp_path / sidecar).read_text())["inputs"] == expected
+    for name in embedding:
+        line = (tmp_path / name).read_text().splitlines()[0]
+        assert json.loads(line.removeprefix("# manifest: "))["inputs"] == expected
 
 
 # a phocal-like scene with one of its sections misspelled or repeated; the

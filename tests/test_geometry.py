@@ -189,6 +189,17 @@ class TestRng:
         b = make_rng(1234, stream=1).standard_normal(32)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3", None])
+    def test_seed_must_be_a_whole_number_not_below_zero(self, seed):
+        # numpy's SeedSequence raises its own ValueError or TypeError for
+        # these, which the CLI would show as a traceback
+        with pytest.raises(ValidationError, match="seed must be a whole number >= 0"):
+            make_rng(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        np.testing.assert_array_equal(make_rng(np.int64(7)).standard_normal(4),
+                                      make_rng(7).standard_normal(4))
+
 
 class TestPoseType:
     def test_rejects_non_orthonormal(self):

@@ -535,6 +535,13 @@ class TestIcp:
         with pytest.raises(ValidationError, match=f"IcpParams.{name} must be positive"):
             IcpParams(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0])
+    def test_max_iterations_must_be_a_whole_number(self, value):
+        # icp_refine counts iterations with range(), which a float fails with a TypeError
+        with pytest.raises(ValidationError,
+                           match="IcpParams.max_iterations must be a whole number"):
+            IcpParams(max_iterations=value)
+
     def test_correspondence_cap_trims(self, box_surface):
         mesh, surface = box_surface
         rng = make_rng(11)
