@@ -168,7 +168,8 @@ def load_obj(path) -> Mesh:
 
 
 def save_obj(mesh: Mesh, path) -> None:
-    from .fileio import atomic_write_text  # fileio imports this module
+    # imported here: icp-bench loads this module and must not load fileio
+    from .fileio import atomic_write_text
 
     lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n"
              for v in mesh.vertices]

@@ -197,7 +197,8 @@ class SpatialIndex:
         `matches`, each block of points is searched and evaluated in turn.
         With `matches`, a sequence of `SurfaceMatches` whose sizes split the
         queries into consecutive runs, each run's candidates come from its
-        cache, and all pairs are evaluated at once; the answers are the same.
+        cache, and each block of points is evaluated in turn over them; the
+        answers are the same.
         """
         p = np.asarray(queries, dtype=float).reshape(-1, 3)
         if not np.isfinite(p).all():  # a finite point keeps at least one pair
@@ -213,13 +214,18 @@ class SpatialIndex:
                 rows.append(r + lo)
                 cols.append(c)
                 lo += run.size
-            return self._evaluate(p, np.concatenate(rows), np.concatenate(cols))
+            rows, cols = np.concatenate(rows), np.concatenate(cols)
         block = max(1, _QUERY_BLOCK // len(self.points))  # points per block
         # no points, no answers
         dist, closest, tri = [np.empty(0)], [np.empty((0, 3))], [np.empty(0, np.int64)]
         for lo in range(0, len(p), block):
             q = p[lo:lo + block]
-            d, near, c = self._evaluate(q, *self._candidates(q))
+            if matches is None:
+                r, c = self._candidates(q)
+            else:  # rows ascend, so the block's pairs are one slice
+                start, stop = np.searchsorted(rows, (lo, lo + block))
+                r, c = rows[start:stop] - lo, cols[start:stop]
+            d, near, c = self._evaluate(q, r, c)
             dist.append(d)
             closest.append(near)
             tri.append(c)

@@ -14,6 +14,10 @@ object's surface: for rigid A and B it is sqrt(tr(D M D^T)), with D the top
 so no surface points are sampled. Object-pose noise has fixed magnitude
 (translation plus rotation about the object's own origin); the hand-eye
 perturbation is solved on the same closed form so its board RMSE is a target.
+
+The report holds two arrays, addressed by camera and object position: the
+first draw's per-frame RMSE and every draw's per-camera RMSE. The report
+writers take each mean over objects, frames or draws from them.
 """
 
 from __future__ import annotations
@@ -81,6 +85,12 @@ class SceneConfig:
             raise ValidationError("scene needs >= 1 camera")
         if not trajectories:
             raise ValidationError("scene needs >= 1 trajectory")
+        # hand-eye targets and report rows name a camera or object by its name
+        for kind, items in (("camera", cameras), ("object", objects)):
+            names = [item.name for item in items]
+            if repeated := sorted({name for name in names if names.count(name) > 1}):
+                raise ValidationError(f"{kind} name(s) {repeated} repeat; each "
+                                      f"{kind} of a scene needs its own name")
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "cameras", cameras)
         object.__setattr__(self, "trajectories", trajectories)
@@ -119,17 +129,15 @@ class CalibratedPerturbation:
 
 @dataclass
 class SimReport:
+    """Pointwise RMSE of the annotated pose chains, by position: camera i is
+    camera_names[i], object j is object_names[j]. Every mean is left to the
+    reader: see sim_report_text."""
+
     camera_names: list[str]
     object_names: list[str]
-    # first-draw detail
-    frame_rmse: dict  # (camera, object) -> per-frame rmse array, mm
-    per_object_rmse: dict  # (camera, object) -> mean over frames, mm
-    per_camera_rmse: dict  # camera -> mean over objects, mm
-    handeye_perturbations: dict  # camera -> CalibratedPerturbation | None
-    # across draws
-    draws: int
-    per_camera_rmse_draws: dict  # camera -> array of per-draw overall rmse
-    per_camera_rmse_mean: dict  # camera -> mean over draws
+    frame_rmse: np.ndarray  # (cameras, objects, frames) of the first draw, mm
+    handeye_perturbations: list  # per camera, first draw: CalibratedPerturbation | None
+    camera_rmse: np.ndarray  # (cameras, draws): mean over objects of the mean over frames, mm
 
 
 def perturbed_pose(pose: Pose, translation_dir, translation_mm: float,
@@ -262,77 +270,55 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
     Per draw: one noise draw per object and one calibrated hand-eye
     perturbation per camera, then every camera replays every trajectory and
     the RMSE over each object's surface, exact from its second moment, is
-    aggregated per frame, then per object, then per camera. The first draw
-    keeps its full per-frame series; additional draws contribute to the
-    per-camera means.
+    taken per frame, averaged per object, then per camera. The first draw
+    keeps its per-frame series and hand-eye perturbations; every draw adds
+    its per-camera RMSE.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     # resolve every mesh up front: bad references fail before any simulation
-    moments = {obj.name: surface_moment(resolve_mesh(obj.mesh_ref, base_dir))
-               for obj in scene.objects}
+    moments = [surface_moment(resolve_mesh(obj.mesh_ref, base_dir))
+               for obj in scene.objects]
 
     marker_base, board, rig_ee_poses = _marker_rig(scene)
-    rig_views = {cam.name: synthesize_views(cam.cam_to_ee, marker_base, rig_ee_poses)
-                 for cam in scene.cameras}
+    rig_views = [synthesize_views(cam.cam_to_ee, marker_base, rig_ee_poses)
+                 for cam in scene.cameras]
 
     # (frames, 4, 4): base to end-effector at every stop, in replay order
     ee_inv = np.stack([invert(pose).as_matrix() for traj in scene.trajectories
                        for pose in traj.poses])
+    # the ground-truth chains up to the camera, which no draw changes
+    gt = [ee_inv @ obj.pose.as_matrix() for obj in scene.objects]
 
-    camera_names = [c.name for c in scene.cameras]
-    object_names = [o.name for o in scene.objects]
-
-    per_camera_draws = {name: [] for name in camera_names}
-    first_detail = None
-
+    # (cameras, draws), so that a camera's mean over draws reduces one
+    # contiguous row, summed in the order of the draws
+    camera_rmse = np.empty((len(scene.cameras), draws))
     for draw in range(draws):
-        obj_stream, calib_stream = _draw_streams(draw)
-        obj_rng = make_rng(spec.seed, obj_stream)
-        calib_rng = make_rng(spec.seed, calib_stream)
-
-        perturbed_objects = {}
-        for obj in scene.objects:  # one draw per object per run
-            perturbed_objects[obj.name] = perturb_object_pose(obj.pose, spec, obj_rng)
-
-        handeye_perturbations = {}
-        frame_rmse = {}
-        per_object = {}
-        per_camera = {}
-        for cam in scene.cameras:
+        obj_rng, calib_rng = (make_rng(spec.seed, s) for s in _draw_streams(draw))
+        # one draw per object per run
+        perturbed_objects = [perturb_object_pose(obj.pose, spec, obj_rng).as_matrix()
+                             for obj in scene.objects]
+        rmse = np.empty((len(scene.cameras), len(scene.objects), len(ee_inv)))
+        calibs = []
+        for i, cam in enumerate(scene.cameras):
             target = spec.handeye_target_rmse.get(cam.name, 0.0)
-            calib = handeye_perturbations[cam.name] = (calibrate_handeye_perturbation(
-                cam.cam_to_ee, board, rig_views[cam.name], target, calib_rng)
+            calib = (calibrate_handeye_perturbation(
+                cam.cam_to_ee, board, rig_views[i], target, calib_rng)
                 if target > 0.0 else None)
+            calibs.append(calib)
             # left-multiplying both chains by T_cam_to_ee keeps their RMSE, so
-            # the hand-eye error enters only through delta
+            # the hand-eye error enters only through T_cam_to_ee inv(T'_cam_to_ee)
             perturbed_cam = cam.cam_to_ee if calib is None else calib.pose
-            delta = compose(cam.cam_to_ee, invert(perturbed_cam)).as_matrix()
-            for obj in scene.objects:
-                gt = ee_inv @ obj.pose.as_matrix()
-                ann = delta @ ee_inv @ perturbed_objects[obj.name].as_matrix()
-                series = _moment_rmse((gt - ann)[:, :3], moments[obj.name])
-                frame_rmse[(cam.name, obj.name)] = series
-                per_object[(cam.name, obj.name)] = float(series.mean())
-            per_camera[cam.name] = float(np.mean(
-                [per_object[(cam.name, obj.name)] for obj in scene.objects]))
-            per_camera_draws[cam.name].append(per_camera[cam.name])
-
+            chain = compose(cam.cam_to_ee, invert(perturbed_cam)).as_matrix() @ ee_inv
+            for j, moment in enumerate(moments):
+                rmse[i, j] = _moment_rmse((gt[j] - chain @ perturbed_objects[j])[:, :3],
+                                          moment)
+            camera_rmse[i, draw] = rmse[i].mean(axis=1).mean()
         if draw == 0:
-            first_detail = (frame_rmse, per_object, per_camera, handeye_perturbations)
+            frame_rmse, handeye_perturbations = rmse, calibs
 
-    frame_rmse, per_object, per_camera, handeye_perturbations = first_detail
-    return SimReport(
-        camera_names=camera_names,
-        object_names=object_names,
-        frame_rmse=frame_rmse,
-        per_object_rmse=per_object,
-        per_camera_rmse=per_camera,
-        handeye_perturbations=handeye_perturbations,
-        draws=draws,
-        per_camera_rmse_draws={k: np.array(v) for k, v in per_camera_draws.items()},
-        per_camera_rmse_mean={k: float(np.mean(v)) for k, v in per_camera_draws.items()},
-    )
+    return SimReport([c.name for c in scene.cameras], [o.name for o in scene.objects],
+                     frame_rmse, handeye_perturbations, camera_rmse)
 
 
 # ---------------------------------------------------------------------------
@@ -365,43 +351,49 @@ def annotation_quality_table(achieved: dict[str, float]) -> str:
 
 def sim_report_csv(report: SimReport, manifest: RunManifest) -> str:
     lines = [manifest.embed_line(), "camera,object,frame,rmse_mm"]
-    for cam in report.camera_names:
-        for obj in report.object_names:
-            series = report.frame_rmse[(cam, obj)]
+    for cam, cam_rmse in zip(report.camera_names, report.frame_rmse):
+        for obj, series in zip(report.object_names, cam_rmse):
             for k, v in enumerate(series):
                 lines.append(f"{cam},{obj},{k},{_fmt(v)}")
     return "\n".join(lines) + "\n"
 
 
 def sim_report_text(report: SimReport, manifest: RunManifest) -> str:
+    draws = report.camera_rmse.shape[1]
+    # every mean the report shows, each over a contiguous row
+    object_rmse = report.frame_rmse.mean(axis=2)
+    draw_mean = report.camera_rmse.mean(axis=1)
     lines = [manifest.embed_line(), "simulated annotation-quality report", ""]
-    lines.append(f"draws: {report.draws}")
-    for cam in report.camera_names:
+    lines.append(f"draws: {draws}")
+    for i, cam in enumerate(report.camera_names):
         lines.append(f"\ncamera {cam}:")
-        calib = report.handeye_perturbations[cam]
+        calib = report.handeye_perturbations[i]
         if calib is None:
             lines.append("  hand-eye perturbation: none (target 0)")
         else:
             lines.append(f"  hand-eye perturbation RMSE: "
                          f"{_fmt(calib.achieved_rmse_mm)} mm "
                          f"({calib.evaluations} evaluations)")
-        for obj in report.object_names:
-            lines.append(f"  {obj}: {_fmt(report.per_object_rmse[(cam, obj)])} mm")
+        for obj, value in zip(report.object_names, object_rmse[i]):
+            lines.append(f"  {obj}: {_fmt(value)} mm")
         lines.append(f"  per-camera RMSE (first draw): "
-                     f"{_fmt(report.per_camera_rmse[cam])} mm")
-        if report.draws > 1:
-            lines.append(f"  per-camera RMSE ({report.draws}-draw mean): "
-                         f"{_fmt(report.per_camera_rmse_mean[cam])} mm")
+                     f"{_fmt(report.camera_rmse[i, 0])} mm")
+        if draws > 1:
+            lines.append(f"  per-camera RMSE ({draws}-draw mean): "
+                         f"{_fmt(draw_mean[i])} mm")
     lines.append("")
-    lines.append(annotation_quality_table(
-        {cam: report.per_camera_rmse_mean[cam] for cam in report.camera_names}))
+    lines.append(annotation_quality_table(dict(zip(report.camera_names, draw_mean))))
     return "\n".join(lines) + "\n"
 
 
 def save_sim_report(out_dir, report: SimReport, manifest: RunManifest, text: str):
     """Write the report's CSV, its `text` (from sim_report_text) and the
     manifest sidecar into `out_dir`."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create directory {out_dir}: "
+                              f"{exc.strerror or exc}") from exc
     csv_path = os.path.join(out_dir, "sim_report.csv")
     txt_path = os.path.join(out_dir, "sim_report.txt")
     atomic_write_text(csv_path, sim_report_csv(report, manifest))

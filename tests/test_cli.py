@@ -175,6 +175,44 @@ def test_unknown_mesh_parameter_exits_1(tmp_path, capsys):
     assert "radius" in err and "chamfer" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("obj01-box", "obj00-bottle"),
+     "object name(s) ['obj00-bottle'] repeat"),
+    (lambda text: text.replace("polarization ", "rgbd "),
+     "camera name(s) ['rgbd'] repeat"),
+], ids=["object", "camera"])
+def test_simulate_refuses_a_scene_with_a_repeated_name(edit, message, tmp_path, capsys):
+    # the second object's or camera's rows once overwrote the first's in the
+    # report, which showed one value for both and exited 0
+    path = tmp_path / "scene.txt"
+    fileio.save_scene(path, generate_scene("phocal-like", 1))
+    text = path.read_text()
+    assert edit(text) != text
+    path.write_text(edit(text))
+    argv = ["simulate", str(path), "--seed", "1", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-scene", "simulate"])
+def test_unwritable_output_path_exits_1_naming_it(command, tmp_path, monkeypatch, capsys):
+    # gen-scene into a directory that does not exist, simulate into a path
+    # that is a file: each once ended in a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("not a directory\n")
+    argv, message = {
+        "gen-scene": (["gen-scene", "--out", "nodir/x.txt"],
+                      "error: cannot write nodir/x.txt: No such file or directory\n"),
+        "simulate": (["simulate", "--out-dir", "taken"],
+                     "error: cannot create directory taken: File exists\n"),
+    }[command]
+    assert cli.main([*argv, "--template", "phocal-like", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == message
+    assert os.listdir(tmp_path) == ["taken"]
+
+
 def _report_lines(path):
     """A report's lines below its embedded manifest line."""
     lines = path.read_text().splitlines()

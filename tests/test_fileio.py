@@ -30,6 +30,19 @@ def test_written_files_get_open_mode_under_umask(umask, tmp_path):
     assert os.listdir(tmp_path) == ["poses.txt"]
 
 
+@pytest.mark.parametrize("target", ["missing/poses.txt", "taken"])
+def test_unwritable_path_is_a_validation_error_naming_it(target, tmp_path):
+    # no directory to hold the temp file, or a directory where the file would
+    # go: the error names the path, not the temp file, which is removed
+    (tmp_path / "taken").mkdir()
+    path = tmp_path / target
+    with pytest.raises(ValidationError, match=f"^cannot write {path}: ") as info:
+        fileio.save_pose_list(path, [Pose.identity()])
+    assert ".tmp-" not in str(info.value)
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(tmp_path / "taken") == []
+
+
 def test_non_utf8_byte_cites_its_line(tmp_path):
     path = tmp_path / "poses.txt"
     path.write_bytes(b"units=mm\nconvention=p->R*p+t\n1 0 0 0 0 0 \xe9\n")
@@ -163,8 +176,11 @@ def test_correspondences_round_trip(pairs):
 
 @given(st.builds(
     SceneConfig,
-    st.lists(st.builds(SceneObject, scene_names, scene_names, poses), min_size=1, max_size=3),
-    st.lists(st.builds(Camera, scene_names, poses), min_size=1, max_size=3),
+    # a scene names each of its objects and cameras once
+    st.lists(st.builds(SceneObject, scene_names, scene_names, poses), min_size=1, max_size=3,
+             unique_by=lambda obj: obj.name),
+    st.lists(st.builds(Camera, scene_names, poses), min_size=1, max_size=3,
+             unique_by=lambda cam: cam.name),
     # a scene file holds one [trajectory <name>] section per name
     st.lists(st.builds(Trajectory, scene_names, st.lists(poses, min_size=1, max_size=3)),
              min_size=1, max_size=2, unique_by=lambda traj: traj.name)))

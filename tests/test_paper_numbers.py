@@ -42,9 +42,8 @@ def test_handeye_perturbation_hits_paper_rmse(seed):
     assert spec.handeye_target_rmse == PAPER_HANDEYE_RMSE_MM
     report = simulate_annotation_error(scene, spec)
     marker_base, board, ee_poses = _marker_rig(scene)
-    for cam in scene.cameras:
+    for cam, calib in zip(scene.cameras, report.handeye_perturbations, strict=True):
         target = PAPER_HANDEYE_RMSE_MM[cam.name]
-        calib = report.handeye_perturbations[cam.name]
         assert calib.achieved_rmse_mm == pytest.approx(target, rel=1e-12, abs=0.0)
         views = synthesize_views(cam.cam_to_ee, marker_base, ee_poses)
         assert evaluate_handeye(views, calib.pose, board) == pytest.approx(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,26 +282,36 @@ class TestSpatialIndex:
         monkeypatch.setattr(SpatialIndex, "_closest", counting)
         index = SpatialIndex(blade())
         queries = make_rng(18).uniform(-100, 100, (40, 3))
-        index.query(queries)
-        assert len(calls) == 1
-        # blocks of 7 points: one pass over the pairs of each block
-        calls.clear()
-        monkeypatch.setattr("robocal.registration._QUERY_BLOCK", 7 * len(index.points))
-        index.query(queries)
-        assert len(calls) == 6
+        # blocks of 7 points: one pass over the pairs of each block, with or
+        # without cached candidates
+        for block, passes in ((None, 1), (7, 6)):
+            if block is not None:
+                monkeypatch.setattr("robocal.registration._QUERY_BLOCK",
+                                    block * len(index.points))
+            for matches in (None, [SurfaceMatches(len(queries))]):
+                calls.clear()
+                index.query(queries, matches)
+                assert len(calls) == passes
 
     def test_block_size_does_not_change_the_bits(self, monkeypatch):
-        # each point's answer depends only on its own (point, triangle) pairs
+        # each point's answer depends only on its own (point, triangle) pairs;
+        # so too on the cached path, here over two runs whose points straddle
+        # block ends, searched at the queries and reused after a small move
         rng = make_rng(19)
         mesh = cup()
         index = SpatialIndex(mesh)
         queries = np.vstack([sample_surface(mesh, 300, rng) + rng.uniform(-1.0, 1.0, (300, 3)),
                              rng.uniform(-150, 150, (60, 3))])
-        default = index.query(queries)
+        moved = queries + rng.uniform(-0.2, 0.2, queries.shape)
+        default = [index.query(points) for points in (queries, moved)]
         for block in (1, 7, 100):
             monkeypatch.setattr("robocal.registration._QUERY_BLOCK", block * len(index.points))
-            for got, want in zip(index.query(queries), default, strict=True):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            runs = [SurfaceMatches(150), SurfaceMatches(210)]
+            for points, want in zip((queries, moved), default):
+                for answers in (index.query(points), index.query(points, runs)):
+                    for got, expected in zip(answers, want, strict=True):
+                        assert (got.dtype == expected.dtype
+                                and got.tobytes() == expected.tobytes())
 
     def test_empty_query(self):
         dist, closest, tri = SpatialIndex(blade()).query(np.empty((0, 3)))
@@ -455,6 +467,32 @@ class TestSurfaceMatches:
         np.testing.assert_array_equal(dist, every_dist.min(axis=1))
         for got, want in zip((dist, closest, tri), index.query(vertices), strict=True):
             assert got.tobytes() == want.tobytes()
+
+    def test_cached_query_memory_stays_within_a_block(self, monkeypatch):
+        # the cached query once evaluated every pair of the query at once:
+        # ~22 MB here, against ~1.5 MB for the uncached query of the same
+        # points in blocks of 16 points on a 3536-triangle cup
+        rng = make_rng(28)
+        mesh = cup(segments=200)
+        index = SpatialIndex(mesh)
+        monkeypatch.setattr("robocal.registration._QUERY_BLOCK", 16 * len(index.points))
+        points = sample_surface(mesh, 1000, rng) + rng.uniform(-0.5, 0.5, (1000, 3))
+        matches = SurfaceMatches(len(points))
+
+        def peak(*args):
+            tracemalloc.start()
+            try:
+                index.query(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        uncached = peak(points)
+        searched = peak(points, [matches])  # builds the cache
+        reused = peak(points + 0.1, [matches])  # within the skin: no search
+        cache = matches._rows.nbytes + matches._cols.nbytes
+        assert searched <= uncached + 3 * cache
+        assert reused <= 1.25 * uncached
 
     @pytest.mark.parametrize("sizes", [[3], [3, 2]])
     def test_matches_must_cover_the_query(self, sizes):

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robocal.errors import ValidationError
+from robocal.fileio import RunManifest, _fmt
 from robocal.geometry import (Pose, apply, compose, invert, make_rng,
                               random_rotation, random_unit_vector)
 from robocal.handeye import evaluate_handeye, synthesize_views
-from robocal.mesh import Mesh, sample_surface
+from robocal.mesh import Mesh, resolve_mesh, sample_surface, surface_moment
 from robocal.metrics import pointwise_rmse
 from robocal.registration import pose_error
 from robocal.simulate import (Camera, NoiseSpec, SceneConfig, SceneObject,
-                              Trajectory, calibrate_handeye_perturbation,
-                              generate_scene, perturb_object_pose, perturbed_pose,
+                              Trajectory, annotation_quality_table,
+                              calibrate_handeye_perturbation, generate_scene,
+                              perturb_object_pose, perturbed_pose, sim_report_text,
                               simulate_annotation_error, _draw_streams, _marker_rig,
                               _moment_rmse)
 
@@ -159,8 +161,7 @@ class TestSimulateAnnotationError:
         spec = NoiseSpec(obj_translation_mm=0.0, obj_rotation_deg=0.0,
                          handeye_target_rmse={}, seed=1)
         report = simulate_annotation_error(scene, spec)
-        for series in report.frame_rmse.values():
-            assert np.abs(series).max() <= 1e-9
+        assert np.abs(report.frame_rmse).max() <= 1e-9
 
     def test_object_noise_only_origin_point_equality(self, monkeypatch):
         # a probe object whose only sample sits at its origin: the pointwise
@@ -171,9 +172,9 @@ class TestSimulateAnnotationError:
         monkeypatch.setattr("robocal.simulate.surface_moment", origin_moment)
         spec = NoiseSpec(handeye_target_rmse={}, seed=3)
         report = simulate_annotation_error(scene, spec)
-        series = report.frame_rmse[("rgbd", "probe")]
+        series = report.frame_rmse[0, 0]
         np.testing.assert_allclose(series, 0.20, atol=1e-9)
-        assert report.per_camera_rmse["rgbd"] == pytest.approx(0.20, abs=1e-9)
+        assert report.camera_rmse[0, 0] == pytest.approx(0.20, abs=1e-9)
 
     def test_closed_form_matches_pointwise_rmse_over_samples(self, monkeypatch):
         # with the moment of a fixed sample set, every per-frame value equals
@@ -191,18 +192,18 @@ class TestSimulateAnnotationError:
         obj, cam = scene.objects[0], scene.cameras[0]
         obj_hat = perturb_object_pose(obj.pose, spec,
                                       make_rng(spec.seed, _draw_streams(0)[0]))
-        cam_hat = report.handeye_perturbations["rgbd"].pose
+        cam_hat = report.handeye_perturbations[0].pose
         expected = [pointwise_rmse(points,
                                    compose(invert(cam.cam_to_ee), invert(ee), obj.pose),
                                    compose(invert(cam_hat), invert(ee), obj_hat))
                     for ee in scene.trajectories[0].poses]
-        np.testing.assert_allclose(report.frame_rmse[("rgbd", "probe")], expected,
+        np.testing.assert_allclose(report.frame_rmse[0, 0], expected,
                                    rtol=1e-12, atol=0.0)
 
     def test_object_noise_rmse_at_least_translation_noise(self, scene):
         spec = NoiseSpec(handeye_target_rmse={}, seed=4)
         report = simulate_annotation_error(scene, spec)
-        for value in report.per_object_rmse.values():
+        for value in report.frame_rmse.mean(axis=2).ravel():
             assert value >= 0.20 - 0.01
 
     def test_doubling_translation_noise_doubles_origin_rmse(self, monkeypatch):
@@ -215,7 +216,7 @@ class TestSimulateAnnotationError:
         r2 = simulate_annotation_error(
             scene, NoiseSpec(obj_translation_mm=0.40, obj_rotation_deg=0.0,
                              handeye_target_rmse={}, seed=5))
-        ratio = r2.per_camera_rmse["rgbd"] / r1.per_camera_rmse["rgbd"]
+        ratio = r2.camera_rmse[0, 0] / r1.camera_rmse[0, 0]
         assert ratio == pytest.approx(2.0, rel=0.01)
 
     def test_frame_invariance_under_rebasing(self, scene):
@@ -229,25 +230,27 @@ class TestSimulateAnnotationError:
             tuple(Trajectory(t.name, tuple(compose(mover, p) for p in t.poses))
                   for t in scene.trajectories))
         rebased = simulate_annotation_error(rebased_scene, spec)
-        for key in base.frame_rmse:
-            np.testing.assert_allclose(rebased.frame_rmse[key],
-                                       base.frame_rmse[key], atol=1e-9)
+        np.testing.assert_allclose(rebased.frame_rmse, base.frame_rmse, atol=1e-9)
 
     def test_determinism_is_bitwise(self, scene):
         spec = NoiseSpec(seed=12)
         a = simulate_annotation_error(scene, spec)
         b = simulate_annotation_error(scene, spec)
-        for key in a.frame_rmse:
-            np.testing.assert_array_equal(a.frame_rmse[key], b.frame_rmse[key])
-        assert a.per_camera_rmse == b.per_camera_rmse
+        np.testing.assert_array_equal(a.frame_rmse, b.frame_rmse)
+        np.testing.assert_array_equal(a.camera_rmse, b.camera_rmse)
 
     def test_multiple_draws_reported(self, scene):
         spec = NoiseSpec(seed=13)
         report = simulate_annotation_error(scene, spec, draws=3)
-        for cam in report.camera_names:
-            assert len(report.per_camera_rmse_draws[cam]) == 3
-            assert report.per_camera_rmse_mean[cam] == pytest.approx(
-                float(np.mean(report.per_camera_rmse_draws[cam])))
+        assert report.camera_rmse.shape == (len(report.camera_names), 3)
+        text = sim_report_text(report, RunManifest("simulate", {}))
+        for cam, draws in zip(report.camera_names, report.camera_rmse):
+            mean = float(np.mean(list(draws)))
+            assert f"camera {cam}:" in text
+            assert f"  per-camera RMSE (3-draw mean): {mean!r} mm\n" in text
+        # the first draw's per-camera RMSE is the mean of its per-frame detail
+        np.testing.assert_allclose(report.camera_rmse[:, 0],
+                                   report.frame_rmse.mean(axis=2).mean(axis=1))
 
     def test_unresolvable_mesh_fails_before_simulation(self, scene):
         broken = SceneConfig(
@@ -255,6 +258,113 @@ class TestSimulateAnnotationError:
             scene.cameras, scene.trajectories)
         with pytest.raises(ValidationError):
             simulate_annotation_error(broken, NoiseSpec(seed=1))
+
+
+def _reference_simulation(scene, spec, draws):
+    """The simulation as a loop of name-keyed dicts per draw, kept as the
+    reference for the array report: (frame_rmse, per_object, per_camera,
+    handeye_perturbations) of the first draw, and each camera's list of
+    per-draw RMSEs."""
+    moments = {obj.name: surface_moment(resolve_mesh(obj.mesh_ref))
+               for obj in scene.objects}
+    marker_base, board, rig_ee_poses = _marker_rig(scene)
+    rig_views = {cam.name: synthesize_views(cam.cam_to_ee, marker_base, rig_ee_poses)
+                 for cam in scene.cameras}
+    ee_inv = np.stack([invert(pose).as_matrix() for traj in scene.trajectories
+                       for pose in traj.poses])
+    per_camera_draws = {cam.name: [] for cam in scene.cameras}
+    first_detail = None
+    for draw in range(draws):
+        obj_stream, calib_stream = _draw_streams(draw)
+        obj_rng = make_rng(spec.seed, obj_stream)
+        calib_rng = make_rng(spec.seed, calib_stream)
+        perturbed_objects = {}
+        for obj in scene.objects:
+            perturbed_objects[obj.name] = perturb_object_pose(obj.pose, spec, obj_rng)
+        handeye_perturbations, frame_rmse, per_object, per_camera = {}, {}, {}, {}
+        for cam in scene.cameras:
+            target = spec.handeye_target_rmse.get(cam.name, 0.0)
+            calib = handeye_perturbations[cam.name] = (calibrate_handeye_perturbation(
+                cam.cam_to_ee, board, rig_views[cam.name], target, calib_rng)
+                if target > 0.0 else None)
+            perturbed_cam = cam.cam_to_ee if calib is None else calib.pose
+            delta = compose(cam.cam_to_ee, invert(perturbed_cam)).as_matrix()
+            for obj in scene.objects:
+                gt = ee_inv @ obj.pose.as_matrix()
+                ann = delta @ ee_inv @ perturbed_objects[obj.name].as_matrix()
+                series = _moment_rmse((gt - ann)[:, :3], moments[obj.name])
+                frame_rmse[(cam.name, obj.name)] = series
+                per_object[(cam.name, obj.name)] = float(series.mean())
+            per_camera[cam.name] = float(np.mean(
+                [per_object[(cam.name, obj.name)] for obj in scene.objects]))
+            per_camera_draws[cam.name].append(per_camera[cam.name])
+        if draw == 0:
+            first_detail = (frame_rmse, per_object, per_camera, handeye_perturbations)
+    return first_detail, per_camera_draws
+
+
+def _reference_text(scene, first_detail, per_camera_draws, manifest):
+    """The report text as written from the name-keyed dicts."""
+    _, per_object, per_camera, handeye_perturbations = first_detail
+    draws = len(next(iter(per_camera_draws.values())))
+    mean = {k: float(np.mean(v)) for k, v in per_camera_draws.items()}
+    lines = [manifest.embed_line(), "simulated annotation-quality report", ""]
+    lines.append(f"draws: {draws}")
+    for cam in (c.name for c in scene.cameras):
+        lines.append(f"\ncamera {cam}:")
+        calib = handeye_perturbations[cam]
+        if calib is None:
+            lines.append("  hand-eye perturbation: none (target 0)")
+        else:
+            lines.append(f"  hand-eye perturbation RMSE: "
+                         f"{_fmt(calib.achieved_rmse_mm)} mm "
+                         f"({calib.evaluations} evaluations)")
+        for obj in (o.name for o in scene.objects):
+            lines.append(f"  {obj}: {_fmt(per_object[(cam, obj)])} mm")
+        lines.append(f"  per-camera RMSE (first draw): {_fmt(per_camera[cam])} mm")
+        if draws > 1:
+            lines.append(f"  per-camera RMSE ({draws}-draw mean): {_fmt(mean[cam])} mm")
+    lines.append("")
+    lines.append(annotation_quality_table(mean))
+    return "\n".join(lines) + "\n"
+
+
+class TestArrayReportMatchesDictLoop:
+    # nine draws make each camera's mean an 8-way unrolled pairwise sum
+    @pytest.mark.parametrize("draws", [1, 3, 9])
+    @pytest.mark.parametrize("targets", [{"rgbd": 0.89}, NoiseSpec().handeye_target_rmse],
+                             ids=["one-camera-unperturbed", "paper-targets"])
+    def test_same_bits(self, scene, targets, draws):
+        spec = NoiseSpec(handeye_target_rmse=targets, seed=21)
+        report = simulate_annotation_error(scene, spec, draws=draws)
+        first_detail, per_camera_draws = _reference_simulation(scene, spec, draws)
+        frame_rmse = first_detail[0]
+        for i, cam in enumerate(scene.cameras):
+            for j, obj in enumerate(scene.objects):
+                assert report.frame_rmse[i, j].tobytes() == \
+                    frame_rmse[(cam.name, obj.name)].tobytes()
+            assert report.camera_rmse[i].tobytes() == \
+                np.array(per_camera_draws[cam.name]).tobytes()
+        manifest = RunManifest("simulate", {"seed": spec.seed, "draws": draws})
+        assert sim_report_text(report, manifest) == _reference_text(
+            scene, first_detail, per_camera_draws, manifest)
+
+
+class TestRepeatedNames:
+    @pytest.mark.parametrize("kind", ["camera", "object"])
+    def test_scene_refuses_a_repeated_name(self, scene, kind):
+        # the report addresses rows by position, but hand-eye targets and the
+        # report's readers address them by name
+        objects, cameras = list(scene.objects), list(scene.cameras)
+        if kind == "camera":
+            cameras[1] = Camera(cameras[0].name, cameras[1].cam_to_ee)
+        else:
+            objects[1] = SceneObject(objects[0].name, objects[1].mesh_ref,
+                                     objects[1].pose)
+        repeated = (cameras if kind == "camera" else objects)[0].name
+        with pytest.raises(ValidationError,
+                           match=rf"^{kind} name\(s\) \['{repeated}'\] repeat"):
+            SceneConfig(tuple(objects), tuple(cameras), scene.trajectories)
 
 
 class TestGenerateScene:
