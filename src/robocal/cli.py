@@ -196,11 +196,12 @@ def _parse_handeye_targets(items) -> dict:
 
 def _cmd_simulate(args) -> int:
     from . import fileio
-    from .simulate import (NoiseSpec, generate_scene, save_sim_report,
+    from .simulate import (NoiseSpec, check_out_dir, generate_scene, save_sim_report,
                            sim_report_text, simulate_annotation_error)
 
     if (args.scene_file is None) == (args.template is None):
         raise ValidationError("give exactly one of <scene-file> or --template")
+    check_out_dir(args.out_dir)
     seed = _resolve_seed(args)
     user_targets = _parse_handeye_targets(args.handeye_rmse)
     targets = {**NoiseSpec().handeye_target_rmse, **user_targets}

@@ -4,12 +4,18 @@ Vertices are in millimetres. The OBJ reader handles the v/f subset only,
 fan-triangulates polygon faces and drops degenerate triangles on load.
 The procedural generators produce household-object stand-ins (chamfered
 box, cup with handle, can, bottle, cutlery-like blade) used by the pose
-recovery benchmark and the simulated scenes.
+recovery benchmark and the simulated scenes. Each is a closed surface whose
+triangles are wound counter-clockwise seen from outside, so every face
+normal points outward. Each generator validates its own parameters (finite
+sizes > 0, a whole number >= 3 of segments) and raises ValidationError, so
+a 'proc:' mesh reference gets the same checks as a direct call.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from urllib.parse import parse_qsl, urlencode
@@ -187,6 +193,20 @@ def _recenter(vertices: np.ndarray) -> np.ndarray:
     return vertices - (lo + hi) / 2.0
 
 
+def _checked_segments(kind: str, segments, **sizes) -> int:
+    """`segments` as an int, once every size is finite and > 0 and `segments`
+    a whole number >= 3 (an int or an integral float); else ValidationError."""
+    bad = [f"{k}={v!r}" for k, v in sizes.items() if not (v > 0 and math.isfinite(v))]
+    if bad:
+        raise ValidationError(f"{kind} needs finite sizes > 0, got {', '.join(bad)}")
+    if isinstance(segments, numbers.Real) and float(segments).is_integer():
+        segments = int(segments)
+    if not (isinstance(segments, numbers.Integral) and segments >= 3):
+        raise ValidationError(
+            f"{kind} segments must be a whole number >= 3, got {segments!r}")
+    return segments
+
+
 # Chamfered-box vertex 3 * k + a is box corner k = 4 ix + 2 iy + iz (i = 0 on
 # the minus side of its axis) moved inwards along axis a. The surface is one
 # triangle per corner plus one octagon per box face, fanned from its first
@@ -213,9 +233,10 @@ def chamfered_box(width=60.0, depth=40.0, height=30.0, chamfer=4.0) -> Mesh:
     The chamfer is capped at 0.4 of the smallest side; chamfer 0 gives a plain
     box (its zero-area triangles are dropped).
     """
-    if min(width, depth, height) <= 0 or chamfer < 0:
+    if not (min(width, depth, height) > 0 and chamfer >= 0
+            and all(map(math.isfinite, (width, depth, height, chamfer)))):
         raise ValidationError(
-            f"box needs positive sides and a non-negative chamfer, got "
+            f"box needs finite positive sides and a finite non-negative chamfer, got "
             f"{width:g} x {depth:g} x {height:g}, chamfer {chamfer:g}")
     c = min(chamfer, 0.4 * min(width, depth, height))
     pts = []
@@ -232,58 +253,59 @@ def chamfered_box(width=60.0, depth=40.0, height=30.0, chamfer=4.0) -> Mesh:
     return drop_degenerate_triangles(mesh)[0]
 
 
-def _revolve(profile_r, profile_z, segments, name, cap_bottom=True, cap_top=True):
-    """Triangulated surface of revolution about z from a radius profile."""
-    profile_r = np.asarray(profile_r, dtype=float)
-    profile_z = np.asarray(profile_z, dtype=float)
+def _strips(rows, closed=True) -> np.ndarray:
+    """Two triangles per quad between consecutive rows of a vertex-index grid.
+
+    Quad k between rows lo and hi gives (lo[k], lo[k+1], hi[k+1]) and
+    (lo[k], hi[k+1], hi[k]), quad by quad. Both are counter-clockwise seen
+    from the side where k runs left to right and lo lies below hi. `closed`
+    adds the quad from each row's last column back to its first.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    lo, hi = rows[:-1], rows[1:]
+    if closed:
+        lo2, hi2 = np.roll(lo, -1, axis=1), np.roll(hi, -1, axis=1)
+    else:
+        lo, hi, lo2, hi2 = lo[:, :-1], hi[:, :-1], lo[:, 1:], hi[:, 1:]
+    return np.stack([lo, lo2, hi2, lo, hi2, hi], axis=-1).reshape(-1, 3)
+
+
+def _fan(center, ring) -> np.ndarray:
+    """Triangles (center, ring[k], ring[k+1]) closing a ring around `center`."""
+    ring = np.asarray(ring, dtype=np.int64)
+    return np.column_stack([np.full(len(ring), center), ring, np.roll(ring, -1)])
+
+
+def _capped_rings(rings: np.ndarray, first_center, last_center):
+    """(vertices, triangles) of (R, S, 3) rings joined by strips and capped by
+    fans around the two centres; the first cap is wound against the rings."""
+    count, segments = rings.shape[:2]
+    grid = np.arange(count * segments).reshape(count, segments)
+    vertices = np.vstack([rings.reshape(-1, 3), first_center, last_center])
+    triangles = np.vstack([_strips(grid),
+                           _fan(grid.size, grid[0])[:, [0, 2, 1]],
+                           _fan(grid.size + 1, grid[-1])])
+    return vertices, triangles
+
+
+def _revolve(profile_r, profile_z, segments):
+    """(vertices, triangles) of a closed surface of revolution about z."""
+    r = np.asarray(profile_r, dtype=float)[:, None]
+    z = np.asarray(profile_z, dtype=float)
+    ang = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
+    rings = np.stack([r * np.cos(ang), r * np.sin(ang),
+                      np.repeat(z[:, None], segments, axis=1)], axis=-1)
+    return _capped_rings(rings, [0.0, 0.0, z[0]], [0.0, 0.0, z[-1]])
+
+
+def _tube(path_points, radius, flat_radius, segments):
+    """(vertices, triangles) of a closed tube swept along a polyline; its strap-like
+    elliptic cross-section has `radius` in the sweep plane, `flat_radius` across it."""
+    path = np.asarray(path_points, dtype=float)
+    tangents = np.vstack([path[1] - path[0], path[2:] - path[:-2], path[-1] - path[-2]])
     ang = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
     rings = []
-    verts = []
-    for r, z in zip(profile_r, profile_z):
-        ring = np.arange(len(verts), len(verts) + segments)
-        verts.extend(np.column_stack([r * np.cos(ang), r * np.sin(ang),
-                                      np.full(segments, z)]))
-        rings.append(ring)
-    tris = []
-    for lo, hi in zip(rings[:-1], rings[1:]):
-        for k in range(segments):
-            k2 = (k + 1) % segments
-            tris.append((lo[k], lo[k2], hi[k2]))
-            tris.append((lo[k], hi[k2], hi[k]))
-    if cap_bottom:
-        center = len(verts)
-        verts.append(np.array([0.0, 0.0, profile_z[0]]))
-        ring = rings[0]
-        for k in range(segments):
-            tris.append((center, ring[(k + 1) % segments], ring[k]))
-    if cap_top:
-        center = len(verts)
-        verts.append(np.array([0.0, 0.0, profile_z[-1]]))
-        ring = rings[-1]
-        for k in range(segments):
-            tris.append((center, ring[k], ring[(k + 1) % segments]))
-    return Mesh(np.array(verts), np.array(tris, dtype=np.int64), name=name)
-
-
-def _tube(path_points, radius, segments, name, flat_radius=None):
-    """Tube swept along a polyline (used for the cup handle).
-
-    With flat_radius the cross-section is an ellipse: `radius` in the
-    sweep plane and `flat_radius` across it (a strap-like profile).
-    """
-    if flat_radius is None:
-        flat_radius = radius
-    path = np.asarray(path_points, dtype=float)
-    n = len(path)
-    verts = []
-    rings = []
-    for i in range(n):
-        if i == 0:
-            tangent = path[1] - path[0]
-        elif i == n - 1:
-            tangent = path[-1] - path[-2]
-        else:
-            tangent = path[i + 1] - path[i - 1]
+    for point, tangent in zip(path, tangents):
         tangent = tangent / np.linalg.norm(tangent)
         helper = np.array([0.0, 1.0, 0.0])
         if abs(np.dot(helper, tangent)) > 0.9:
@@ -291,36 +313,9 @@ def _tube(path_points, radius, segments, name, flat_radius=None):
         u = np.cross(tangent, helper)
         u /= np.linalg.norm(u)
         v = np.cross(tangent, u)
-        ring = np.arange(len(verts), len(verts) + segments)
-        ang = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
-        verts.extend(path[i] + radius * np.outer(np.cos(ang), u)
+        rings.append(point + radius * np.outer(np.cos(ang), u)
                      + flat_radius * np.outer(np.sin(ang), v))
-        rings.append(ring)
-    tris = []
-    for lo, hi in zip(rings[:-1], rings[1:]):
-        for k in range(segments):
-            k2 = (k + 1) % segments
-            tris.append((lo[k], lo[k2], hi[k2]))
-            tris.append((lo[k], hi[k2], hi[k]))
-    # end caps (fans)
-    for ring, flip in ((rings[0], True), (rings[-1], False)):
-        center = len(verts)
-        verts.append(np.asarray(verts)[ring].mean(axis=0))
-        for k in range(segments):
-            k2 = (k + 1) % segments
-            tris.append((center, ring[k2], ring[k]) if flip else (center, ring[k], ring[k2]))
-    return Mesh(np.array(verts), np.array(tris, dtype=np.int64), name=name)
-
-
-def _merge(meshes, name) -> Mesh:
-    verts = []
-    tris = []
-    offset = 0
-    for m in meshes:
-        verts.append(m.vertices)
-        tris.append(m.triangles + offset)
-        offset += len(m.vertices)
-    return Mesh(np.vstack(verts), np.vstack(tris), name=name)
+    return _capped_rings(np.array(rings), rings[0].mean(axis=0), rings[-1].mean(axis=0))
 
 
 def cup(radius_bottom=28.0, radius_top=38.0, height=90.0, segments=48) -> Mesh:
@@ -330,10 +325,12 @@ def cup(radius_bottom=28.0, radius_top=38.0, height=90.0, segments=48) -> Mesh:
     tube; both break the rotational symmetry that would otherwise leave the
     yaw of a pure surface of revolution unobservable to registration.
     """
+    segments = _checked_segments("cup", segments, radius_bottom=radius_bottom,
+                                 radius_top=radius_top, height=height)
     z = np.linspace(0.0, height, 8)
     r = radius_bottom + (radius_top - radius_bottom) * (z / height) ** 0.9
-    body = _revolve(r, z, segments, "cup-body")
-    body.vertices[:, 0] *= 1.12
+    body, body_triangles = _revolve(r, z, segments)
+    body[:, 0] *= 1.12
     # handle: arc-shaped tube in the x-z plane attached to the +x side
     r_attach = 1.12 * (radius_bottom + radius_top) / 2.0
     arc = np.linspace(-0.60 * np.pi, 0.60 * np.pi, 12)
@@ -343,26 +340,26 @@ def cup(radius_bottom=28.0, radius_top=38.0, height=90.0, segments=48) -> Mesh:
         np.zeros_like(arc),
         height / 2.0 + handle_radius * np.sin(arc),
     ])
-    handle = _tube(path, 11.0, 14, "cup-handle", flat_radius=4.5)
-    merged = _merge([body, handle], f"cup{radius_top:g}x{height:g}")
-    merged.vertices = _recenter(merged.vertices)
-    return merged
+    handle, handle_triangles = _tube(path, 11.0, 4.5, 14)
+    return Mesh(_recenter(np.vstack([body, handle])),
+                np.vstack([body_triangles, handle_triangles + len(body)]),
+                name=f"cup{radius_top:g}x{height:g}")
 
 
 def can(radius=33.0, height=110.0, segments=48) -> Mesh:
-    mesh = _revolve([radius, radius], [0.0, height], segments,
-                    f"can{radius:g}x{height:g}")
-    mesh.vertices = _recenter(mesh.vertices)
-    return mesh
+    segments = _checked_segments("can", segments, radius=radius, height=height)
+    vertices, triangles = _revolve([radius, radius], [0.0, height], segments)
+    return Mesh(_recenter(vertices), triangles, name=f"can{radius:g}x{height:g}")
 
 
 def bottle(radius=30.0, neck_radius=12.0, height=200.0, segments=48) -> Mesh:
+    segments = _checked_segments("bottle", segments, radius=radius,
+                                 neck_radius=neck_radius, height=height)
     z = np.array([0.0, 0.55, 0.62, 0.70, 0.76, 1.0]) * height
     r = np.array([radius, radius, 0.8 * radius + 0.2 * neck_radius,
                   0.35 * radius + 0.65 * neck_radius, neck_radius, neck_radius])
-    mesh = _revolve(r, z, segments, f"bottle{radius:g}x{height:g}")
-    mesh.vertices = _recenter(mesh.vertices)
-    return mesh
+    vertices, triangles = _revolve(r, z, segments)
+    return Mesh(_recenter(vertices), triangles, name=f"bottle{radius:g}x{height:g}")
 
 
 # cutlery silhouette: fractional x positions and widths (handle into bowl),
@@ -375,32 +372,28 @@ _BLADE_PROFILE_W = np.array([0.12, 0.42, 0.30, 0.52, 0.34, 0.56, 0.40, 0.92,
 
 
 def blade(length=170.0, width=26.0, thickness=6.0, segments=40) -> Mesh:
-    """Cutlery-like elongated blade: extruded tapered silhouette."""
+    """Cutlery-like elongated blade: extruded tapered silhouette.
+
+    The outline runs counter-clockwise seen from +z: out along the -y rim,
+    back along the +y rim. Its bottom copy and top copy are joined by the
+    side wall, and each copy is closed by a strip between the two rims at
+    matching x stations.
+    """
+    segments = _checked_segments("blade", segments, length=length, width=width,
+                                 thickness=thickness)
     xs = np.linspace(0.0, 1.0, segments)
     half_w = np.interp(xs, _BLADE_PROFILE_X, _BLADE_PROFILE_W) * width / 2.0
-    top_edge = np.column_stack([xs * length, half_w])
-    bottom_edge = np.column_stack([xs * length, -half_w])[::-1]
-    outline = np.vstack([top_edge, bottom_edge])
+    outline = np.vstack([np.column_stack([xs * length, -half_w]),
+                         np.column_stack([xs * length, half_w])[::-1]])
     n = len(outline)
-    top = np.column_stack([outline, np.full(n, thickness / 2.0)])
-    bot = np.column_stack([outline, np.full(n, -thickness / 2.0)])
-    verts = np.vstack([top, bot])
-    tris = []
-    # caps: strip pairing the +y and -y rims at matching x stations
-    for k in range(segments - 1):
-        a, b = k, k + 1  # +y rim, x increasing
-        c, d = n - 1 - k, n - 2 - k  # -y rim at the same stations
-        for base in (0, n):  # top face then bottom face
-            tris.append((base + a, base + b, base + d))
-            tris.append((base + a, base + d, base + c))
-    for k in range(n):  # side wall around the outline
-        k2 = (k + 1) % n
-        tris.append((k, n + k, n + k2))
-        tris.append((k, n + k2, k2))
-    mesh = Mesh(_recenter(verts), np.array(tris, dtype=np.int64),
-                name=f"blade{length:g}x{width:g}")
-    cleaned, _ = drop_degenerate_triangles(mesh)
-    return cleaned
+    vertices = np.vstack([np.column_stack([outline, np.full(n, z)])
+                          for z in (-thickness / 2.0, thickness / 2.0)])
+    ring = np.arange(n)
+    minus_rim, plus_rim = ring[:segments], ring[::-1][:segments]  # both x increasing
+    triangles = np.vstack([_strips([minus_rim + n, plus_rim + n], closed=False),  # top
+                           _strips([plus_rim, minus_rim], closed=False),  # bottom
+                           _strips([ring, ring + n])])  # side wall
+    return Mesh(_recenter(vertices), triangles, name=f"blade{length:g}x{width:g}")
 
 
 PROCEDURAL_KINDS = {
@@ -436,9 +429,13 @@ def resolve_mesh(ref: str, base_dir=None) -> Mesh:
         kind, _, query = spec.partition("?")
         factory = _procedural_factory(kind)
         try:
-            params = {k: float(v) for k, v in parse_qsl(query)} if query else {}
+            pairs = [(k, float(v)) for k, v in
+                     parse_qsl(query, keep_blank_values=True, strict_parsing=True)]
         except ValueError:
             raise ValidationError(f"bad parameters in mesh reference {ref!r}")
+        params = dict(pairs)
+        if len(params) < len(pairs):
+            raise ValidationError(f"repeated parameter in mesh reference {ref!r}")
         known = inspect.signature(factory).parameters
         unknown = sorted(set(params) - set(known))
         if unknown:

@@ -22,6 +22,7 @@ writers take each mean over objects, frames or draws from them.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from dataclasses import dataclass, field
@@ -384,6 +385,16 @@ def sim_report_text(report: SimReport, manifest: RunManifest) -> str:
     lines.append("")
     lines.append(annotation_quality_table(dict(zip(report.camera_names, draw_mean))))
     return "\n".join(lines) + "\n"
+
+
+def check_out_dir(out_dir) -> None:
+    """Raise the error `save_sim_report` would give for an `out_dir` that is
+    empty, or is or lies under something other than a directory; creates nothing."""
+    path, error = out_dir, errno.EEXIST if out_dir else errno.ENOENT
+    while path and not os.path.lexists(path):
+        path, error = os.path.dirname(path), errno.ENOTDIR
+    if not out_dir or (path and not os.path.isdir(path)):
+        raise ValidationError(f"cannot create directory {out_dir}: {os.strerror(error)}")
 
 
 def save_sim_report(out_dir, report: SimReport, manifest: RunManifest, text: str):

@@ -213,6 +213,43 @@ def test_unwritable_output_path_exits_1_naming_it(command, tmp_path, monkeypatch
     assert os.listdir(tmp_path) == ["taken"]
 
 
+@pytest.mark.parametrize("out_dir, reason", [("taken", "File exists"),
+                                              ("taken/sub", "Not a directory"),
+                                              ("", "No such file or directory")])
+def test_simulate_checks_out_dir_before_running(out_dir, reason, tmp_path, monkeypatch,
+                                                capsys):
+    # the directory was once made only after every draw had run
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulation ran before --out-dir was checked")
+
+    monkeypatch.setattr("robocal.simulate.simulate_annotation_error", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("not a directory\n")
+    argv = ["simulate", "--template", "phocal-like", "--seed", "1", "--out-dir", out_dir]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot create directory {out_dir}: {reason}\n"
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+@pytest.mark.parametrize("segments, status", [("64", 0), ("2.5", 1)])
+def test_simulate_scene_with_bottle_segments(segments, status, tmp_path, capsys):
+    # an integral segment count once died in a TypeError traceback
+    path = tmp_path / "scene.txt"
+    fileio.save_scene(path, generate_scene("phocal-like", 1))
+    text = path.read_text()
+    assert "proc:bottle?" in text
+    path.write_text(text.replace("proc:bottle?", f"proc:bottle?segments={segments}&"))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(path), "--seed", "1", "--out-dir", str(out)]) == status
+    err = capsys.readouterr().err
+    if status:
+        assert err == ("error: bottle segments must be a whole number >= 3, "
+                       "got 2.5\n")
+        assert not out.exists()
+    else:
+        assert (out / "sim_report.csv").exists()
+
+
 def _report_lines(path):
     """A report's lines below its embedded manifest line."""
     lines = path.read_text().splitlines()
