@@ -7,13 +7,16 @@ omitted a seed is generated and recorded in the run manifest.
 Each command imports the domain modules it runs, and `fileio` if it reads or
 writes files, in its own body, so that a command loads and compiles only what
 it uses; keep such imports out of the top of this module, where one would
-load its module (and `fileio` its json) for every command.
+load its module (and `fileio` its json) for every command. For the same
+reason the records (Pose, Mesh, the scene and result types) are plain classes
+with `__slots__` and a hand-written `__init__`, not dataclasses: `@dataclass`
+writes the source of its generated methods and `exec`s it on every import,
+bytecode cache or not, and `import dataclasses` costs a millisecond more.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -124,11 +127,14 @@ def _cmd_handeye(args) -> int:
 
 
 def _parse_icp_params(text: str) -> IcpParams:
+    import inspect
+
     from .registration import IcpParams
 
     if not text:
         return IcpParams()
-    types = {f.name: type(f.default) for f in dataclasses.fields(IcpParams)}
+    types = {name: type(p.default)
+             for name, p in inspect.signature(IcpParams).parameters.items()}
     values = {}
     for item in text.split(","):
         key, sep, val = item.partition("=")

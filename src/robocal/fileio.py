@@ -29,7 +29,6 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,7 +92,6 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-@dataclass
 class RunManifest:
     """The command, parameters, version and input digests of one run.
 
@@ -104,12 +102,18 @@ class RunManifest:
     else. The built-in is ~5x slower per byte: ~5 ms per MB of input on a
     2-vCPU Xeon, against ~1 ms."""
 
-    command: str
-    parameters: dict
-    version: str = __version__
-    input_digests: dict = field(default_factory=dict)
-    timestamp: str = ""
-    counts: dict = field(default_factory=dict)  # run statistics, sidecar only
+    __slots__ = ("command", "parameters", "version", "input_digests", "timestamp",
+                 "counts")
+
+    def __init__(self, command: str, parameters: dict, version: str = __version__,
+                 input_digests: dict | None = None, timestamp: str = "",
+                 counts: dict | None = None):
+        self.command = command
+        self.parameters = parameters
+        self.version = version
+        self.input_digests = {} if input_digests is None else input_digests
+        self.timestamp = timestamp
+        self.counts = {} if counts is None else counts  # run statistics, sidecar only
 
     @classmethod
     def create(cls, command: str, parameters: dict, input_paths=()) -> "RunManifest":

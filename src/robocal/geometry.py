@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +72,27 @@ def _rotation_checks(R, name="rotation"):
              lambda i: f"{name} has determinant != +1 (reflection?)")]
 
 
-@dataclass(frozen=True, eq=False)
-class Pose:
+class _Frozen:
+    """Base of the immutable records. Their __init__ sets each attribute once,
+    through object.__setattr__ (see _set_fields); assigning or deleting one
+    later raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _set_fields(record: _Frozen, **fields) -> None:
+    """Set the attributes of a record under construction."""
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+
+
+class Pose(_Frozen):
     """Rigid transform: 3x3 rotation plus translation in mm.
 
     Immutable; the wrapped arrays are copied and marked read-only so poses
@@ -87,14 +105,18 @@ class Pose:
     (``compose``, ``invert``, fitted and perturbed poses) are built by the
     unchecked ``_trusted_pose`` instead, so a chain of transforms is checked
     once, where its factors enter, and not at every link.
+
+    The validation runs in ``__post_init__``, once per ``Pose(...)``; the
+    benchmark's tracer wraps that method by name to count validated poses.
     """
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    __slots__ = ("rotation", "translation")
 
-    def __post_init__(self):
-        _store(self, _as_rotation(self.rotation),
-               _as_vec3(self.translation, "translation"))
+    def __init__(self, rotation, translation):
+        self.__post_init__(rotation, translation)
+
+    def __post_init__(self, rotation, translation):
+        _store(self, _as_rotation(rotation), _as_vec3(translation, "translation"))
 
     @classmethod
     def identity(cls) -> "Pose":

@@ -9,13 +9,11 @@ solver is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InconsistentMeasurementError, ValidationError
-from .geometry import (Pose, absolute_orientation, apply, compose, invert,
-                       rotation_distance)
+from .geometry import (Pose, _Frozen, _set_fields, absolute_orientation, apply, compose,
+                       invert, rotation_distance)
 
 DEFAULT_RIGIDITY_TOL_MM = 1.0
 
@@ -23,16 +21,16 @@ DEFAULT_RIGIDITY_TOL_MM = 1.0
 ROTATION_OUTLIER_DEG = 5.0
 
 
-@dataclass(frozen=True)
-class MarkerBoard:
-    """Known board geometry plus its tip-measured base-frame locations."""
+class MarkerBoard(_Frozen):
+    """Known board geometry plus its tip-measured base-frame locations:
+    board_points (K, 3) mm in the marker frame, measured_points (K, 3) mm in
+    the robot-base frame."""
 
-    board_points: np.ndarray  # (K, 3) mm, marker frame
-    measured_points: np.ndarray  # (K, 3) mm, robot-base frame
+    __slots__ = ("board_points", "measured_points")
 
-    def __post_init__(self):
-        board = np.asarray(self.board_points, dtype=float).reshape(-1, 3)
-        measured = np.asarray(self.measured_points, dtype=float).reshape(-1, 3)
+    def __init__(self, board_points, measured_points):
+        board = np.asarray(board_points, dtype=float).reshape(-1, 3)
+        measured = np.asarray(measured_points, dtype=float).reshape(-1, 3)
         if len(board) != len(measured):
             raise ValidationError(
                 f"board has {len(board)} nominal points but {len(measured)} "
@@ -41,8 +39,7 @@ class MarkerBoard:
             raise ValidationError(f"marker board needs >= 3 points, got {len(board)}")
         if not (np.all(np.isfinite(board)) and np.all(np.isfinite(measured))):
             raise ValidationError("marker board points have non-finite coordinates")
-        object.__setattr__(self, "board_points", board)
-        object.__setattr__(self, "measured_points", measured)
+        _set_fields(self, board_points=board, measured_points=measured)
         worst = _max_pairwise_distance_mismatch(board, measured)
         # a mismatch that overflows to inf or nan is not a rigid board either
         if not worst <= DEFAULT_RIGIDITY_TOL_MM:
@@ -61,19 +58,26 @@ def _max_pairwise_distance_mismatch(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.abs(da - db).max())
 
 
-@dataclass(frozen=True)
-class HandEyeView:
-    ee_pose: Pose  # end-effector in base at capture time
-    marker_in_cam: Pose  # detected marker pose in the camera frame
+class HandEyeView(_Frozen):
+    __slots__ = ("ee_pose", "marker_in_cam")
+
+    def __init__(self, ee_pose: Pose, marker_in_cam: Pose):
+        # the end-effector in base at capture time, and the detected marker
+        # pose in the camera frame
+        _set_fields(self, ee_pose=ee_pose, marker_in_cam=marker_in_cam)
 
 
-@dataclass
 class HandEyeResult:
-    cam_to_ee: Pose
-    per_view_rmse: np.ndarray  # mm, one entry per view
-    overall_rmse: float  # mm, pooled over all views and points
-    rotation_outliers: tuple[int, ...]  # views > 5 deg from the pooled fit
-    per_view_estimates: list[Pose]
+    __slots__ = ("cam_to_ee", "per_view_rmse", "overall_rmse", "rotation_outliers",
+                 "per_view_estimates")
+
+    def __init__(self, cam_to_ee: Pose, per_view_rmse: np.ndarray, overall_rmse: float,
+                 rotation_outliers: tuple[int, ...], per_view_estimates: list[Pose]):
+        self.cam_to_ee = cam_to_ee
+        self.per_view_rmse = per_view_rmse  # mm, one entry per view
+        self.overall_rmse = overall_rmse  # mm, pooled over all views and points
+        self.rotation_outliers = rotation_outliers  # views > 5 deg from the pooled fit
+        self.per_view_estimates = per_view_estimates
 
 
 def default_board_points(cols: int = 4, rows: int = 3, spacing_mm: float = 40.0) -> np.ndarray:

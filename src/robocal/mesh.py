@@ -17,7 +17,6 @@ import inspect
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
 from urllib.parse import parse_qsl, urlencode
 
 import numpy as np
@@ -28,15 +27,13 @@ from .textio import read_lines
 DEGENERATE_AREA_MM2 = 1e-12
 
 
-@dataclass
 class Mesh:
-    vertices: np.ndarray  # (V, 3) mm
-    triangles: np.ndarray  # (F, 3) vertex indices
-    name: str = ""
+    __slots__ = ("vertices", "triangles", "name")
 
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+    def __init__(self, vertices, triangles, name: str = ""):
+        self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)  # (V, 3) mm
+        self.triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)  # vertex ids
+        self.name = name
         if not np.all(np.isfinite(self.vertices)):
             raise ValidationError(f"mesh {self.name!r} has non-finite vertices")
         if len(self.triangles) and (self.triangles.min() < 0

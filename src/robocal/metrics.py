@@ -30,12 +30,11 @@ writers take. Monte-Carlo estimation exists only as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import _ORTHO_TOL, Pose, _as_rotation, apply
+from .geometry import _ORTHO_TOL, Pose, _as_rotation, _Frozen, _set_fields, apply
 
 # PhoCaL household categories; DetectionSet accepts user-defined labels too.
 DEFAULT_CATEGORIES = ("bottle", "box", "can", "cup", "remote", "teapot",
@@ -66,23 +65,22 @@ _POLYGON_WIDTH = 10
 _AXIS_SLACK = 4.0 * _ORTHO_TOL
 
 
-@dataclass(frozen=True)
-class OrientedBox:
-    center: np.ndarray  # (3,) mm
-    half_extents: np.ndarray  # (3,) mm, strictly positive
-    rotation: np.ndarray  # (3, 3)
+class OrientedBox(_Frozen):
+    """A box of centre (3,) mm, strictly positive half extents (3,) mm and
+    rotation (3, 3)."""
 
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).reshape(3)
-        half = np.asarray(self.half_extents, dtype=float).reshape(3)
+    __slots__ = ("center", "half_extents", "rotation")
+
+    def __init__(self, center, half_extents, rotation):
+        center = np.asarray(center, dtype=float).reshape(3)
+        half = np.asarray(half_extents, dtype=float).reshape(3)
         if not (np.all(np.isfinite(center)) and np.all(np.isfinite(half))):
             raise ValidationError("box has non-finite parameters")
         failed, message = _extent_check(half[None])
         if failed[0]:
             raise ValidationError(message(0))
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "half_extents", half)
-        object.__setattr__(self, "rotation", _as_rotation(self.rotation, "box rotation"))
+        _set_fields(self, center=center, half_extents=half,
+                    rotation=_as_rotation(rotation, "box rotation"))
 
     def volume(self) -> float:
         return float(8.0 * np.prod(self.half_extents))
@@ -293,24 +291,22 @@ def iou3d(a: OrientedBox, b: OrientedBox) -> float:
 # Detection-style evaluation
 
 
-@dataclass(frozen=True)
-class Detection:
-    category: str
-    box: OrientedBox
-    score: float
+class Detection(_Frozen):
+    __slots__ = ("category", "box", "score")
 
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValidationError(f"detection score must be finite, got {self.score}")
+    def __init__(self, category: str, box: OrientedBox, score: float):
+        if not math.isfinite(score):
+            raise ValidationError(f"detection score must be finite, got {score}")
+        _set_fields(self, category=category, box=box, score=score)
 
 
-@dataclass(frozen=True)
-class GroundTruthBox:
-    category: str
-    box: OrientedBox
+class GroundTruthBox(_Frozen):
+    __slots__ = ("category", "box")
+
+    def __init__(self, category: str, box: OrientedBox):
+        _set_fields(self, category=category, box=box)
 
 
-@dataclass
 class DetectionSet:
     """The boxes of an evaluation, as columns, one row per box.
 
@@ -321,18 +317,30 @@ class DetectionSet:
     OrientedBox and Detection would accept.
     """
 
-    predictions: tuple
-    ground_truth: tuple
+    __slots__ = ("predictions", "ground_truth")
+
+    def __init__(self, predictions: tuple, ground_truth: tuple):
+        self.predictions = predictions
+        self.ground_truth = ground_truth
 
 
-@dataclass
 class APResult:
-    per_category: dict[str, float]
-    mean_ap: float
-    undefined_categories: list[str] = field(default_factory=list)
-    pairs_compared: int = 0  # prediction/ground-truth pairs of each category
-    pairs_separated: int = 0  # sphere-passing pairs a separating axis rejected
-    pairs_clipped: int = 0  # pairs whose exact volume was computed
+    __slots__ = ("per_category", "mean_ap", "undefined_categories", "pairs_compared",
+                 "pairs_separated", "pairs_clipped")
+
+    def __init__(self, per_category: dict[str, float], mean_ap: float,
+                 undefined_categories: list[str] | None = None, pairs_compared: int = 0,
+                 pairs_separated: int = 0, pairs_clipped: int = 0):
+        self.per_category = per_category
+        self.mean_ap = mean_ap
+        self.undefined_categories = ([] if undefined_categories is None
+                                     else undefined_categories)
+        # prediction/ground-truth pairs of each category; the sphere-passing
+        # pairs a separating axis rejected; the pairs whose exact volume was
+        # computed
+        self.pairs_compared = pairs_compared
+        self.pairs_separated = pairs_separated
+        self.pairs_clipped = pairs_clipped
 
 
 def _category_ap(predictions, ground_truth, iou_threshold) -> tuple[float, int, int]:

@@ -9,12 +9,10 @@ whose one least-squares solve minimises the rms spread of the per-pose tips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateGeometryError, ValidationError
-from .geometry import Pose, rotation_distance
+from .geometry import Pose, _Frozen, _set_fields, rotation_distance
 
 # Physical reference point: tip-location variance of the original robot
 # setup, quoted alongside PivotResult.residual_rms in reports.
@@ -23,12 +21,17 @@ REFERENCE_TIP_VARIANCE_MM = 0.057
 DEFAULT_MIN_DIVERSITY_DEG = 10.0
 
 
-@dataclass(frozen=True)
-class PivotResult:
-    tip_offset: np.ndarray  # tip in end-effector frame, mm
-    pivot_point: np.ndarray  # tip location in base frame, mm
-    residual_rms: float  # rms spread of per-pose tip locations (tip variance), mm
-    n_poses: int
+class PivotResult(_Frozen):
+    """tip_offset: the tip in the end-effector frame, mm; pivot_point: the tip
+    location in the base frame, mm; residual_rms: the rms spread of the per-pose
+    tip locations (the tip variance), mm."""
+
+    __slots__ = ("tip_offset", "pivot_point", "residual_rms", "n_poses")
+
+    def __init__(self, tip_offset: np.ndarray, pivot_point: np.ndarray,
+                 residual_rms: float, n_poses: int):
+        _set_fields(self, tip_offset=tip_offset, pivot_point=pivot_point,
+                    residual_rms=residual_rms, n_poses=n_poses)
 
 
 def _check_diversity(poses, min_diversity_deg):

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (Pose, _trusted_pose, absolute_orientation, apply, axis_angle,
-                       compose, invert, random_unit_vector, rotation_distance)
+from .geometry import (Pose, _Frozen, _set_fields, _trusted_pose, absolute_orientation,
+                       apply, axis_angle, compose, invert, random_unit_vector,
+                       rotation_distance)
 from .mesh import Mesh, blade, chamfered_box, cup, drop_degenerate_triangles, sample_surface
 
 # Largest (points x triangles) block a surface query holds at once, 8 MB an array.
@@ -52,24 +52,22 @@ _QUERY_BLOCK = 1 << 20
 _SKIN_MM = 0.5
 
 
-@dataclass(frozen=True)
-class Correspondences:
-    """Paired keypoints: measured in the robot base frame, model in mesh frame."""
+class Correspondences(_Frozen):
+    """Paired keypoints: measured (K, 3) mm in the robot base frame, model
+    (K, 3) mm in the mesh frame."""
 
-    measured: np.ndarray  # (K, 3) mm, base frame
-    model: np.ndarray  # (K, 3) mm, model frame
+    __slots__ = ("measured", "model")
 
-    def __post_init__(self):
-        measured = np.asarray(self.measured, dtype=float).reshape(-1, 3)
-        model = np.asarray(self.model, dtype=float).reshape(-1, 3)
+    def __init__(self, measured, model):
+        measured = np.asarray(measured, dtype=float).reshape(-1, 3)
+        model = np.asarray(model, dtype=float).reshape(-1, 3)
         if len(measured) != len(model):
             raise ValidationError(
                 f"correspondence lists differ in length: {len(measured)} measured "
                 f"vs {len(model)} model points")
         if len(measured) < 3:
             raise ValidationError(f"need >= 3 correspondences, got {len(measured)}")
-        object.__setattr__(self, "measured", measured)
-        object.__setattr__(self, "model", model)
+        _set_fields(self, measured=measured, model=model)
 
 
 def initial_pose(c: Correspondences) -> tuple[Pose, float]:
@@ -264,31 +262,38 @@ class SurfaceMatches:
         return self._rows, self._cols
 
 
-@dataclass(frozen=True)
-class IcpParams:
-    max_iterations: int = 100
-    tol_translation_mm: float = 1e-4  # convergence threshold on pose delta
-    tol_rotation_deg: float = 1e-4
-    max_correspondence_mm: float = math.inf  # pairs beyond this are dropped
+class IcpParams(_Frozen):
+    """ICP stopping rules: the tolerances are the convergence thresholds on
+    the pose delta, and pairs beyond max_correspondence_mm are dropped."""
 
-    def __post_init__(self):
-        for name in ("max_iterations", "tol_translation_mm", "tol_rotation_deg",
-                     "max_correspondence_mm"):
-            value = getattr(self, name)
+    __slots__ = ("max_iterations", "tol_translation_mm", "tol_rotation_deg",
+                 "max_correspondence_mm")
+
+    def __init__(self, max_iterations: int = 100, tol_translation_mm: float = 1e-4,
+                 tol_rotation_deg: float = 1e-4, max_correspondence_mm: float = math.inf):
+        values = {"max_iterations": max_iterations,
+                  "tol_translation_mm": tol_translation_mm,
+                  "tol_rotation_deg": tol_rotation_deg,
+                  "max_correspondence_mm": max_correspondence_mm}
+        for name, value in values.items():
             if not value > 0:  # NaN fails too
                 raise ValidationError(f"IcpParams.{name} must be positive, got {value}")
-        if not isinstance(self.max_iterations, numbers.Integral):
+        if not isinstance(max_iterations, numbers.Integral):
             raise ValidationError(f"IcpParams.max_iterations must be a whole number, "
-                                  f"got {self.max_iterations!r}")
+                                  f"got {max_iterations!r}")
+        _set_fields(self, **values)
 
 
-@dataclass
 class IcpResult:
-    pose: Pose
-    iterations: int
-    converged: bool
-    rms_distance: float  # final rms point-to-surface distance, mm
-    rms_history: list[float] = field(default_factory=list)
+    __slots__ = ("pose", "iterations", "converged", "rms_distance", "rms_history")
+
+    def __init__(self, pose: Pose, iterations: int, converged: bool, rms_distance: float,
+                 rms_history: list[float] | None = None):
+        self.pose = pose
+        self.iterations = iterations
+        self.converged = converged
+        self.rms_distance = rms_distance  # final rms point-to-surface distance, mm
+        self.rms_history = [] if rms_history is None else rms_history
 
 
 def _small_motion(x: np.ndarray) -> Pose:
@@ -409,20 +414,37 @@ RECOVERY_MAX_TRANSLATION_MM = 2.0  # per axis, uniform
 RECOVERY_MAX_ROTATION_DEG = 4.0
 
 
-@dataclass
+def _fields_equal(a, b):
+    """Value equality of two records of one class: equal attributes, in order."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    return ([getattr(a, name) for name in a.__slots__]
+            == [getattr(b, name) for name in b.__slots__])
+
+
 class RecoveryCase:
-    mesh_name: str
-    translation_error_mm: float
-    rotation_error_deg: float
-    iterations: int
-    converged: bool
+    __slots__ = ("mesh_name", "translation_error_mm", "rotation_error_deg", "iterations",
+                 "converged")
+    __eq__ = _fields_equal
+
+    def __init__(self, mesh_name: str, translation_error_mm: float,
+                 rotation_error_deg: float, iterations: int, converged: bool):
+        self.mesh_name = mesh_name
+        self.translation_error_mm = translation_error_mm
+        self.rotation_error_deg = rotation_error_deg
+        self.iterations = iterations
+        self.converged = converged
 
 
-@dataclass
 class RecoveryReport:
-    cases: list[RecoveryCase]
-    mean_translation_mm: float
-    mean_rotation_deg: float
+    __slots__ = ("cases", "mean_translation_mm", "mean_rotation_deg")
+    __eq__ = _fields_equal
+
+    def __init__(self, cases: list[RecoveryCase], mean_translation_mm: float,
+                 mean_rotation_deg: float):
+        self.cases = cases
+        self.mean_translation_mm = mean_translation_mm
+        self.mean_rotation_deg = mean_rotation_deg
 
 
 def _farthest_point_subset(points: np.ndarray, count: int,

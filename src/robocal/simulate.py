@@ -25,13 +25,12 @@ from __future__ import annotations
 import errno
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SearchFailureError, ValidationError
-from .geometry import (Pose, _as_unit_vec3, _trusted_pose, apply, axis_angle,
-                       compose, invert, make_rng, random_unit_vector)
+from .geometry import (Pose, _as_unit_vec3, _Frozen, _set_fields, _trusted_pose, apply,
+                       axis_angle, compose, invert, make_rng, random_unit_vector)
 from .fileio import RunManifest, _fmt, atomic_write_text
 from .handeye import MarkerBoard, default_board_points, synthesize_views
 from .mesh import procedural_ref, resolve_mesh, surface_moment
@@ -45,41 +44,38 @@ def _draw_streams(draw: int) -> tuple[int, int]:
     return 1 + 2 * draw, 2 + 2 * draw
 
 
-@dataclass(frozen=True)
-class SceneObject:
-    name: str
-    mesh_ref: str  # 'proc:...' or OBJ path
-    pose: Pose  # object to robot base
+class SceneObject(_Frozen):
+    __slots__ = ("name", "mesh_ref", "pose")
+
+    def __init__(self, name: str, mesh_ref: str, pose: Pose):
+        # mesh_ref is 'proc:...' or an OBJ path; pose maps object to robot base
+        _set_fields(self, name=name, mesh_ref=mesh_ref, pose=pose)
 
 
-@dataclass(frozen=True)
-class Camera:
-    name: str
-    cam_to_ee: Pose
+class Camera(_Frozen):
+    __slots__ = ("name", "cam_to_ee")
+
+    def __init__(self, name: str, cam_to_ee: Pose):
+        _set_fields(self, name=name, cam_to_ee=cam_to_ee)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    name: str
-    poses: tuple  # end-effector stop poses, in order
+class Trajectory(_Frozen):
+    __slots__ = ("name", "poses")
 
-    def __post_init__(self):
-        poses = tuple(self.poses)
+    def __init__(self, name: str, poses):
+        poses = tuple(poses)  # end-effector stop poses, in order
         if len(poses) < 1:
-            raise ValidationError(f"trajectory {self.name!r} has no poses")
-        object.__setattr__(self, "poses", poses)
+            raise ValidationError(f"trajectory {name!r} has no poses")
+        _set_fields(self, name=name, poses=poses)
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    objects: tuple
-    cameras: tuple
-    trajectories: tuple
+class SceneConfig(_Frozen):
+    __slots__ = ("objects", "cameras", "trajectories")
 
-    def __post_init__(self):
-        objects = tuple(self.objects)
-        cameras = tuple(self.cameras)
-        trajectories = tuple(self.trajectories)
+    def __init__(self, objects, cameras, trajectories):
+        objects = tuple(objects)
+        cameras = tuple(cameras)
+        trajectories = tuple(trajectories)
         if not objects:
             raise ValidationError("scene needs >= 1 object")
         if not cameras:
@@ -92,53 +88,66 @@ class SceneConfig:
             if repeated := sorted({name for name in names if names.count(name) > 1}):
                 raise ValidationError(f"{kind} name(s) {repeated} repeat; each "
                                       f"{kind} of a scene needs its own name")
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "cameras", cameras)
-        object.__setattr__(self, "trajectories", trajectories)
+        _set_fields(self, objects=objects, cameras=cameras, trajectories=trajectories)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    obj_translation_mm: float = 0.20
-    obj_rotation_deg: float = 0.38
-    # per-camera target for the evaluated hand-eye RMSE; cameras missing
-    # from the mapping (or mapped to 0) get no hand-eye perturbation
-    handeye_target_rmse: dict = field(
-        default_factory=lambda: {"rgbd": 0.89, "polarization": 0.83})
-    seed: int = 0
+class NoiseSpec(_Frozen):
+    """The noise of a simulation: the object-pose error magnitudes and, per
+    camera, the target for the evaluated hand-eye RMSE (a fresh copy of the
+    paper's 0.89 / 0.83 mm by default). Cameras missing from the mapping, or
+    mapped to 0, get no hand-eye perturbation."""
 
-    def __post_init__(self):
-        if not all(_finite_non_negative(v) for v in
-                   (self.obj_translation_mm, self.obj_rotation_deg)):
+    __slots__ = ("obj_translation_mm", "obj_rotation_deg", "handeye_target_rmse", "seed")
+
+    def __init__(self, obj_translation_mm: float = 0.20, obj_rotation_deg: float = 0.38,
+                 handeye_target_rmse: dict | None = None, seed: int = 0):
+        if handeye_target_rmse is None:
+            handeye_target_rmse = {"rgbd": 0.89, "polarization": 0.83}
+        if not all(_finite_non_negative(v) for v in (obj_translation_mm, obj_rotation_deg)):
             raise ValidationError("noise magnitudes must be finite and non-negative")
-        for name, value in self.handeye_target_rmse.items():
+        for name, value in handeye_target_rmse.items():
             if not _finite_non_negative(value):
                 raise ValidationError(
                     f"hand-eye target for {name!r} must be finite and non-negative")
+        _set_fields(self, obj_translation_mm=obj_translation_mm,
+                    obj_rotation_deg=obj_rotation_deg,
+                    handeye_target_rmse=handeye_target_rmse, seed=seed)
 
 
 def _finite_non_negative(value) -> bool:
     return math.isfinite(value) and value >= 0
 
 
-@dataclass
 class CalibratedPerturbation:
-    pose: Pose  # the perturbed cam-to-ee transform
-    achieved_rmse_mm: float
-    evaluations: int
+    __slots__ = ("pose", "achieved_rmse_mm", "evaluations")
+
+    def __init__(self, pose: Pose, achieved_rmse_mm: float, evaluations: int):
+        self.pose = pose  # the perturbed cam-to-ee transform
+        self.achieved_rmse_mm = achieved_rmse_mm
+        self.evaluations = evaluations
 
 
-@dataclass
 class SimReport:
     """Pointwise RMSE of the annotated pose chains, by position: camera i is
     camera_names[i], object j is object_names[j]. Every mean is left to the
-    reader: see sim_report_text."""
+    reader: see sim_report_text.
 
-    camera_names: list[str]
-    object_names: list[str]
-    frame_rmse: np.ndarray  # (cameras, objects, frames) of the first draw, mm
-    handeye_perturbations: list  # per camera, first draw: CalibratedPerturbation | None
-    camera_rmse: np.ndarray  # (cameras, draws): mean over objects of the mean over frames, mm
+    frame_rmse (cameras, objects, frames) is the first draw's, in mm;
+    handeye_perturbations holds the first draw's CalibratedPerturbation (or
+    None) per camera; camera_rmse (cameras, draws) is the mean over objects of
+    the mean over frames, in mm."""
+
+    __slots__ = ("camera_names", "object_names", "frame_rmse", "handeye_perturbations",
+                 "camera_rmse")
+
+    def __init__(self, camera_names: list[str], object_names: list[str],
+                 frame_rmse: np.ndarray, handeye_perturbations: list,
+                 camera_rmse: np.ndarray):
+        self.camera_names = camera_names
+        self.object_names = object_names
+        self.frame_rmse = frame_rmse
+        self.handeye_perturbations = handeye_perturbations
+        self.camera_rmse = camera_rmse
 
 
 def perturbed_pose(pose: Pose, translation_dir, translation_mm: float,
@@ -161,12 +170,29 @@ def _perturbation(pose: Pose, translation_dir, translation_mm: float,
     checks the inputs, as perturbed_pose builds its result unchecked."""
     if not (math.isfinite(translation_mm) and math.isfinite(rotation_deg)):
         raise ValidationError("perturbation magnitudes must be finite")
-    t_dir = pose.rotation @ _as_unit_vec3(translation_dir, "translation direction")
-    axis = pose.rotation @ _as_unit_vec3(rotation_axis, "rotation axis")
+    delta = _perturbation_along(
+        pose, _as_unit_vec3(translation_dir, "translation direction"),
+        _as_unit_vec3(rotation_axis, "rotation axis"))
+    return delta(translation_mm, rotation_deg)
+
+
+def _perturbation_along(pose: Pose, translation_dir: np.ndarray,
+                        rotation_axis: np.ndarray):
+    """The function (translation_mm, rotation_deg) -> _perturbation(pose,
+    translation_dir, translation_mm, rotation_axis, rotation_deg), for checked
+    unit directions: the rotation generator is built once, here, and each call
+    evaluates only its sine and cosine terms."""
+    t_dir = pose.rotation @ translation_dir
+    axis = pose.rotation @ rotation_axis
     K = np.cross(axis, np.eye(3)).T  # K @ v = axis x v
-    theta = math.radians(rotation_deg)
-    rotation = (math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)) @ pose.rotation
-    return np.column_stack([rotation, translation_mm * t_dir])
+    K2 = K @ K
+
+    def delta(translation_mm: float, rotation_deg: float) -> np.ndarray:
+        theta = math.radians(rotation_deg)
+        rotation = (math.sin(theta) * K + (1.0 - math.cos(theta)) * K2) @ pose.rotation
+        return np.column_stack([rotation, translation_mm * t_dir])
+
+    return delta
 
 
 def perturb_object_pose(pose: Pose, spec: NoiseSpec,
@@ -218,10 +244,11 @@ def calibrate_handeye_perturbation(cam_to_ee: Pose, board: MarkerBoard,
     weight = rng.uniform(0.0, 0.7)
     base_t = (1.0 - weight) * target_rmse
     base_r = np.degrees(weight * target_rmse / max(lever, 1.0))
+    delta = _perturbation_along(cam_to_ee, u_t, u_r)
     excesses = []  # closed-form RMSE minus target, per evaluation
 
     def excess(scale: float) -> float:
-        d = _perturbation(cam_to_ee, u_t, scale * base_t, u_r, scale * base_r)
+        d = delta(scale * base_t, scale * base_r)
         excesses.append(float(_moment_rmse(d, moment)) - target_rmse)
         return excesses[-1]
 
@@ -285,9 +312,15 @@ def simulate_annotation_error(scene: SceneConfig, spec: NoiseSpec, *,
     rig_views = [synthesize_views(cam.cam_to_ee, marker_base, rig_ee_poses)
                  for cam in scene.cameras]
 
-    # (frames, 4, 4): base to end-effector at every stop, in replay order
-    ee_inv = np.stack([invert(pose).as_matrix() for traj in scene.trajectories
-                       for pose in traj.poses])
+    # (frames, 4, 4): base to end-effector at every stop, in replay order,
+    # each the inverse (R^T, -R^T t) of a stop (R, t)
+    stops = [pose for traj in scene.trajectories for pose in traj.poses]
+    rt = np.stack([pose.rotation for pose in stops]).transpose(0, 2, 1)
+    t = np.stack([pose.translation for pose in stops])[:, :, None]
+    ee_inv = np.zeros((len(stops), 4, 4))
+    ee_inv[:, :3, :3] = rt
+    ee_inv[:, :3, 3] = -(rt @ t)[:, :, 0]
+    ee_inv[:, 3, 3] = 1.0
     # the ground-truth chains up to the camera, which no draw changes
     gt = [ee_inv @ obj.pose.as_matrix() for obj in scene.objects]
 

@@ -431,24 +431,28 @@ def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
 # whose generators they run, and with it hashlib and OpenSSL. The manifest
 # digests use CPython's built-in SHA-256, so the other commands load neither.
 _NO_OPENSSL = ("hashlib", "_hashlib")
+# Records are plain classes, so no command loads dataclasses, whose decorator
+# generates and execs code for every record type on every import.
 IMPORT_FOOTPRINT = {
     "--version": ("robocal.simulate", "robocal.metrics", "robocal.registration",
                   "robocal.mesh", "robocal.handeye", "robocal.pivot", "secrets",
-                  "robocal.fileio", "robocal.textio", "json", *_NO_OPENSSL, "numpy.ma"),
+                  "robocal.fileio", "robocal.textio", "json", *_NO_OPENSSL, "numpy.ma",
+                  "dataclasses"),
     "pivot-calib": ("robocal.simulate", "robocal.metrics", "robocal.registration",
                     "robocal.mesh", "robocal.handeye", "secrets", *_NO_OPENSSL,
-                    "numpy.ma"),
+                    "numpy.ma", "dataclasses"),
     "handeye": ("robocal.simulate", "robocal.metrics", "robocal.registration",
-                "robocal.mesh", "robocal.pivot", "secrets", *_NO_OPENSSL, "numpy.ma"),
+                "robocal.mesh", "robocal.pivot", "secrets", *_NO_OPENSSL, "numpy.ma",
+                "dataclasses"),
     "annotate": ("robocal.simulate", "robocal.metrics", "robocal.handeye",
-                 "robocal.pivot", "secrets", *_NO_OPENSSL, "numpy.ma"),
+                 "robocal.pivot", "secrets", *_NO_OPENSSL, "numpy.ma", "dataclasses"),
     "eval-iou": ("robocal.simulate", "robocal.registration", "robocal.mesh",
                  "robocal.handeye", "robocal.pivot", "secrets", *_NO_OPENSSL,
-                 "numpy.ma"),
+                 "numpy.ma", "dataclasses"),
     "simulate": ("robocal.metrics", "robocal.registration", "numpy.ma",
-                 "robocal.pivot"),
+                 "robocal.pivot", "dataclasses"),
     "icp-bench": ("robocal.simulate", "robocal.metrics", "robocal.handeye",
-                  "robocal.pivot", "robocal.fileio", "json", "numpy.ma"),
+                  "robocal.pivot", "robocal.fileio", "json", "numpy.ma", "dataclasses"),
 }
 
 # reads its arguments with ast, not json, which is on the unused lists

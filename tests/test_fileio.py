@@ -1,7 +1,6 @@
 import os
 import stat
 import tempfile
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -233,16 +232,17 @@ _BOX = OrientedBox([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.eye(3))
 
 # slot -> (save the value in it, read it back)
 NAME_SLOTS = {
-    "camera": (lambda p, v: fileio.save_scene(p, replace(_SCENE, cameras=(Camera(v, _I),))),
+    "camera": (lambda p, v: fileio.save_scene(p, SceneConfig(
+                   _SCENE.objects, (Camera(v, _I),), _SCENE.trajectories)),
                lambda p: fileio.load_scene(p).cameras[0].name),
-    "object": (lambda p, v: fileio.save_scene(p, replace(
-                   _SCENE, objects=(SceneObject(v, "proc:cup", _I),))),
+    "object": (lambda p, v: fileio.save_scene(p, SceneConfig(
+                   (SceneObject(v, "proc:cup", _I),), _SCENE.cameras, _SCENE.trajectories)),
                lambda p: fileio.load_scene(p).objects[0].name),
-    "mesh_ref": (lambda p, v: fileio.save_scene(p, replace(
-                     _SCENE, objects=(SceneObject("cup", v, _I),))),
+    "mesh_ref": (lambda p, v: fileio.save_scene(p, SceneConfig(
+                     (SceneObject("cup", v, _I),), _SCENE.cameras, _SCENE.trajectories)),
                  lambda p: fileio.load_scene(p).objects[0].mesh_ref),
-    "trajectory": (lambda p, v: fileio.save_scene(p, replace(
-                       _SCENE, trajectories=(Trajectory(v, (_I,)),))),
+    "trajectory": (lambda p, v: fileio.save_scene(p, SceneConfig(
+                       _SCENE.objects, _SCENE.cameras, (Trajectory(v, (_I,)),))),
                    lambda p: fileio.load_scene(p).trajectories[0].name),
     "ground_truth": (lambda p, v: fileio.save_ground_truth_csv(p, [GroundTruthBox(v, _BOX)]),
                      lambda p: fileio.load_ground_truth_csv(p)[0][0]),
@@ -272,7 +272,8 @@ def test_written_name_reads_back_or_nothing_is_written(slot, name):
 
 def _renamed_camera(scene, name):
     first, *others = scene.cameras
-    return replace(scene, cameras=(Camera(name, first.cam_to_ee), *others))
+    return SceneConfig(scene.objects, (Camera(name, first.cam_to_ee), *others),
+                       scene.trajectories)
 
 
 # '#rgbd' would be written as a comment row, and the scene would reload with
@@ -280,7 +281,7 @@ def _renamed_camera(scene, name):
 # the reader would reject the file for a bad object row
 @pytest.mark.parametrize("scene", [
     _renamed_camera(generate_scene("phocal-like", 1), "#rgbd"),
-    replace(_SCENE, trajectories=(Trajectory("a]b", (_I,)),)),
+    SceneConfig(_SCENE.objects, _SCENE.cameras, (Trajectory("a]b", (_I,)),)),
 ], ids=["comment-camera", "bracket-trajectory"])
 def test_unreadable_scene_name_rejected_before_writing(scene, tmp_path):
     with pytest.raises(ValidationError, match="cannot be written"):
@@ -425,7 +426,7 @@ def test_section_in_a_format_without_sections_is_refused(tmp_path):
 
 
 def test_scene_with_repeated_trajectory_name_rejected_before_writing(tmp_path):
-    scene = replace(_SCENE, trajectories=(Trajectory("orbit", (_I,)),) * 2)
+    scene = SceneConfig(_SCENE.objects, _SCENE.cameras, (Trajectory("orbit", (_I,)),) * 2)
     with pytest.raises(ValidationError, match="trajectory names repeat"):
         fileio.save_scene(tmp_path / "scene.txt", scene)
     assert os.listdir(tmp_path) == []

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +7,14 @@ from hypothesis import given, strategies as st
 
 from robocal.errors import ValidationError
 from robocal.fileio import RunManifest, _fmt
-from robocal.geometry import (Pose, apply, compose, invert, make_rng,
+from robocal.geometry import (Pose, _trusted_pose, apply, compose, invert, make_rng,
                               random_rotation, random_unit_vector)
 from robocal.handeye import evaluate_handeye, synthesize_views
 from robocal.mesh import Mesh, resolve_mesh, sample_surface, surface_moment
 from robocal.metrics import pointwise_rmse
 from robocal.registration import pose_error
-from robocal.simulate import (Camera, NoiseSpec, SceneConfig, SceneObject,
-                              Trajectory, annotation_quality_table,
+from robocal.simulate import (CalibratedPerturbation, Camera, NoiseSpec, SceneConfig,
+                              SceneObject, Trajectory, annotation_quality_table,
                               calibrate_handeye_perturbation, generate_scene,
                               perturb_object_pose, perturbed_pose, sim_report_text,
                               simulate_annotation_error, _draw_streams, _marker_rig,
@@ -260,11 +261,60 @@ class TestSimulateAnnotationError:
             simulate_annotation_error(broken, NoiseSpec(seed=1))
 
 
+def _reference_perturbation(pose, translation_dir, translation_mm, rotation_axis,
+                            rotation_deg):
+    """_perturbation as it was, building the rotation generator at every call."""
+    t_dir = pose.rotation @ translation_dir
+    axis = pose.rotation @ rotation_axis
+    K = np.cross(axis, np.eye(3)).T
+    theta = math.radians(rotation_deg)
+    rotation = (math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)) @ pose.rotation
+    return np.column_stack([rotation, translation_mm * t_dir])
+
+
+def _reference_calibration(cam_to_ee, board, views, target_rmse, rng):
+    """calibrate_handeye_perturbation as it was before its rotation generator
+    was built once per call: every evaluation, and the perturbed pose, goes
+    through _reference_perturbation."""
+    points = np.concatenate([apply(v.marker_in_cam, board.board_points) for v in views])
+    points = np.column_stack([points, np.ones(len(points))])
+    moment = points.T @ points / len(points)
+    lever = math.sqrt(np.trace(moment[:3, :3]))
+    u_t = random_unit_vector(rng)
+    u_r = random_unit_vector(rng)
+    weight = rng.uniform(0.0, 0.7)
+    base_t = (1.0 - weight) * target_rmse
+    base_r = np.degrees(weight * target_rmse / max(lever, 1.0))
+    excesses = []
+
+    def excess(scale):
+        d = _reference_perturbation(cam_to_ee, u_t, scale * base_t, u_r, scale * base_r)
+        excesses.append(float(_moment_rmse(d, moment)) - target_rmse)
+        return excesses[-1]
+
+    a, g_a, b, g_b = 0.0, -target_rmse, 1.0, excess(1.0)
+    while g_b < 0.0:
+        a, g_a, b = b, g_b, 2.0 * b
+        g_b = excess(b)
+    while abs(g_b) > np.finfo(float).eps * target_rmse:
+        c = b - g_b * (b - a) / (g_b - g_a)
+        if (c - a) * (c - b) >= 0.0:
+            break
+        g_c = excess(c)
+        a, g_a = (b, g_b) if g_c * g_b < 0.0 else (a, g_a / 2.0)
+        b, g_b = c, g_c
+    d = _reference_perturbation(cam_to_ee, u_t, b * base_t, u_r, b * base_r)
+    return CalibratedPerturbation(
+        _trusted_pose(cam_to_ee.rotation + d[:, :3], cam_to_ee.translation + d[:, 3]),
+        target_rmse + g_b, len(excesses))
+
+
 def _reference_simulation(scene, spec, draws):
-    """The simulation as a loop of name-keyed dicts per draw, kept as the
-    reference for the array report: (frame_rmse, per_object, per_camera,
-    handeye_perturbations) of the first draw, and each camera's list of
-    per-draw RMSEs."""
+    """The simulation as a loop of name-keyed dicts per draw, with one
+    invert(pose).as_matrix() per trajectory stop and _reference_calibration,
+    kept as the reference for the array report: (frame_rmse, per_object,
+    per_camera, handeye_perturbations) of the first draw, and each camera's
+    list of per-draw RMSEs."""
     moments = {obj.name: surface_moment(resolve_mesh(obj.mesh_ref))
                for obj in scene.objects}
     marker_base, board, rig_ee_poses = _marker_rig(scene)
@@ -284,7 +334,7 @@ def _reference_simulation(scene, spec, draws):
         handeye_perturbations, frame_rmse, per_object, per_camera = {}, {}, {}, {}
         for cam in scene.cameras:
             target = spec.handeye_target_rmse.get(cam.name, 0.0)
-            calib = handeye_perturbations[cam.name] = (calibrate_handeye_perturbation(
+            calib = handeye_perturbations[cam.name] = (_reference_calibration(
                 cam.cam_to_ee, board, rig_views[cam.name], target, calib_rng)
                 if target > 0.0 else None)
             perturbed_cam = cam.cam_to_ee if calib is None else calib.pose
@@ -348,6 +398,54 @@ class TestArrayReportMatchesDictLoop:
         manifest = RunManifest("simulate", {"seed": spec.seed, "draws": draws})
         assert sim_report_text(report, manifest) == _reference_text(
             scene, first_detail, per_camera_draws, manifest)
+
+
+def _same_calibration(got, want):
+    assert got.pose.rotation.tobytes() == want.pose.rotation.tobytes()
+    assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
+    assert got.achieved_rmse_mm.hex() == want.achieved_rmse_mm.hex()
+    assert got.evaluations == want.evaluations
+
+
+@functools.lru_cache(maxsize=None)
+def _phocal_scene(seed):
+    return generate_scene("phocal-like", seed)
+
+
+class TestHoistsMatchReference:
+    """The root find with its rotation generator built once per call, and the
+    stacked trajectory inverses, give the bits of the per-evaluation and
+    per-stop reference."""
+
+    @pytest.mark.parametrize("target", [0.3, 0.89, 2.0])
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_calibration_same_bits(self, seed, target):
+        for camera in (0, 1):
+            cam, board, views = _rig(seed, camera)
+            for stream in range(3):
+                got = calibrate_handeye_perturbation(cam, board, views, target,
+                                                     make_rng(seed, stream))
+                want = _reference_calibration(cam, board, views, target,
+                                              make_rng(seed, stream))
+                _same_calibration(got, want)
+
+    @pytest.mark.parametrize("target", [0.3, 0.89, 2.0])
+    @pytest.mark.parametrize("draws", [1, 4])
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_simulation_same_bits(self, seed, draws, target):
+        scene = _phocal_scene(seed)
+        spec = NoiseSpec(handeye_target_rmse={cam.name: target for cam in scene.cameras},
+                         seed=seed)
+        report = simulate_annotation_error(scene, spec, draws=draws)
+        (frame_rmse, _, _, calibs), per_camera_draws = _reference_simulation(
+            scene, spec, draws)
+        for i, cam in enumerate(scene.cameras):
+            _same_calibration(report.handeye_perturbations[i], calibs[cam.name])
+            for j, obj in enumerate(scene.objects):
+                assert report.frame_rmse[i, j].tobytes() == \
+                    frame_rmse[(cam.name, obj.name)].tobytes()
+            assert report.camera_rmse[i].tobytes() == \
+                np.array(per_camera_draws[cam.name]).tobytes()
 
 
 class TestRepeatedNames:
