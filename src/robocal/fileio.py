@@ -3,9 +3,10 @@
 Every format is strict: units and pose-convention headers are mandatory
 and mismatches are hard errors, quaternion fields must be unit to 1e-6,
 parsers never guess, and a value that a domain type rejects is reported
-with the file, and with the line when one row is at fault. A pose or box
-reader tests all of its rows at once, in array operations, and reports the
-fault that reading row by row would meet first. A pose reader then builds
+with the file, and with the line when one row is at fault. A reader parses
+the numbers of all its rows in one numpy call, and a pose or box reader
+tests all of its rows at once, in array operations; each reports the fault
+that reading row by row would meet first. A pose reader then builds
 its poses; a detection CSV reader builds nothing, and returns its rows as
 columns: a tuple of categories and arrays of scores and box parameters.
 A writer rejects a name that its reader would not give back, before it
@@ -255,29 +256,44 @@ class _Scanner:
         return self.sections[name][1]
 
 
-def _float_rows(path, rows, width, what, *, names=0, sep=None) -> list[tuple]:
-    """(line number, *names, numbers) of each (line number, text) row: the
+def _float_rows(path, rows, width, what, *, names=0, sep=None) -> tuple:
+    """(line numbers, name fields, numbers) of (line number, text) rows: each
     text split on `sep` (None: whitespace) into `names` text fields and then
-    `width` finite numbers. There must be at least one row."""
+    `width` finite numbers. The name fields are a list of one tuple per row,
+    the numbers one (rows, width) array, which numpy parses in one call (it
+    takes each field as float() does) and which is tested finite at once. A
+    file at fault is read again row by row, for the fault met first. There
+    must be at least one row."""
     if not rows:
         raise FileFormatError(path, None, f"no {what} rows found")
-    out = []
-    for lineno, line in rows:
-        fields = line.split(sep)
-        if len(fields) != names + width:
-            raise FileFormatError(path, lineno, f"{what} row needs {names + width} "
-                                  f"fields, got {len(fields)}")
-        values = []
-        for tok in fields[names:]:
-            try:
-                v = float(tok)
-            except ValueError:
-                raise FileFormatError(path, lineno, f"bad number {tok!r}") from None
-            if not math.isfinite(v):
-                raise FileFormatError(path, lineno, f"non-finite value {tok!r}")
-            values.append(v)
-        out.append((lineno, *fields[:names], values))
-    return out
+    fields = [line.split(sep) for _, line in rows]
+    values = None
+    if all(len(row) == names + width for row in fields):
+        try:
+            values = np.array([row[names:] for row in fields], dtype=float)
+        except ValueError:
+            pass
+    if values is None or not np.all(np.isfinite(values)):
+        values = np.array([_numbers(path, lineno, row, names, width, what)
+                           for (lineno, _), row in zip(rows, fields)])
+    return [lineno for lineno, _ in rows], [tuple(row[:names]) for row in fields], values
+
+
+def _numbers(path, lineno, fields, names, width, what) -> list[float]:
+    """The numbers of one row of _float_rows, or its first fault."""
+    if len(fields) != names + width:
+        raise FileFormatError(path, lineno, f"{what} row needs {names + width} "
+                              f"fields, got {len(fields)}")
+    values = []
+    for tok in fields[names:]:
+        try:
+            v = float(tok)
+        except ValueError:
+            raise FileFormatError(path, lineno, f"bad number {tok!r}") from None
+        if not math.isfinite(v):
+            raise FileFormatError(path, lineno, f"non-finite value {tok!r}")
+        values.append(v)
+    return values
 
 
 def _build(path, make, *args):
@@ -318,19 +334,18 @@ def _rotations(q):
                                f"from 1 by more than {QUAT_NORM_TOL:g}")
 
 
-def _poses(path, parsed, count=1) -> list[list[Pose]]:
-    """The poses of `_float_rows` rows whose numbers are `count` pose fields
-    (qw qx qy qz tx ty tz), one list per field. Every row is tested before any
-    pose is built; a row's fields are tested in order, the quaternion of each
-    before its rotation."""
-    values = np.array([row[-1] for row in parsed])
+def _poses(path, linenos, values, count=1) -> list[list[Pose]]:
+    """The poses of `_float_rows` numbers that are `count` pose fields
+    (qw qx qy qz tx ty tz) per row, one list per field. Every row is tested
+    before any pose is built; a row's fields are tested in order, the
+    quaternion of each before its rotation."""
     fields = [values[:, 7 * k:7 * k + 7] for k in range(count)]
     checks, rotations = [], []
     for v in fields:
         R, norm_check = _rotations(v[:, :4])
         checks += [norm_check, *_rotation_checks(R)]
         rotations.append(R)
-    _check_rows(path, [row[0] for row in parsed], checks)
+    _check_rows(path, linenos, checks)
     return [[_trusted_pose(R, t) for R, t in zip(Rs, v[:, 4:])]
             for Rs, v in zip(rotations, fields)]
 
@@ -345,8 +360,8 @@ def save_pose_list(path, poses, comment: str = "") -> None:
 
 
 def load_pose_list(path) -> list[Pose]:
-    rows = _Scanner(path, convention=True).rows
-    return _poses(path, _float_rows(path, rows, 7, "pose"))[0]
+    linenos, _, values = _float_rows(path, _Scanner(path, convention=True).rows, 7, "pose")
+    return _poses(path, linenos, values)[0]
 
 
 def save_point_list(path, points, comment: str = "") -> None:
@@ -356,7 +371,7 @@ def save_point_list(path, points, comment: str = "") -> None:
 
 
 def _points(path, rows) -> np.ndarray:
-    return np.array([v for _, v in _float_rows(path, rows, 3, "point")])
+    return _float_rows(path, rows, 3, "point")[2]
 
 
 def load_point_list(path) -> np.ndarray:
@@ -388,8 +403,8 @@ def save_views(path, views) -> None:
 def load_views(path) -> list[HandEyeView]:
     from .handeye import HandEyeView
 
-    rows = _Scanner(path, convention=True).rows
-    ee_poses, markers = _poses(path, _float_rows(path, rows, 14, "view"), 2)
+    linenos, _, values = _float_rows(path, _Scanner(path, convention=True).rows, 14, "view")
+    ee_poses, markers = _poses(path, linenos, values, 2)
     return [HandEyeView(ee, marker) for ee, marker in zip(ee_poses, markers)]
 
 
@@ -402,9 +417,8 @@ def save_correspondences(path, c: Correspondences) -> None:
 def load_correspondences(path) -> Correspondences:
     from .registration import Correspondences
 
-    rows = [v for _, v in _float_rows(path, _Scanner(path).rows, 6, "correspondence")]
-    return _build(path, Correspondences, np.array([r[:3] for r in rows]),
-                  np.array([r[3:] for r in rows]))
+    values = _float_rows(path, _Scanner(path).rows, 6, "correspondence")[2]
+    return _build(path, Correspondences, values[:, :3], values[:, 3:])
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +445,19 @@ def load_scene(path) -> SceneConfig:
     from .simulate import Camera, SceneConfig, SceneObject, Trajectory
 
     sc = _Scanner(path, convention=True, sections=_SCENE_SECTIONS)
-    rows = _float_rows(path, sc.section("cameras"), 7, "camera", names=1)
-    cameras = [Camera(name, pose) for (_, name, _), pose in zip(rows, _poses(path, rows)[0])]
-    rows = _float_rows(path, sc.section("objects"), 7, "object", names=2)
+    linenos, names, values = _float_rows(path, sc.section("cameras"), 7, "camera", names=1)
+    cameras = [Camera(name, pose)
+               for (name,), pose in zip(names, _poses(path, linenos, values)[0])]
+    linenos, names, values = _float_rows(path, sc.section("objects"), 7, "object", names=2)
     objects = [SceneObject(name, mesh_ref, pose)
-               for (_, name, mesh_ref, _), pose in zip(rows, _poses(path, rows)[0])]
+               for (name, mesh_ref), pose in zip(names, _poses(path, linenos, values)[0])]
     trajectories = []
     for sec_name, (_, rows) in sc.sections.items():
         traj_name = _SCENE_SECTIONS.fullmatch(sec_name).group(1)
         if traj_name is None:
             continue
-        poses = _poses(path, _float_rows(path, rows, 7, f"[{sec_name}] pose"))[0]
-        trajectories.append(Trajectory(traj_name, tuple(poses)))
+        linenos, _, values = _float_rows(path, rows, 7, f"[{sec_name}] pose")
+        trajectories.append(Trajectory(traj_name, tuple(_poses(path, linenos, values)[0])))
     return _build(path, SceneConfig, objects, cameras, trajectories)
 
 
@@ -469,16 +484,15 @@ def _box_columns(path, header, scored=False) -> tuple:
                               f"bad CSV header; expected {header!r}, got {first!r}")
     lead = int(scored)
     width = lead + 10
-    rows = _float_rows(path, lines[1:], width, "box", names=1, sep=",") if lines[1:] else []
-    values = np.array([row[-1] for row in rows]).reshape(len(rows), width)
+    linenos, names, values = (_float_rows(path, lines[1:], width, "box", names=1, sep=",")
+                              if lines[1:] else ([], [], np.empty((0, width))))
     half_extents = values[:, lead + 3:lead + 6]
     rotations, norm_check = _rotations(values[:, lead + 6:])
-    _check_rows(path, [row[0] for row in rows],
-                [norm_check, _extent_check(half_extents),
-                 *_rotation_checks(rotations, "box rotation")])
+    _check_rows(path, linenos, [norm_check, _extent_check(half_extents),
+                                *_rotation_checks(rotations, "box rotation")])
     scores = (values[:, 0],) if scored else ()
-    return (tuple(row[1] for row in rows), *scores, values[:, lead:lead + 3], half_extents,
-            rotations)
+    return (tuple(row[0] for row in names), *scores, values[:, lead:lead + 3],
+            half_extents, rotations)
 
 
 def load_ground_truth_csv(path) -> tuple:

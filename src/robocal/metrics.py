@@ -16,15 +16,21 @@ each on the pairs the step before it left:
    half-spaces (Sutherland-Hodgman, on padded arrays of polygons), and the
    clipped faces, wound outward, bound the intersection, whose volume
    follows from the divergence theorem as a sum of signed tetrahedron
-   volumes.
+   volumes. The polygons start as the boxes' quads, 4 slots wide, and the
+   clip widens the arrays when a plane adds a vertex.
 
 `intersection_volume` and `iou3d` are the one-pair calls of this code, on
 `OrientedBox` values. `average_precision` works on the columns of a
-`DetectionSet` (categories, scores, centres, half extents, rotations): it
-picks each category's rows with a mask, orders its predictions by score and
-builds one IoU matrix per category from the stacked arrays, with no per-row
-box objects. `Detection` and `GroundTruthBox` are the row types the CSV
-writers take. Monte-Carlo estimation exists only as a test oracle.
+`DetectionSet` (categories, scores, centres, half extents, rotations),
+with no per-row box objects. It orders each category's predictions by
+score and takes the pairs whose bounding spheres overlap, category by
+category; the separating-axis test then runs once over the pairs of every
+category, and the clip over the survivors in consecutive blocks of
+_CLIP_BLOCK pairs, which bounds its memory whatever the size of the set.
+Each category's IoU matrix is filled from its share of the pairs and
+scored by one greedy matcher. `Detection` and `GroundTruthBox` are the row
+types the CSV writers take. Monte-Carlo estimation exists only as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -56,9 +62,11 @@ _FACES = np.array([
 ])
 
 _CLIP_EPS = 1e-12
-# A quad clipped by 6 planes, each adding at most one vertex to a convex
-# polygon; the clip widens its arrays if rounding ever adds more.
-_POLYGON_WIDTH = 10
+# Pairs per _clip_volumes call. A call's arrays peak at ~15 KB per pair, so
+# blocks keep average_precision's memory bounded on any set; 64 pairs cost no
+# more than one category's clip on the iou-pooled sets, and make the fixed
+# cost of a call small next to its work.
+_CLIP_BLOCK = 64
 # Slack of the separating-axis test, added to |R| entries and, relative to
 # the pair's size, to the projected radii: far above rounding, and covering
 # rotations that are orthonormal only to within _ORTHO_TOL.
@@ -180,21 +188,21 @@ def _clip_step(poly, count, normal, offset):
     inside = valid & (dist <= _CLIP_EPS)
     crossing = valid & (((dq > _CLIP_EPS) & inside)
                         | ((dq < -_CLIP_EPS) & (dist > _CLIP_EPS)))
-    # each edge emits its crossing point (slot 0), then p if inside (slot 1)
-    out = np.stack([p, p], axis=2)
-    m, k = np.nonzero(crossing)
-    s = dq[m, k] / (dq[m, k] - dist[m, k])
-    qm = q[m, k]
-    out[m, k, 0] = qm + s[:, None] * (p[m, k] - qm)
+    # each edge emits its crossing point, then p if inside; place[r, k] holds
+    # the slots of the two in the clipped polygon
     emit = np.stack([crossing, inside], axis=2).reshape(len(rows), 2 * width)
-    new_count = emit.sum(axis=1)
+    place = np.cumsum(emit, axis=1).reshape(len(rows), width, 2) - 1
+    new_count = place[:, -1, 1] + 1
     if len(rows) and new_count.max() > width:
         poly = np.concatenate([poly, np.zeros((len(poly), new_count.max() - width, 3))],
                               axis=1)
-    m, k = np.nonzero(emit)
-    position = np.arange(len(m)) - np.repeat(np.cumsum(new_count) - new_count, new_count)
     clipped = np.zeros((len(rows),) + poly.shape[1:])
-    clipped[m, position] = out.reshape(len(rows), 2 * width, 3)[m, k]
+    m, k = np.nonzero(inside)
+    clipped[m, place[m, k, 1]] = p[m, k]
+    m, k = np.nonzero(crossing)
+    s = dq[m, k] / (dq[m, k] - dist[m, k])
+    qm = q[m, k]
+    clipped[m, place[m, k, 0]] = qm + s[:, None] * (p[m, k] - qm)
     poly[rows] = clipped
     count[rows] = new_count
     return poly
@@ -218,32 +226,24 @@ def _clip_volumes(ca, ha, Ra, cb, hb, Rb) -> np.ndarray:
     # 12 polygons per pair: a's faces, clipped to b, then b's, clipped to a
     faces = np.concatenate([_corners(zero, ha, Ra)[:, _FACES],
                             _corners(cb, hb, Rb)[:, _FACES]], axis=1)
-    poly = np.zeros((n * 12, _POLYGON_WIDTH, 3))
-    poly[:, :4] = faces.reshape(-1, 4, 3)
+    poly = faces.reshape(-1, 4, 3)
     count = np.full(n * 12, 4)
-    clip_normals = np.stack([normals_b, normals_a], axis=1).repeat(6, axis=1)
-    clip_offsets = np.stack([offsets_b, offsets_a], axis=1).repeat(6, axis=1)
-    clip_normals, clip_offsets = clip_normals.reshape(-1, 6, 3), clip_offsets.reshape(-1, 6)
     for k in range(6):
-        poly = _clip_step(poly, count, clip_normals[:, k], clip_offsets[:, k])
+        # a's faces meet b's k-th plane, b's faces a's
+        normal = np.stack([normals_b[:, k], normals_a[:, k]], axis=1).repeat(6, axis=1)
+        offset = np.stack([offsets_b[:, k], offsets_a[:, k]], axis=1).repeat(6, axis=1)
+        poly = _clip_step(poly, count, normal.reshape(-1, 3), offset.reshape(-1))
     width = poly.shape[1]
     poly, count = poly.reshape(n, 12, width, 3), count.reshape(n, 12)
-
-    pair, face = np.nonzero(count[:, 6:])
-    verts = poly[pair, 6 + face]
-    gap = np.abs(verts @ np.swapaxes(normals_a[pair], 1, 2) - offsets_a[pair, None])
-    valid = np.arange(width) < count[pair, 6 + face, None]
-    on_plane = np.all((gap <= _CLIP_EPS) | ~valid[..., None], axis=1)
-    same_normal = np.einsum("kij,kj->ki", normals_a[pair], normals_b[pair, face]) > 0.0
-    shared = np.any(on_plane & same_normal, axis=1)
-    count[pair[shared], 6 + face[shared]] = 0
+    # a function of its own, so that its arrays are freed before the sums
+    count[_covered_faces(poly, count, normals_a, offsets_a, normals_b)] = 0
 
     # sequential sums, so that a pair's rounding depends neither on the
     # padding nor on the other pairs
     valid = (np.arange(width) < count[..., None]).reshape(n, 12 * width)
-    total = np.cumsum(np.where(valid[..., None], poly.reshape(n, 12 * width, 3), 0.0),
-                      axis=1)
-    centre = total[:, -1] / np.maximum(valid.sum(axis=1), 1)[:, None]
+    centre = (np.cumsum(np.where(valid[..., None], poly.reshape(n, 12 * width, 3), 0.0),
+                        axis=1)[:, -1]
+              / np.maximum(valid.sum(axis=1), 1)[:, None])
     d = poly - centre[:, None, None]
     tets = np.sum(d[:, :, :1] * np.cross(d[:, :, 1:-1], d[:, :, 2:]), axis=3)
     fan = np.arange(1, width - 1) < count[..., None] - 1
@@ -252,39 +252,58 @@ def _clip_volumes(ca, ha, Ra, cb, hb, Rb) -> np.ndarray:
     return np.where(volume > 0.0, volume, 0.0)  # flat contact can round below 0
 
 
-def _overlaps(a, b):
-    """Exact intersection volumes of the pairs of the stacked boxes a x b
-    that pass both rejection tests: (a index, b index, volume), plus the
-    number of sphere-passing pairs that the separating-axis test rejected."""
+def _covered_faces(poly, count, normals_a, offsets_a, normals_b):
+    """(pair, face) indices of the clipped faces of b, poly[:, 6:] in
+    _clip_volumes, that lie in a face plane of a with the same outward
+    normal."""
+    pair, face = np.nonzero(count[:, 6:])
+    gap = np.abs(poly[pair, 6 + face] @ np.swapaxes(normals_a[pair], 1, 2)
+                 - offsets_a[pair, None])
+    valid = np.arange(poly.shape[2]) < count[pair, 6 + face, None]
+    on_plane = np.all((gap <= _CLIP_EPS) | ~valid[..., None], axis=1)
+    same_normal = np.einsum("kij,kj->ki", normals_a[pair], normals_b[pair, face]) > 0.0
+    shared = np.any(on_plane & same_normal, axis=1)
+    return pair[shared], 6 + face[shared]
+
+
+def _pair_overlaps(a, b, i, j):
+    """The pairs (a[i[k]], b[j[k]]) of the stacked boxes a and b, whose
+    bounding spheres overlap, through the separating-axis test and the clip:
+    (mask of the pairs that no axis separates, and each pair's exact
+    intersection volume and IoU, 0 for a separated pair). The clip runs on
+    _CLIP_BLOCK pairs at a time; a pair's volume does not depend on the
+    others of its block."""
     (ca, ha, Ra), (cb, hb, Rb) = a, b
-    i, j = np.nonzero(_spheres_overlap(ca, ha, cb, hb))
     kept = _axes_overlap(ca[i], ha[i], Ra[i], cb[j], hb[j], Rb[j])
-    i, j = i[kept], j[kept]
-    return i, j, _clip_volumes(ca[i], ha[i], Ra[i], cb[j], hb[j], Rb[j]), int(np.sum(~kept))
-
-
-def _iou_matrix(a, b) -> tuple[np.ndarray, int, int]:
-    """(IoU of every pair of the stacked boxes a x b, pairs the separating-axis
-    test rejected, pairs clipped)."""
-    i, j, inter, separated = _overlaps(a, b)
+    inter = np.zeros(len(kept))
+    clipped = np.flatnonzero(kept)
+    for start in range(0, len(clipped), _CLIP_BLOCK):
+        block = clipped[start:start + _CLIP_BLOCK]
+        k, m = i[block], j[block]
+        inter[block] = _clip_volumes(ca[k], ha[k], Ra[k], cb[m], hb[m], Rb[m])
     # as OrientedBox.volume()
-    va, vb = 8.0 * np.prod(a[1][i], axis=1), 8.0 * np.prod(b[1][j], axis=1)
+    va, vb = 8.0 * np.prod(ha[i], axis=1), 8.0 * np.prod(hb[j], axis=1)
     # the rounded clip volume can exceed a box's own
-    inter = np.minimum(inter, np.minimum(va, vb))
-    iou = np.zeros((len(a[0]), len(b[0])))
-    iou[i, j] = np.where(inter > 0.0, inter / (va + vb - inter), 0.0)
-    return iou, separated, len(i)
+    clamped = np.minimum(inter, np.minimum(va, vb))
+    return kept, inter, np.where(clamped > 0.0, clamped / (va + vb - clamped), 0.0)
+
+
+def _one_pair(a: OrientedBox, b: OrientedBox) -> tuple[float, float]:
+    """(intersection volume, IoU) of two boxes, by the path of many pairs."""
+    a, b = _stack([a]), _stack([b])
+    i, j = np.nonzero(_spheres_overlap(a[0], a[1], b[0], b[1]))
+    _, inter, iou = _pair_overlaps(a, b, i, j)
+    return (float(inter[0]), float(iou[0])) if len(i) else (0.0, 0.0)
 
 
 def intersection_volume(a: OrientedBox, b: OrientedBox) -> float:
     """Exact intersection volume of two oriented boxes, mm^3."""
-    volume = _overlaps(_stack([a]), _stack([b]))[2]
-    return float(volume[0]) if len(volume) else 0.0
+    return _one_pair(a, b)[0]
 
 
 def iou3d(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection over union of two oriented 3D boxes, in [0, 1]."""
-    return float(_iou_matrix(_stack([a]), _stack([b]))[0][0, 0])
+    return _one_pair(a, b)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +362,19 @@ class APResult:
         self.pairs_clipped = pairs_clipped
 
 
-def _category_ap(predictions, ground_truth, iou_threshold) -> tuple[float, int, int]:
-    """(AP, pairs separated, pairs clipped) of one category, from its stacked
-    predicted boxes in score order and its stacked ground-truth boxes."""
-    n_pred, n_gt = len(predictions[0]), len(ground_truth[0])
-    if not n_pred:
-        return 0.0, 0, 0
-    iou, separated, clipped = _iou_matrix(predictions, ground_truth)
-    # greedy: each prediction, by score, takes the unmatched ground truth of
-    # highest IoU (the first of equals) if that IoU reaches the threshold
+def _greedy_ap(similarity, threshold) -> float:
+    """AP of one category from its similarity matrix: one row per prediction,
+    in score order, one column per ground-truth box (at least one). Each
+    prediction, in row order, takes the unmatched ground truth of highest
+    similarity (the first of equals) if that similarity reaches `threshold`;
+    any similarity and threshold do, IoU among them."""
+    n_pred, n_gt = similarity.shape
     matched = np.zeros(n_gt, dtype=bool)
     tp = np.zeros(n_pred)
-    for rank, row in enumerate(iou):
-        row = np.where(matched, -1.0, row)
+    for rank, row in enumerate(similarity):
+        row = np.where(matched, -np.inf, row)
         j = int(np.argmax(row))
-        if row[j] >= iou_threshold:
+        if row[j] >= threshold:
             matched[j] = True
             tp[rank] = 1.0
     tp_cum = np.cumsum(tp)
@@ -370,7 +387,15 @@ def _category_ap(predictions, ground_truth, iou_threshold) -> tuple[float, int, 
     for r, p in zip(recall, envelope):
         ap += (r - prev_r) * p
         prev_r = r
-    return float(ap), separated, clipped
+    return float(ap)
+
+
+def _rows_by_category(categories) -> dict[str, list[int]]:
+    """The row indices of each category, in row order."""
+    rows: dict[str, list[int]] = {}
+    for k, category in enumerate(categories):
+        rows.setdefault(category, []).append(k)
+    return rows
 
 
 def average_precision(detections: DetectionSet, iou_threshold: float) -> APResult:
@@ -378,34 +403,52 @@ def average_precision(detections: DetectionSet, iou_threshold: float) -> APResul
 
     A prediction matches at most one ground-truth box of its category and
     only when their IoU reaches the threshold; predictions of equal score
-    are taken in row order. Categories with predictions but no ground truth
-    have undefined AP: they are excluded from the mean and listed in the
-    result. The result also counts the prediction/ground truth pairs of each
-    category, the pairs whose bounding spheres overlap but that a separating
-    axis rejected, and the pairs whose exact intersection volume was computed.
+    are taken in row order. Each category's (predictions x ground truth)
+    IoU matrix goes to `_greedy_ap`, which matches on any similarity matrix
+    and threshold. Categories with predictions but no ground truth have
+    undefined AP: they are excluded from the mean and listed in the result.
+    Ground truth without a single box is a ValidationError, since no AP is
+    defined then. The result also counts the prediction/ground truth pairs
+    of each category, the pairs whose bounding spheres overlap but that a
+    separating axis rejected, and the pairs whose exact intersection volume
+    was computed.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValidationError(f"IoU threshold must be in (0, 1), got {iou_threshold}")
     pred_categories, scores, *pred_boxes = detections.predictions
     gt_categories, *gt_boxes = detections.ground_truth
+    if not len(gt_categories):
+        raise ValidationError("the ground truth holds no box, so no category has an AP")
+    pred_rows, gt_rows = _rows_by_category(pred_categories), _rows_by_category(gt_categories)
+    categories = sorted(gt_rows)
 
-    per_category = {}
-    compared = separated = clipped = 0
-    for cat in sorted(set(gt_categories)):
-        gt = np.array([c == cat for c in gt_categories])
-        pred = np.flatnonzero([c == cat for c in pred_categories])
+    # the sphere test within each category, on its predictions by score;
+    # the other two steps run once, on the pairs of every category
+    (pred_centres, pred_half, _), (gt_centres, gt_half, _) = pred_boxes, gt_boxes
+    local, i, j = [], [], []
+    for cat in categories:
+        pred = np.array(pred_rows.get(cat, []), dtype=np.intp)
         pred = pred[np.argsort(-scores[pred], kind="stable")]
-        per_category[cat], n_separated, n_clipped = _category_ap(
-            [column[pred] for column in pred_boxes], [column[gt] for column in gt_boxes],
-            iou_threshold)
-        compared += len(pred) * int(gt.sum())
-        separated += n_separated
-        clipped += n_clipped
-    undefined = sorted(set(pred_categories) - set(gt_categories))
-    mean = float(np.mean(list(per_category.values()))) if per_category else 0.0
-    return APResult(per_category=per_category, mean_ap=mean,
-                    undefined_categories=undefined, pairs_compared=compared,
-                    pairs_separated=separated, pairs_clipped=clipped)
+        gt = np.array(gt_rows[cat], dtype=np.intp)
+        pi, pj = np.nonzero(_spheres_overlap(pred_centres[pred], pred_half[pred],
+                                             gt_centres[gt], gt_half[gt]))
+        local.append(((len(pred), len(gt)), pi, pj))
+        i.append(pred[pi])
+        j.append(gt[pj])
+    kept, _, iou = _pair_overlaps(pred_boxes, gt_boxes, np.concatenate(i), np.concatenate(j))
+
+    per_category, start = {}, 0
+    for cat, (shape, pi, pj) in zip(categories, local):
+        similarity = np.zeros(shape)
+        similarity[pi, pj] = iou[start:start + len(pi)]
+        per_category[cat] = _greedy_ap(similarity, iou_threshold)
+        start += len(pi)
+    return APResult(per_category=per_category,
+                    mean_ap=float(np.mean(list(per_category.values()))),
+                    undefined_categories=sorted(set(pred_rows) - set(gt_rows)),
+                    pairs_compared=sum(rows * cols for (rows, cols), _, _ in local),
+                    pairs_separated=int(np.count_nonzero(~kept)),
+                    pairs_clipped=int(np.count_nonzero(kept)))
 
 
 def pointwise_rmse(points, gt: Pose, est: Pose) -> float:

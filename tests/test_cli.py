@@ -283,6 +283,22 @@ def test_eval_iou_report(tmp_path, capsys):
                                   *[f"{cat},{ap!r}" for cat, ap in per_category.items()]]
 
 
+def test_eval_iou_header_only_ground_truth_exits_1(tmp_path, capsys):
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    gt_path.write_text(fileio.GT_HEADER + "\n")
+    box = OrientedBox([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], np.eye(3))
+    fileio.save_predictions_csv(pred_path, [Detection("cup", box, 0.9)])
+    out = tmp_path / "ap.csv"
+    argv = ["eval-iou", str(gt_path), str(pred_path), "--threshold", "0.5",
+            "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the ground truth holds no box, so no category "
+                            "has an AP\n")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.csv", "pred.csv"]
+
+
 def test_pivot_calib_report_header(tmp_path, capsys):
     poses = synthesize_pivot_poses(np.array([17.0, -2.0, 55.0]),
                                    np.array([400.0, 80.0, 120.0]), 20, make_rng(4),

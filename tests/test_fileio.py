@@ -584,3 +584,73 @@ def test_unit_quaternion_decodes_as_written(reader, tmp_path):
     for q, got in zip(quaternions, _decoded(reader, quaternions, tmp_path), strict=True):
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
         assert bits(got) == bits(quat_to_matrix(q))
+
+
+# The numbers of a reader's rows are parsed by numpy in one call, which
+# takes each field as float() does; a file at fault is read again row by row.
+
+
+@pytest.mark.parametrize("sep, fields", [
+    (",", ["1_0", "１", " 1.5", "١٢", "+.5 ", "1e-400"]),
+    (None, ["1_0", "１", "1.5", "١٢", "+.5", "1e-400"]),
+], ids=["csv", "whitespace"])
+def test_numbers_parse_as_float_parses_them(sep, fields):
+    line = (sep or " ").join(fields)
+    _, _, values = fileio._float_rows("f.txt", [(3, line), (4, line)], len(fields), "x",
+                                      sep=sep)
+    expected = [float(tok) for tok in fields]
+    assert bits(values) == bits(np.array([expected, expected]))
+    assert values.tolist()[0] == fileio._numbers("f.txt", 3, line.split(sep), 0,
+                                                 len(fields), "x")
+
+
+def test_box_csv_reads_unusual_digits_as_float_does(tmp_path):
+    path = tmp_path / "pred.csv"
+    path.write_text(fileio.PRED_HEADER + "\ncup,0.5,1_0,１, 1.5,4.0,4.0,4.0,1.0,0.0,0.0,0.0\n")
+    assert fileio.load_predictions_csv(path)[2].tolist() == [[10.0, 1.0, 1.5]]
+
+
+def _edited_rows(reader, edits, tmp_path):
+    """A reader's file of four good rows, with edits[k](line) applied to row
+    k: (load, path)."""
+    load, path = _load_rows(reader, [Row()] * 4, tmp_path)
+    lines = path.read_text().splitlines()
+    first = ROW_READERS[reader][2] - 1
+    for k, edit in edits.items():
+        lines[first + k] = edit(lines[first + k])
+    path.write_text("\n".join(lines) + "\n")
+    return load, path
+
+
+def _sep(reader):
+    return "," if reader in _BOX_READERS else " "
+
+
+def _last_field(value, reader):
+    sep = _sep(reader)
+    return lambda line: line.rsplit(sep, 1)[0] + sep + value
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+def test_non_finite_number_is_refused_at_its_line(reader, value, tmp_path):
+    load, path = _edited_rows(reader, {2: _last_field(value, reader)}, tmp_path)
+    with pytest.raises(FileFormatError) as raised:
+        load(path)
+    line = ROW_READERS[reader][2] + 2
+    assert str(raised.value) == f"{path}:{line}: non-finite value {value!r}"
+
+
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+def test_first_fault_wins_whether_bad_number_or_field_count(reader, tmp_path):
+    sep, first = _sep(reader), ROW_READERS[reader][2]
+    bad_number, extra_field = _last_field("1.0x", reader), lambda line: line + sep + "7"
+    load, path = _edited_rows(reader, {1: bad_number, 3: extra_field}, tmp_path)
+    with pytest.raises(FileFormatError) as raised:
+        load(path)
+    assert str(raised.value) == f"{path}:{first + 1}: bad number '1.0x'"
+    load, path = _edited_rows(reader, {1: extra_field, 3: bad_number}, tmp_path)
+    with pytest.raises(FileFormatError) as raised:
+        load(path)
+    assert str(raised.value).startswith(f"{path}:{first + 1}: ")
+    assert "row needs" in str(raised.value) and "fields, got" in str(raised.value)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,17 @@ def clip_volumes(pairs):
 
 def clip_volume(a, b):
     return float(clip_volumes([(a, b)])[0])
+
+
+def iou_matrix(a_boxes, b_boxes):
+    """(IoU of every pair of boxes a x b, pairs the separating-axis test
+    rejected, pairs clipped), by the pair path of average_precision."""
+    a, b = metrics._stack(a_boxes), metrics._stack(b_boxes)
+    i, j = np.nonzero(metrics._spheres_overlap(a[0], a[1], b[0], b[1]))
+    kept, _, iou = metrics._pair_overlaps(a, b, i, j)
+    matrix = np.zeros((len(a_boxes), len(b_boxes)))
+    matrix[i, j] = iou
+    return matrix, int(np.sum(~kept)), int(np.sum(kept))
 
 
 class TestIou3d:
@@ -157,8 +170,7 @@ class TestSphereRejection:
         far = OrientedBox([3.5, 0, 0], [1.0, 1, 1], np.eye(3))
         # 0.5 mm apart; the spheres overlap, the y axis separates the boxes
         apart = OrientedBox([0.0, 2.5, 0], [1.0, 1, 1], np.eye(3))
-        iou, separated, clipped = metrics._iou_matrix(metrics._stack([a]),
-                                                      metrics._stack([near, far, apart]))
+        iou, separated, clipped = iou_matrix([a], [near, far, apart])
         assert tested == [1.5, 0.0]
         assert (separated, clipped) == (1, 1)
         assert iou[0, 0] == pytest.approx(1.0 / 7.0, abs=1e-12)  # 2 / (8 + 8 - 2)
@@ -253,7 +265,7 @@ def test_volume_does_not_depend_on_the_batch():
     assert np.array_equal([clip_volume(a, b) for a, b in pairs], together)
     # one IoU matrix equals the one-pair calls, bit for bit
     a_boxes, b_boxes = [a for a, _ in pairs[:8]], [b for _, b in pairs[:8]]
-    matrix = metrics._iou_matrix(metrics._stack(a_boxes), metrics._stack(b_boxes))[0]
+    matrix = iou_matrix(a_boxes, b_boxes)[0]
     assert np.array_equal(matrix, [[iou3d(a, b) for b in b_boxes] for a in a_boxes])
 
 
@@ -513,6 +525,13 @@ class TestAveragePrecision:
         with pytest.raises(ValidationError):
             average_precision(detection_set([], []), 1.5)
 
+    def test_ground_truth_without_a_box_is_refused(self):
+        # every category's AP would be undefined; the mean used to read 0.0
+        preds, _ = pooled_rows(make_rng(33))
+        for predictions in (preds, []):
+            with pytest.raises(ValidationError, match="ground truth holds no box"):
+                average_precision(detection_set(predictions, []), 0.5)
+
     @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
     def test_matches_row_reference(self, threshold):
         preds, gts = pooled_rows(make_rng(23))
@@ -568,6 +587,289 @@ class TestAveragePrecision:
         assert result.per_category == reference.per_category
         assert result.mean_ap == reference.mean_ap
         assert any(0.0 < ap < 1.0 for ap in result.per_category.values())
+
+
+# ---------------------------------------------------------------------------
+# The per-category path that average_precision replaced, kept whole as a
+# bit-for-bit oracle: one sphere test, separating-axis test and clip per
+# category, on polygons padded to 10 slots, with the clip step that wrote
+# each clipped polygon through a (polygons, width, 2, 3) array of candidate
+# vertices. It shares only _half_spaces and _corners with the program.
+
+
+def oracle_clip_step(poly, count, normal, offset):
+    eps = metrics._CLIP_EPS
+    rows = np.flatnonzero(count)
+    p, c = poly[rows], count[rows]
+    nx, ny, nz = normal[rows].T
+    dist = (nx[:, None] * p[..., 0] + ny[:, None] * p[..., 1] + nz[:, None] * p[..., 2]
+            - offset[rows, None])
+    width = poly.shape[1]
+    slot = np.arange(width)
+    valid = slot < c[:, None]
+    n_out = np.sum(valid & (dist > eps), axis=1)
+    count[rows[n_out == c]] = 0
+    cut = (n_out > 0) & (n_out < c)
+    rows, p, c, dist, valid = rows[cut], p[cut], c[cut], dist[cut], valid[cut]
+    # the edge into vertex k starts at q = vertex k - 1, or the last vertex
+    last = (np.arange(len(rows)), c - 1)
+    dq = np.concatenate([dist[last][:, None], dist[:, :-1]], axis=1)
+    q = np.concatenate([p[last][:, None], p[:, :-1]], axis=1)
+    inside = valid & (dist <= eps)
+    crossing = valid & (((dq > eps) & inside)
+                        | ((dq < -eps) & (dist > eps)))
+    # each edge emits its crossing point (slot 0), then p if inside (slot 1)
+    out = np.stack([p, p], axis=2)
+    m, k = np.nonzero(crossing)
+    s = dq[m, k] / (dq[m, k] - dist[m, k])
+    qm = q[m, k]
+    out[m, k, 0] = qm + s[:, None] * (p[m, k] - qm)
+    emit = np.stack([crossing, inside], axis=2).reshape(len(rows), 2 * width)
+    new_count = emit.sum(axis=1)
+    if len(rows) and new_count.max() > width:
+        poly = np.concatenate([poly, np.zeros((len(poly), new_count.max() - width, 3))],
+                              axis=1)
+    m, k = np.nonzero(emit)
+    position = np.arange(len(m)) - np.repeat(np.cumsum(new_count) - new_count, new_count)
+    clipped = np.zeros((len(rows),) + poly.shape[1:])
+    clipped[m, position] = out.reshape(len(rows), 2 * width, 3)[m, k]
+    poly[rows] = clipped
+    count[rows] = new_count
+    return poly
+
+
+def oracle_spheres_overlap(ca, ha, cb, hb):
+    reach = np.linalg.norm(ha, axis=1)[:, None] + np.linalg.norm(hb, axis=1)
+    return np.linalg.norm(ca[:, None] - cb, axis=2) < reach
+
+
+def oracle_axes_overlap(ca, ha, Ra, cb, hb, Rb):
+    slack_unit = metrics._AXIS_SLACK
+    C = np.swapaxes(Ra, 1, 2) @ Rb
+    t = (np.swapaxes(Ra, 1, 2) @ (cb - ca)[:, :, None])[:, :, 0]
+    A = np.abs(C) + slack_unit
+    slack = slack_unit * (np.linalg.norm(ha, axis=1) + np.linalg.norm(hb, axis=1))[:, None]
+    apart = np.any(np.abs(t) > ha + (A @ hb[:, :, None])[:, :, 0] + slack, axis=1)
+    tb = (np.swapaxes(C, 1, 2) @ t[:, :, None])[:, :, 0]
+    ra = (np.swapaxes(A, 1, 2) @ ha[:, :, None])[:, :, 0]
+    apart |= np.any(np.abs(tb) > hb + ra + slack, axis=1)
+    j1, j2 = [1, 2, 0], [2, 0, 1]
+    for i, i1, i2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        along = np.abs(t[:, i2, None] * C[:, i1] - t[:, i1, None] * C[:, i2])
+        ra = ha[:, i1, None] * A[:, i2] + ha[:, i2, None] * A[:, i1]
+        rb = hb[:, j1] * A[:, i, j2] + hb[:, j2] * A[:, i, j1]
+        apart |= np.any(along > ra + rb + slack, axis=1)
+    return ~apart
+
+
+def oracle_clip_volumes(ca, ha, Ra, cb, hb, Rb):
+    eps, n = metrics._CLIP_EPS, len(ca)
+    zero, cb = np.zeros_like(ca), cb - ca
+    normals_a, offsets_a = metrics._half_spaces(zero, ha, Ra)
+    normals_b, offsets_b = metrics._half_spaces(cb, hb, Rb)
+    faces = np.concatenate([metrics._corners(zero, ha, Ra)[:, metrics._FACES],
+                            metrics._corners(cb, hb, Rb)[:, metrics._FACES]], axis=1)
+    poly = np.zeros((n * 12, 10, 3))
+    poly[:, :4] = faces.reshape(-1, 4, 3)
+    count = np.full(n * 12, 4)
+    clip_normals = np.stack([normals_b, normals_a], axis=1).repeat(6, axis=1)
+    clip_offsets = np.stack([offsets_b, offsets_a], axis=1).repeat(6, axis=1)
+    clip_normals, clip_offsets = clip_normals.reshape(-1, 6, 3), clip_offsets.reshape(-1, 6)
+    for k in range(6):
+        poly = oracle_clip_step(poly, count, clip_normals[:, k], clip_offsets[:, k])
+    width = poly.shape[1]
+    poly, count = poly.reshape(n, 12, width, 3), count.reshape(n, 12)
+    pair, face = np.nonzero(count[:, 6:])
+    verts = poly[pair, 6 + face]
+    gap = np.abs(verts @ np.swapaxes(normals_a[pair], 1, 2) - offsets_a[pair, None])
+    valid = np.arange(width) < count[pair, 6 + face, None]
+    on_plane = np.all((gap <= eps) | ~valid[..., None], axis=1)
+    same_normal = np.einsum("kij,kj->ki", normals_a[pair], normals_b[pair, face]) > 0.0
+    shared = np.any(on_plane & same_normal, axis=1)
+    count[pair[shared], 6 + face[shared]] = 0
+    valid = (np.arange(width) < count[..., None]).reshape(n, 12 * width)
+    total = np.cumsum(np.where(valid[..., None], poly.reshape(n, 12 * width, 3), 0.0),
+                      axis=1)
+    centre = total[:, -1] / np.maximum(valid.sum(axis=1), 1)[:, None]
+    d = poly - centre[:, None, None]
+    tets = np.sum(d[:, :, :1] * np.cross(d[:, :, 1:-1], d[:, :, 2:]), axis=3)
+    fan = np.arange(1, width - 1) < count[..., None] - 1
+    tets = np.where(fan, tets, 0.0).reshape(n, 12 * (width - 2))
+    volume = np.cumsum(tets, axis=1)[:, -1] / 6.0
+    return np.where(volume > 0.0, volume, 0.0)
+
+
+def oracle_iou_matrix(a, b):
+    (ca, ha, Ra), (cb, hb, Rb) = a, b
+    i, j = np.nonzero(oracle_spheres_overlap(ca, ha, cb, hb))
+    kept = oracle_axes_overlap(ca[i], ha[i], Ra[i], cb[j], hb[j], Rb[j])
+    i, j = i[kept], j[kept]
+    inter = oracle_clip_volumes(ca[i], ha[i], Ra[i], cb[j], hb[j], Rb[j])
+    va, vb = 8.0 * np.prod(ha[i], axis=1), 8.0 * np.prod(hb[j], axis=1)
+    inter = np.minimum(inter, np.minimum(va, vb))
+    iou = np.zeros((len(ca), len(cb)))
+    iou[i, j] = np.where(inter > 0.0, inter / (va + vb - inter), 0.0)
+    return iou, int(np.sum(~kept)), len(i)
+
+
+def oracle_category_ap(predictions, ground_truth, iou_threshold):
+    n_pred, n_gt = len(predictions[0]), len(ground_truth[0])
+    if not n_pred:
+        return 0.0, 0, 0
+    iou, separated, clipped = oracle_iou_matrix(predictions, ground_truth)
+    matched = np.zeros(n_gt, dtype=bool)
+    tp = np.zeros(n_pred)
+    for rank, row in enumerate(iou):
+        row = np.where(matched, -1.0, row)
+        j = int(np.argmax(row))
+        if row[j] >= iou_threshold:
+            matched[j] = True
+            tp[rank] = 1.0
+    tp_cum = np.cumsum(tp)
+    recall = tp_cum / n_gt
+    precision = tp_cum / np.arange(1, n_pred + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    prev_r = 0.0
+    ap = 0.0
+    for r, p in zip(recall, envelope):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return float(ap), separated, clipped
+
+
+def oracle_average_precision(detections, iou_threshold):
+    """(per_category, mean_ap, pairs compared, separated, clipped)."""
+    pred_categories, scores, *pred_boxes = detections.predictions
+    gt_categories, *gt_boxes = detections.ground_truth
+    per_category = {}
+    compared = separated = clipped = 0
+    for cat in sorted(set(gt_categories)):
+        gt = np.array([c == cat for c in gt_categories])
+        pred = np.flatnonzero([c == cat for c in pred_categories])
+        pred = pred[np.argsort(-scores[pred], kind="stable")]
+        per_category[cat], n_separated, n_clipped = oracle_category_ap(
+            [column[pred] for column in pred_boxes], [column[gt] for column in gt_boxes],
+            iou_threshold)
+        compared += len(pred) * int(gt.sum())
+        separated += n_separated
+        clipped += n_clipped
+    mean = float(np.mean(list(per_category.values()))) if per_category else 0.0
+    return per_category, mean, compared, separated, clipped
+
+
+def result_bits(result):
+    """An APResult's AP values as hex, and its pair counts."""
+    return ({cat: ap.hex() for cat, ap in result.per_category.items()},
+            result.mean_ap.hex(), result.pairs_compared, result.pairs_separated,
+            result.pairs_clipped)
+
+
+def oracle_bits(detections, threshold):
+    per_category, mean, *counts = oracle_average_precision(detections, threshold)
+    return ({cat: ap.hex() for cat, ap in per_category.items()}, mean.hex(), *counts)
+
+
+def crowded_rows(rng, n_gt, n_pred, spread):
+    """(predictions, ground truth) of one category whose boxes crowd a cube
+    of half side `spread` mm, so that most pairs overlap."""
+    gts = [GroundTruthBox("cup", random_box(rng, center_spread=spread))
+           for _ in range(n_gt)]
+    preds = [Detection("cup", random_box(rng, center_spread=spread), rng.uniform(0.0, 1.0))
+             for _ in range(n_pred)]
+    return preds, gts
+
+
+class TestMatchesPerCategoryOracle:
+    @pytest.mark.parametrize("seed", [23, 26, 27, 28])
+    @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
+    def test_pooled_sets(self, seed, threshold):
+        detections = detection_set(*pooled_rows(make_rng(seed)))
+        result = average_precision(detections, threshold)
+        assert result_bits(result) == oracle_bits(detections, threshold)
+        assert result.pairs_clipped > 0
+
+    @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
+    def test_ties_and_unmatched_categories(self, threshold):
+        preds, gts = pooled_rows(make_rng(29))
+        # scores of one decimal: many ties within a category
+        preds = [Detection(p.category, p.box, round(p.score, 1)) for p in preds]
+        # teapot has ground truth and no predictions; "knife" the reverse
+        preds = [p for p in preds if p.category != "teapot"]
+        preds += [Detection("knife", p.box, p.score) for p in preds[:5]]
+        detections = detection_set(preds, gts)
+        result = average_precision(detections, threshold)
+        assert result_bits(result) == oracle_bits(detections, threshold)
+        assert result.per_category["teapot"] == 0.0
+        assert result.undefined_categories == ["knife"]
+
+    def test_empty_prediction_file(self, tmp_path):
+        paths = _write_csvs(tmp_path, [], pooled_rows(make_rng(30))[1])
+        detections = fileio.load_detection_set(*paths)
+        assert len(detections.predictions[0]) == 0
+        result = average_precision(detections, 0.5)
+        assert result_bits(result) == oracle_bits(detections, 0.5)
+        assert result.mean_ap == 0.0 and result.pairs_compared == 0
+
+    def test_clipped_pairs_fill_three_blocks_and_more(self):
+        block = metrics._CLIP_BLOCK
+        preds, gts = crowded_rows(make_rng(31), 16, 16, 12.0)
+        detections = detection_set(preds, gts)
+        result = average_precision(detections, 0.25)
+        assert 3 * block < result.pairs_clipped < 4 * block
+        assert result_bits(result) == oracle_bits(detections, 0.25)
+
+    def test_blocked_volumes_equal_one_clip_call(self):
+        preds, gts = crowded_rows(make_rng(31), 16, 16, 12.0)
+        a, b = metrics._stack([p.box for p in preds]), metrics._stack([g.box for g in gts])
+        i, j = np.nonzero(metrics._spheres_overlap(a[0], a[1], b[0], b[1]))
+        kept, blocked, _ = metrics._pair_overlaps(a, b, i, j)
+        i, j = i[kept], j[kept]
+        assert 3 * metrics._CLIP_BLOCK < len(i) < 4 * metrics._CLIP_BLOCK
+        whole = metrics._clip_volumes(*(column[i] for column in a),
+                                      *(column[j] for column in b))
+        assert np.array_equal(blocked[kept], whole)
+        assert not blocked[~kept].any()
+        assert np.count_nonzero(whole) > 3 * metrics._CLIP_BLOCK
+
+
+def tracemalloc_peak(fn, *args):
+    """Peak of the memory that fn(*args) allocates, bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    # 32 x 32 boxes in a 15 mm cube: about 14 blocks of overlapping pairs
+    @pytest.fixture(scope="class")
+    def crowded(self):
+        preds, gts = crowded_rows(make_rng(32), 32, 32, 15.0)
+        pairs = [(p.box, g.box) for p in preds for g in gts]
+        overlapping = np.flatnonzero(clip_volumes(pairs) > 0.0)[:metrics._CLIP_BLOCK]
+        return detection_set(preds, gts), [pairs[k] for k in overlapping]
+
+    # the AP's peak is within this multiple of one block's clip
+    PEAK_BLOCKS = 3.0
+
+    def bound(self, block_pairs):
+        a = metrics._stack([pair[0] for pair in block_pairs])
+        b = metrics._stack([pair[1] for pair in block_pairs])
+        return self.PEAK_BLOCKS * tracemalloc_peak(metrics._clip_volumes, *a, *b)
+
+    def test_peak_stays_within_a_few_blocks(self, crowded):
+        detections, block_pairs = crowded
+        result = average_precision(detections, 0.5)
+        assert result.pairs_clipped >= 4 * metrics._CLIP_BLOCK
+        assert tracemalloc_peak(average_precision, detections, 0.5) < self.bound(block_pairs)
+
+    def test_all_pairs_in_one_clip_exceed_the_bound(self, crowded, monkeypatch):
+        detections, block_pairs = crowded
+        bound = self.bound(block_pairs)
+        monkeypatch.setattr(metrics, "_CLIP_BLOCK", 10 ** 9)
+        assert tracemalloc_peak(average_precision, detections, 0.5) > bound
 
 
 class TestPointwiseRmse:
