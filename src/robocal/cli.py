@@ -181,6 +181,8 @@ def _cmd_annotate(args) -> int:
              "correspondences_file": args.correspondences_file,
              "icp_params": args.icp_params},
             [args.points_file, args.mesh_file, args.correspondences_file])
+        manifest.counts.update(icp_iterations=result.iterations,
+                               icp_stop_reason=result.stop_reason)
         manifest.write_sidecar(args.out)
         print(f"pose written to {args.out}")
     return 0

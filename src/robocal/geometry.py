@@ -27,6 +27,12 @@ _ORTHO_TOL = 1e-6
 _COLLINEAR_RCOND = 1e-9
 
 
+def _is_whole(value) -> bool:
+    """Whether `value` is a whole number: an integer, but not a bool, which
+    Python counts as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _as_vec3(v, name="vector"):
     arr = np.array(v, dtype=float)
     if arr.shape != (3,):
@@ -230,11 +236,16 @@ def absolute_orientation(model_points, measured_points) -> tuple[Pose, float]:
 
 def axis_angle(axis, angle_deg: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis by an angle in degrees."""
-    ax = _as_unit_vec3(axis, "axis")
+    return _rodrigues(_as_unit_vec3(axis, "axis"), angle_deg)
+
+
+def _rodrigues(axis: np.ndarray, angle_deg: float) -> np.ndarray:
+    """`axis_angle` about an axis the caller knows to be a finite unit 3-vector."""
+    x, y, z = axis.tolist()
     theta = np.radians(angle_deg)
-    K = np.array([[0.0, -ax[2], ax[1]],
-                  [ax[2], 0.0, -ax[0]],
-                  [-ax[1], ax[0], 0.0]])
+    K = np.array([[0.0, -z, y],
+                  [z, 0.0, -x],
+                  [-y, x, 0.0]])
     return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
@@ -314,7 +325,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     platform, which is what makes simulation reports byte-stable. A seed
     must be a whole number >= 0 (ValidationError if not).
     """
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (_is_whole(seed) and seed >= 0):
         raise ValidationError(f"seed must be a whole number >= 0, got {seed!r}")
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))

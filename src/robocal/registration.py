@@ -29,18 +29,27 @@ driver advances any number of runs against one surface in lockstep and
 answers each round's pending matches with one `SpatialIndex.query`:
 `icp_refine` is that driver over one run, and `recovery_benchmark` refines
 all trials of a mesh together.
+
+A round holds little arithmetic: in the recovery study, 25 points per run
+and about a thousand (point, triangle) pairs in all. Its time goes to numpy
+calls, each of which costs about a microsecond however small its arrays, so
+the loop is written to make few of them: the closest-point pass gathers all
+it reads about its triangles in one `take` and works on whole rows, the
+candidate search fills one (points x triangles) array in place, and an ICP
+run carries its pose as a rotation and a translation array. Poses are
+validated where they enter, at the API (`Pose(...)`), and not inside the
+loop, which builds one unchecked Pose per run, at its end.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (Pose, _Frozen, _set_fields, _trusted_pose, absolute_orientation,
-                       apply, axis_angle, compose, invert, random_unit_vector,
+from .geometry import (Pose, _Frozen, _is_whole, _rodrigues, _set_fields, _trusted_pose,
+                       absolute_orientation, axis_angle, random_unit_vector,
                        rotation_distance)
 from .mesh import Mesh, blade, chamfered_box, cup, drop_degenerate_triangles, sample_surface
 
@@ -104,13 +113,17 @@ class SpatialIndex:
         self.points = corners.mean(axis=1)  # centroids
         self.radii = np.linalg.norm(corners - self.points[:, None], axis=2).max(axis=1)
         self.corners = corners
-        self._ab = corners[:, 1] - corners[:, 0]
-        self._ac = corners[:, 2] - corners[:, 0]
-        normal = np.cross(self._ab, self._ac)
+        ab = corners[:, 1] - corners[:, 0]
+        ac = corners[:, 2] - corners[:, 0]
+        normal = np.cross(ab, ac)
         self.normals = normal / np.linalg.norm(normal, axis=1, keepdims=True)
-        self._aa = _dot(self._ab, self._ab)
-        self._bc = _dot(self._ab, self._ac)
-        self._cc = _dot(self._ac, self._ac)
+        # what `_closest` reads, one row per quantity and one column per
+        # triangle, so that it gathers once and works on whole rows: the corner
+        # a, the edges ab and ac, and the Gram entries ab.ab, ab.ac, ac.ac
+        self._face_rows = np.vstack([corners[:, 0].T, ab.T, ac.T, _dot(ab, ab),
+                                     _dot(ab, ac), _dot(ac, ac)])
+        # the centroid and unit normal rows that `_candidates` gathers
+        self._plane_rows = np.vstack([self.points.T, self.normals.T])
         self._sq_norms = _dot(self.points, self.points)
         self._extent = float(np.sqrt(self._sq_norms.max()))
 
@@ -122,18 +135,20 @@ class SpatialIndex:
         The result is a + s ab + t ac, with (s, t) set region by region; the
         regions are applied in reverse test order so that earlier tests win.
         """
-        a, ab, ac = self.corners[tri, 0], self._ab[tri], self._ac[tri]
-        aa, bc, cc = self._aa[tri], self._bc[tri], self._cc[tri]
-        ap = p - a
-        d1, d2 = _dot(ab, ap), _dot(ac, ap)
+        rows = np.take(self._face_rows, tri, axis=1)
+        ax, ay, az, ux, uy, uz, vx, vy, vz, aa, bc, cc = rows
+        apx, apy, apz = p[:, 0] - ax, p[:, 1] - ay, p[:, 2] - az
+        d1 = ux * apx + uy * apy + uz * apz  # ab.ap, ab = (ux, uy, uz)
+        d2 = vx * apx + vy * apy + vz * apz  # ac.ap, ac = (vx, vy, vz)
         vb = cc * d1 - bc * d2  # unnormalised barycentric weights of b and c
         vc = aa * d2 - bc * d1
         va = (aa * cc - bc * bc) - vb - vc
         d3, d4, d5, d6 = d1 - aa, d2 - bc, d1 - bc, d2 - cc
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = vb / (va + vb + vc)
-            t = vc / (va + vb + vc)
-            w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+            area = va + vb + vc
+            s, t = vb / area, vc / area
+            e = d4 - d3
+            w = e / (e + (d5 - d6))
             regions = (  # (mask, s, t), last test first
                 (va <= 0.0) & (d4 >= d3) & (d5 >= d6), 1.0 - w, w,  # edge bc
                 (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0), 0.0, d2 / cc,  # edge ac
@@ -146,7 +161,11 @@ class SpatialIndex:
                 mask, rs, rt = regions[k:k + 3]
                 s = np.where(mask, rs, s)
                 t = np.where(mask, rt, t)
-        return a + s[:, None] * ab + t[:, None] * ac
+        near = np.empty((len(tri), 3))
+        near[:, 0] = ax + s * ux + t * vx
+        near[:, 1] = ay + s * uy + t * vy
+        near[:, 2] = az + s * uz + t * vz
+        return near
 
     def _candidates(self, p: np.ndarray, slack: float = 0.0):
         """Candidate (point, triangle) pairs of the points p, in (point,
@@ -163,12 +182,23 @@ class SpatialIndex:
         for lo in range(0, len(p), block):
             q = p[lo:lo + block]
             qq = _dot(q, q)
-            d2 = qq[:, None] - 2.0 * (q @ self.points.T) + self._sq_norms
-            centroid_dist = np.sqrt(np.maximum(d2, 0.0))
+            # qq - 2 q.x + x.x, then its square root, in one array: a fresh
+            # (points x triangles) temporary per step costs more than the step
+            dist = q @ self.points.T
+            dist *= 2.0
+            np.subtract(qq[:, None], dist, out=dist)
+            dist += self._sq_norms
+            np.maximum(dist, 0.0, out=dist)
+            centroid_dist = np.sqrt(dist, out=dist)
             # the matmul loses up to ~3e-8 * scale of the centroid distance
             bound = centroid_dist.min(axis=1) + 1e-7 * (np.sqrt(qq) + self._extent) + slack
-            r, c = np.nonzero(centroid_dist - self.radii <= bound[:, None])
-            keep = np.abs(_dot(q[r] - self.points[c], self.normals[c])) <= bound[r]
+            centroid_dist -= self.radii  # now the distance to each sphere
+            r, c = np.divmod(np.flatnonzero(centroid_dist <= bound[:, None]),
+                             len(self.points))
+            cx, cy, cz, nx, ny, nz = np.take(self._plane_rows, c, axis=1)
+            qr = q[r]
+            plane_dist = (qr[:, 0] - cx) * nx + (qr[:, 1] - cy) * ny + (qr[:, 2] - cz) * nz
+            keep = np.abs(plane_dist) <= bound[r]
             rows.append(r[keep] + lo)
             cols.append(c[keep])
         return np.concatenate(rows), np.concatenate(cols)
@@ -178,12 +208,14 @@ class SpatialIndex:
         pairs (r == i, c), given in (point, triangle) order, at least one per
         point: the exact closest point of every pair, in one pass, then per
         point the nearest pair, ties to the lowest id."""
-        near = self._closest(p[r], c)
-        gap = p[r] - near
+        pr = p[r]
+        near = self._closest(pr, c)
+        gap = pr - near
         d = np.sqrt(_dot(gap, gap))
-        nearest = np.minimum.reduceat(d, np.flatnonzero(np.diff(r, prepend=-1)))
+        starts = np.searchsorted(r, np.arange(len(p)))  # each point's first pair
+        nearest = np.minimum.reduceat(d, starts)
         hits = np.flatnonzero(d == nearest[r])
-        best = hits[np.diff(r[hits], prepend=-1) != 0]  # first hit: lowest id
+        best = hits[np.searchsorted(hits, starts)]  # first hit: lowest id
         return d[best], near[best], c[best]
 
     def query(self, queries, matches=None):
@@ -206,13 +238,10 @@ class SpatialIndex:
             if covered != len(p):
                 raise ValidationError(f"surface matches cover {covered} points, "
                                       f"the query has {len(p)}")
-            rows, cols, lo = [np.empty(0, np.int64)], [np.empty(0, np.int64)], 0
+            runs, lo = [], 0  # (first point, rows, cols) of each run's pairs
             for run in matches:
-                r, c = run.pairs(self, p[lo:lo + run.size])
-                rows.append(r + lo)
-                cols.append(c)
+                runs.append((lo, *run.pairs(self, p[lo:lo + run.size])))
                 lo += run.size
-            rows, cols = np.concatenate(rows), np.concatenate(cols)
         block = max(1, _QUERY_BLOCK // len(self.points))  # points per block
         # no points, no answers
         dist, closest, tri = [np.empty(0)], [np.empty((0, 3))], [np.empty(0, np.int64)]
@@ -220,14 +249,25 @@ class SpatialIndex:
             q = p[lo:lo + block]
             if matches is None:
                 r, c = self._candidates(q)
-            else:  # rows ascend, so the block's pairs are one slice
-                start, stop = np.searchsorted(rows, (lo, lo + block))
-                r, c = rows[start:stop] - lo, cols[start:stop]
+            else:
+                r, c = _block_pairs(runs, lo, lo + len(q))
             d, near, c = self._evaluate(q, r, c)
             dist.append(d)
             closest.append(near)
             tri.append(c)
         return np.concatenate(dist), np.concatenate(closest), np.concatenate(tri)
+
+
+def _block_pairs(runs, lo: int, hi: int):
+    """The pairs of query points lo..hi-1, rows counted from lo, out of runs
+    of (first point, rows, cols); a run's rows ascend, so its pairs in the
+    block are one slice, and no run's pairs are copied whole."""
+    rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for first, r, c in runs:
+        start, stop = np.searchsorted(r, (lo - first, hi - first))
+        rows.append(r[start:stop] + (first - lo))
+        cols.append(c[start:stop])
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 class SurfaceMatches:
@@ -278,30 +318,41 @@ class IcpParams(_Frozen):
         for name, value in values.items():
             if not value > 0:  # NaN fails too
                 raise ValidationError(f"IcpParams.{name} must be positive, got {value}")
-        if not isinstance(max_iterations, numbers.Integral):
+        if not _is_whole(max_iterations):
             raise ValidationError(f"IcpParams.max_iterations must be a whole number, "
                                   f"got {max_iterations!r}")
         _set_fields(self, **values)
 
 
 class IcpResult:
-    __slots__ = ("pose", "iterations", "converged", "rms_distance", "rms_history")
+    """The refined pose, the iterations run, and why the run stopped.
+
+    `stop_reason` is one of `tolerance` (a full step moved the
+    pose less than the thresholds), `tolerance_after_halving` (the step that
+    did had been halved after raising the rms: the run stalled rather than
+    settled), `max_iterations` or `too_few_matches` (fewer than 3 pairs within
+    max_correspondence_mm). `converged` is true for the first two.
+    """
+
+    __slots__ = ("pose", "iterations", "converged", "rms_distance", "rms_history",
+                 "stop_reason")
 
     def __init__(self, pose: Pose, iterations: int, converged: bool, rms_distance: float,
-                 rms_history: list[float] | None = None):
+                 rms_history: list[float] | None = None, stop_reason: str | None = None):
         self.pose = pose
         self.iterations = iterations
         self.converged = converged
         self.rms_distance = rms_distance  # final rms point-to-surface distance, mm
         self.rms_history = [] if rms_history is None else rms_history
+        self.stop_reason = stop_reason
 
 
-def _small_motion(x: np.ndarray) -> Pose:
-    """The rigid motion of a point-to-plane step x = [omega; v] (radians, mm)."""
-    angle = float(np.linalg.norm(x[:3]))
+def _small_rotation(omega: np.ndarray) -> np.ndarray:
+    """The rotation of a point-to-plane step's omega (radians)."""
+    angle = math.sqrt(omega.dot(omega))
     if angle == 0.0:
-        return _trusted_pose(np.eye(3), x[3:])
-    return _trusted_pose(axis_angle(x[:3] / angle, math.degrees(angle)), x[3:])
+        return np.eye(3)
+    return _rodrigues(omega / angle, math.degrees(angle))
 
 
 def icp_refine(measured_points, surface: SpatialIndex, initial: Pose,
@@ -319,7 +370,7 @@ def icp_refine(measured_points, surface: SpatialIndex, initial: Pose,
     that raises it is taken back and halved, so `rms_history` never rises.
     Stops when the pose delta drops below the thresholds or after
     max_iterations (then the result is returned with converged=False rather
-    than raising).
+    than raising); `stop_reason` says which.
     """
     measured = np.asarray(measured_points, dtype=float).reshape(-1, 3)
     if len(measured) < 3:
@@ -331,47 +382,67 @@ def _icp_steps(measured: np.ndarray, surface: SpatialIndex, initial: Pose,
                params: IcpParams):
     """The loop of `icp_refine` as a generator: it yields the model-frame
     points it needs matched, is sent back their (dist, closest, tri) from
-    `surface`, and returns its IcpResult."""
+    `surface`, and returns its IcpResult.
 
-    def match(pose):
-        local = apply(invert(pose), measured)
+    The pose is carried as its rotation R and translation t, and each of
+    `invert`, `compose`, `apply` and `pose_error` is written out on them with
+    the operands it would see, down to their memory layout (a transpose stays
+    a view), so the results keep their bits; one Pose is built at the end.
+    """
+    cap = params.max_correspondence_mm
+
+    def match(R, t):
+        local = measured @ R + -(R.T @ t)  # apply(invert(pose), measured)
         dist, closest, tri = yield local
-        rms = float(np.sqrt(np.mean(np.minimum(dist, params.max_correspondence_mm) ** 2)))
+        rms = float(np.sqrt(np.mean(np.minimum(dist, cap) ** 2)))
         return local, dist, closest, tri, rms
 
-    pose = initial
-    local, dist, closest, tri, rms = yield from match(pose)
+    R, t = initial.rotation, initial.translation
+    local, dist, closest, tri, rms = yield from match(R, t)
     rms_history: list[float] = []
-    converged = False
+    stop = "max_iterations"
     iterations = 0
     step = None
 
     for iterations in range(1, params.max_iterations + 1):
         if step is None:  # fresh matches: solve for the full step
-            keep = dist <= params.max_correspondence_mm
-            if keep.sum() < 3:
-                break  # trimmed away too much; report non-converged
+            keep = dist <= cap
+            if np.count_nonzero(keep) < 3:
+                stop = "too_few_matches"
+                break
             rms_history.append(rms)
+            halved = False
             l, q, n = local[keep], closest[keep], surface.normals[tri[keep]]
-            A = np.hstack([np.cross(l, n), n])
+            A = np.empty((len(l), 6))  # [l x n, n], the cross product as np.cross forms it
+            (l0, l1, l2), (n0, n1, n2) = l.T, n.T
+            A[:, 0] = l1 * n2 - l2 * n1
+            A[:, 1] = l2 * n0 - l0 * n2
+            A[:, 2] = l0 * n1 - l1 * n0
+            A[:, 3:] = n
             step, *_ = np.linalg.lstsq(A, -_dot(l - q, n), rcond=None)
-        trial = compose(pose, invert(_small_motion(step)))
-        dt, dr = pose_error(pose, trial)
-        if dt < params.tol_translation_mm and dr < params.tol_rotation_deg:
-            pose = trial
-            converged = True
+        # trial = compose(pose, invert(delta)), delta the small motion of step
+        Rd = _small_rotation(step[:3]).T
+        R_trial = R @ Rd
+        t_trial = R @ -(Rd @ step[3:]) + t
+        dt = t - t_trial  # pose_error(pose, trial)
+        if (math.sqrt(dt.dot(dt)) < params.tol_translation_mm
+                and rotation_distance(R, R_trial) < params.tol_rotation_deg):
+            R, t = R_trial, t_trial
+            stop = "tolerance_after_halving" if halved else "tolerance"
             break
-        matches = yield from match(trial)
+        matches = yield from match(R_trial, t_trial)
         if matches[-1] > rms:
             step = step / 2.0  # keep the matches, retry a shorter step
+            halved = True
             continue
-        pose, (local, dist, closest, tri, rms), step = trial, matches, None
+        R, t, (local, dist, closest, tri, rms), step = R_trial, t_trial, matches, None
 
+    converged = stop.startswith("tolerance")
     if converged:  # the last, accepted step moved the pose past its matches
-        dist = (yield from match(pose))[1]
-    return IcpResult(pose=pose, iterations=iterations, converged=converged,
+        dist = (yield from match(R, t))[1]
+    return IcpResult(pose=_trusted_pose(R, t), iterations=iterations, converged=converged,
                      rms_distance=float(np.sqrt(np.mean(dist ** 2))),
-                     rms_history=rms_history)
+                     rms_history=rms_history, stop_reason=stop)
 
 
 def _refine_in_lockstep(surface: SpatialIndex, runs, params: IcpParams) -> list[IcpResult]:
@@ -387,15 +458,18 @@ def _refine_in_lockstep(surface: SpatialIndex, runs, params: IcpParams) -> list[
     results: list[IcpResult] = [None] * len(runs)
     pending = [(k, next(step)) for k, step in enumerate(steps)]
     while pending:
-        answers = surface.query(np.concatenate([points for _, points in pending]),
-                                [caches[k] for k, _ in pending])
-        ends = np.cumsum([len(points) for _, points in pending])[:-1]
-        waiting = []
-        for (k, _), answer in zip(pending, zip(*(np.split(a, ends) for a in answers))):
+        dist, closest, tri = surface.query(
+            np.concatenate([points for _, points in pending]),
+            [caches[k] for k, _ in pending])
+        waiting, lo = [], 0
+        for k, points in pending:
+            hi = lo + len(points)
+            answer = dist[lo:hi], closest[lo:hi], tri[lo:hi]
             try:
                 waiting.append((k, steps[k].send(answer)))
             except StopIteration as done:
                 results[k] = done.value
+            lo = hi
         pending = waiting
     return results
 
@@ -449,13 +523,25 @@ class RecoveryReport:
 
 def _farthest_point_subset(points: np.ndarray, count: int,
                            rng: np.random.Generator) -> np.ndarray:
-    start = int(rng.integers(len(points)))
-    chosen = [start]
-    dist = np.linalg.norm(points - points[start], axis=1)
-    while len(chosen) < count:
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    """`count` of `points` by farthest-point selection from a random start:
+    each next pick is the point farthest from all picked so far, ties to the
+    lowest index. The distances are formed per coordinate column, in the
+    order `np.linalg.norm(axis=1)` sums them."""
+    x, y, z = points.T.copy()
+    chosen = [int(rng.integers(len(points)))]
+    dist = np.full(len(points), np.inf)
+    for _ in range(count - 1):
+        k = chosen[-1]
+        d = x - x[k]
+        d *= d
+        e = y - y[k]
+        e *= e
+        d += e
+        e = z - z[k]
+        e *= e
+        d += e
+        np.minimum(dist, np.sqrt(d, out=d), out=dist)
+        chosen.append(int(np.argmax(dist)))
     return points[chosen]
 
 
@@ -507,8 +593,7 @@ def recovery_benchmark(rng: np.random.Generator,
     if not (math.isfinite(patch_fraction) and patch_fraction > 0):
         raise ValidationError(f"patch fraction must be finite and positive, got "
                               f"{patch_fraction}")
-    if not (isinstance(perturbations_per_mesh, numbers.Integral)
-            and perturbations_per_mesh >= 1):
+    if not (_is_whole(perturbations_per_mesh) and perturbations_per_mesh >= 1):
         raise ValidationError(f"need a whole number >= 1 of perturbations per mesh, "
                               f"got {perturbations_per_mesh!r}")
     if meshes is None:

@@ -9,7 +9,7 @@ import pytest
 
 import robocal
 from robocal import cli, fileio
-from robocal.geometry import Pose, apply, make_rng, random_rotation
+from robocal.geometry import Pose, apply, axis_angle, compose, make_rng, random_rotation
 from robocal.handeye import MarkerBoard, default_board_points, synthesize_views
 from robocal.mesh import chamfered_box, sample_surface, save_obj
 from robocal.metrics import Detection, GroundTruthBox, OrientedBox
@@ -351,6 +351,28 @@ def test_eval_iou_sidecar_counts_pairs(tmp_path, capsys):
     embedded = json.loads(out.read_text().splitlines()[0][len("# manifest: "):])
     assert embedded == {k: v for k, v in sidecar.items()
                         if k not in ("counts", "timestamp")}
+
+
+def test_annotate_sidecar_records_iterations_and_stop_reason(tmp_path, monkeypatch, capsys):
+    truth = _write_command_inputs(tmp_path)
+    # keypoints picked 1.5 mm / 2 deg off, so that ICP has a way to go
+    off = compose(truth, Pose(axis_angle([0.0, 0.6, 0.8], 2.0), [1.5, 0.0, 0.0]))
+    vertices = chamfered_box().vertices[:6]
+    fileio.save_correspondences(tmp_path / "keypoints.txt",
+                                Correspondences(apply(off, vertices), vertices))
+    monkeypatch.chdir(tmp_path)
+    argv = COMMAND_ARGVS["annotate"] + ["--icp-params", "max_iterations=1"]
+    assert cli.main(argv) == 0
+    assert "icp: 1 iterations, converged=False, rms " in capsys.readouterr().out
+    sidecar = json.loads((tmp_path / "pose.txt.manifest.json").read_text())
+    assert sidecar["counts"] == {"icp_iterations": 1, "icp_stop_reason": "max_iterations"}
+    assert cli.main(COMMAND_ARGVS["annotate"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("icp: "))
+    iterations = int(line.split()[1])
+    sidecar = json.loads((tmp_path / "pose.txt.manifest.json").read_text())
+    assert sidecar["counts"]["icp_iterations"] == iterations > 1
+    assert sidecar["counts"]["icp_stop_reason"] in ("tolerance", "tolerance_after_halving")
+    assert "converged=True" in line
 
 
 def _write_command_inputs(tmp_path):

@@ -118,6 +118,20 @@ class TestAxisAngle:
         with pytest.raises(ValidationError):
             axis_angle([1.0, 1.0, 0.0], 10.0)
 
+    def test_same_bits_as_the_matrix_formula(self):
+        # the Rodrigues matrix as axis_angle formed it from the checked axis
+        # array, as the reference for its bits
+        rng = make_rng(17)
+        for _ in range(300):
+            ax = random_unit_vector(rng)
+            angle = float(rng.uniform(-360.0, 360.0))
+            theta = np.radians(angle)
+            K = np.array([[0.0, -ax[2], ax[1]],
+                          [ax[2], 0.0, -ax[0]],
+                          [-ax[1], ax[0], 0.0]])
+            want = np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+            assert axis_angle(ax, angle).tobytes() == want.tobytes()
+
 
 class TestRotationDistance:
     def test_zero_for_equal(self):
@@ -189,10 +203,11 @@ class TestRng:
         b = make_rng(1234, stream=1).standard_normal(32)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3", None, True, False])
     def test_seed_must_be_a_whole_number_not_below_zero(self, seed):
         # numpy's SeedSequence raises its own ValueError or TypeError for
-        # these, which the CLI would show as a traceback
+        # these, which the CLI would show as a traceback; a bool would pass as
+        # seed 1 or 0
         with pytest.raises(ValidationError, match="seed must be a whole number >= 0"):
             make_rng(seed)
 

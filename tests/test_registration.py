@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,14 +7,14 @@ import pytest
 
 import robocal.registration as registration
 from robocal.errors import DegenerateGeometryError, ValidationError
-from robocal.geometry import (Pose, apply, axis_angle, compose, invert, make_rng,
-                              random_rotation)
+from robocal.geometry import (Pose, _trusted_pose, apply, axis_angle, compose, invert,
+                              make_rng, random_rotation)
 from robocal.mesh import Mesh, blade, can, chamfered_box, cup, sample_surface
 from robocal.registration import (RECOVERY_MAX_ROTATION_DEG, RECOVERY_MAX_TRANSLATION_MM,
                                   RECOVERY_POINT_NOISE_MM, RECOVERY_POINTS,
                                   Correspondences, IcpParams, IcpResult, RecoveryCase,
                                   RecoveryReport, SpatialIndex, SurfaceMatches,
-                                  _SKIN_MM, _dot, _small_motion, absolute_orientation,
+                                  _SKIN_MM, _dot, absolute_orientation,
                                   icp_refine, initial_pose, pose_error,
                                   recovery_benchmark, random_pose_perturbation,
                                   sample_patch)
@@ -72,6 +74,66 @@ def _three_pass_query(self, queries):
         dist[lo:lo + block] = exact[np.arange(len(q)), tri[lo:lo + block]]
     return dist, self._closest(p, tri), tri
 
+
+def _reference_closest(self, p, tri):
+    """`SpatialIndex._closest` as it was written on (M, 3) rows, gathering each
+    per-triangle quantity apart, kept as the reference for its bits."""
+    corners = self.corners
+    ab_all, ac_all = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    a, ab, ac = corners[tri, 0], ab_all[tri], ac_all[tri]
+    aa = _dot(ab_all, ab_all)[tri]
+    bc = _dot(ab_all, ac_all)[tri]
+    cc = _dot(ac_all, ac_all)[tri]
+    ap = p - a
+    d1, d2 = _dot(ab, ap), _dot(ac, ap)
+    vb = cc * d1 - bc * d2
+    vc = aa * d2 - bc * d1
+    va = (aa * cc - bc * bc) - vb - vc
+    d3, d4, d5, d6 = d1 - aa, d2 - bc, d1 - bc, d2 - cc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = vb / (va + vb + vc)
+        t = vc / (va + vb + vc)
+        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        regions = (
+            (va <= 0.0) & (d4 >= d3) & (d5 >= d6), 1.0 - w, w,
+            (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0), 0.0, d2 / cc,
+            (d6 >= 0.0) & (d5 <= d6), 0.0, 1.0,
+            (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0), d1 / aa, 0.0,
+            (d3 >= 0.0) & (d4 <= d3), 1.0, 0.0,
+            (d1 <= 0.0) & (d2 <= 0.0), 0.0, 0.0,
+        )
+        for k in range(0, len(regions), 3):
+            mask, rs, rt = regions[k:k + 3]
+            s = np.where(mask, rs, s)
+            t = np.where(mask, rt, t)
+    return a + s[:, None] * ab + t[:, None] * ac
+
+
+def _reference_candidates(self, p, slack=0.0):
+    """`SpatialIndex._candidates` as it was written with a fresh array per
+    step, kept as the reference for its pairs."""
+    block = max(1, registration._QUERY_BLOCK // len(self.points))
+    rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo in range(0, len(p), block):
+        q = p[lo:lo + block]
+        qq = _dot(q, q)
+        d2 = qq[:, None] - 2.0 * (q @ self.points.T) + self._sq_norms
+        centroid_dist = np.sqrt(np.maximum(d2, 0.0))
+        bound = centroid_dist.min(axis=1) + 1e-7 * (np.sqrt(qq) + self._extent) + slack
+        r, c = np.nonzero(centroid_dist - self.radii <= bound[:, None])
+        keep = np.abs(_dot(q[r] - self.points[c], self.normals[c])) <= bound[r]
+        rows.append(r[keep] + lo)
+        cols.append(c[keep])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _small_motion(x):
+    """The rigid motion of a point-to-plane step x = [omega; v] (radians, mm),
+    as the per-run loop below formed it: a Pose, through `axis_angle`."""
+    angle = float(np.linalg.norm(x[:3]))
+    if angle == 0.0:
+        return _trusted_pose(np.eye(3), x[3:])
+    return _trusted_pose(axis_angle(x[:3] / angle, math.degrees(angle)), x[3:])
 
 
 def _reference_icp_refine(measured_points, surface, initial, params=IcpParams()):
@@ -148,6 +210,19 @@ def _reference_recovery(rng, meshes=None, perturbations_per_mesh=5, patch_fracti
         mean_translation_mm=float(np.mean([c.translation_error_mm for c in cases])),
         mean_rotation_deg=float(np.mean([c.rotation_error_deg for c in cases])),
     )
+
+
+def _reference_farthest_point_subset(points, count, rng):
+    """The farthest-point loop that `_farthest_point_subset` replaced, kept as
+    written as the reference for its bits: `np.linalg.norm` rows per pick."""
+    start = int(rng.integers(len(points)))
+    chosen = [start]
+    dist = np.linalg.norm(points - points[start], axis=1)
+    while len(chosen) < count:
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    return points[chosen]
 
 
 def _same_bits(got, want):
@@ -312,6 +387,22 @@ class TestSpatialIndex:
                     for got, expected in zip(answers, want, strict=True):
                         assert (got.dtype == expected.dtype
                                 and got.tobytes() == expected.tobytes())
+
+    @pytest.mark.parametrize("make_mesh", [chamfered_box, cup, blade, can])
+    def test_closest_and_candidates_same_bits_as_the_row_formulation(self, make_mesh):
+        rng = make_rng(30)
+        mesh = make_mesh()
+        index = SpatialIndex(mesh)
+        near = sample_surface(mesh, 400, rng) + rng.uniform(-2.0, 2.0, (400, 3))
+        points = np.vstack([near, rng.uniform(-150.0, 150.0, (100, 3)),
+                            index.corners[:, 0]])  # vertices: ties between triangles
+        tri = rng.integers(len(index.points), size=len(points))
+        got = index._closest(points, tri)
+        assert got.tobytes() == _reference_closest(index, points, tri).tobytes()
+        for slack in (0.0, 2.0 * _SKIN_MM):
+            for got, want in zip(index._candidates(points, slack),
+                                 _reference_candidates(index, points, slack), strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_empty_query(self):
         dist, closest, tri = SpatialIndex(blade()).query(np.empty((0, 3)))
@@ -573,9 +664,10 @@ class TestIcp:
         with pytest.raises(ValidationError, match=f"IcpParams.{name} must be positive"):
             IcpParams(**{name: value})
 
-    @pytest.mark.parametrize("value", [2.5, 3.0])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
     def test_max_iterations_must_be_a_whole_number(self, value):
-        # icp_refine counts iterations with range(), which a float fails with a TypeError
+        # icp_refine counts iterations with range(), which a float fails with
+        # a TypeError; a bool would run one iteration
         with pytest.raises(ValidationError,
                            match="IcpParams.max_iterations must be a whole number"):
             IcpParams(max_iterations=value)
@@ -628,6 +720,42 @@ class TestIcp:
             got = icp_refine(measured, surface, start, params)
             assert len(searches) > 2  # re-searched past the first match
             _same_bits(got, _reference_icp_refine(measured, surface, start, params))
+
+    def test_stop_reason_tolerance(self, box_surface):
+        _, surface = box_surface
+        initial = Pose(random_rotation(make_rng(6)), np.array([120.0, -30.0, 40.0]))
+        result = icp_refine(apply(initial, surface.points[:30]), surface, initial)
+        assert (result.stop_reason, result.converged) == ("tolerance", True)
+
+    def test_stop_reason_tolerance_after_halving(self, box_surface):
+        # the step that met the tolerance had been halved: the run stalled
+        mesh, surface = box_surface
+        rng = make_rng(18)
+        patch = sample_patch(mesh, 25, rng, 60.0)
+        measured = patch + rng.uniform(-0.2, 0.2, patch.shape)
+        result = icp_refine(measured, surface, random_pose_perturbation(rng, 2.0, 4.0))
+        assert (result.stop_reason, result.converged) == ("tolerance_after_halving", True)
+        assert result.iterations > len(result.rms_history)  # a retried step
+
+    def test_stop_reason_max_iterations(self, box_surface):
+        mesh, surface = box_surface
+        rng = make_rng(18)
+        patch = sample_patch(mesh, 25, rng, 60.0)
+        start = random_pose_perturbation(rng, 2.0, 4.0)
+        result = icp_refine(patch, surface, start, IcpParams(max_iterations=1))
+        assert (result.stop_reason, result.converged, result.iterations) == (
+            "max_iterations", False, 1)
+
+    def test_stop_reason_too_few_matches(self, box_surface):
+        # no measured point lies within the cap of the surface
+        mesh, surface = box_surface
+        patch = sample_patch(mesh, 25, make_rng(19), 60.0)
+        start = Pose(np.eye(3), [0.0, 0.0, 500.0])
+        result = icp_refine(patch, surface, start, IcpParams(max_correspondence_mm=10.0))
+        assert (result.stop_reason, result.converged, result.iterations) == (
+            "too_few_matches", False, 1)
+        assert result.rms_history == []
+        np.testing.assert_array_equal(result.pose.as_matrix(), start.as_matrix())
 
     def test_nan_measured_point_rejected(self, box_surface):
         mesh, surface = box_surface
@@ -716,6 +844,7 @@ def test_recovery_benchmark_one_evaluation_per_round(monkeypatch):
     ({"perturbations_per_mesh": -2}, "perturbation"),
     ({"perturbations_per_mesh": 2.5}, "perturbation"),
     ({"meshes": []}, "mesh"),
+    ({"perturbations_per_mesh": True}, "perturbation"),
 ])
 def test_recovery_benchmark_without_trials_rejected(kwargs, message):
     with pytest.raises(ValidationError, match=message):
@@ -736,3 +865,40 @@ def test_recovery_benchmark_builds_one_index_per_mesh(monkeypatch):
     assert len(report.cases) == 6
     assert built == [44, 192]  # one index per mesh, over its triangles
 
+
+
+@pytest.mark.parametrize("kind", ["scattered", "duplicates", "grid", "orderings"])
+def test_farthest_point_subset_same_bits_as_the_norm_loop(kind):
+    rng = make_rng(29)
+    for seed in range(100):
+        n = int(rng.integers(1, 2000))
+        count = int(rng.integers(1, 40))
+        if kind == "scattered":
+            points = rng.uniform(-100.0, 100.0, (n, 3))
+        elif kind == "duplicates":  # many copies of a few points
+            points = rng.uniform(-100.0, 100.0, (7, 3))[rng.integers(7, size=n)]
+        elif kind == "grid":  # small integers: exact distance ties at every pick
+            points = rng.integers(-3, 4, (n, 3)).astype(float)
+        else:
+            # the six orderings of each of a few vectors, and the start, which
+            # the generator draws first, on the diagonal: the orderings of one
+            # vector lie at one distance from it but for rounding, so the
+            # order in which the squares are summed picks the first point
+            base = rng.uniform(-100.0, 100.0, (n // 40 + 1, 3))
+            points = np.concatenate([base[:, order] for order in
+                                     itertools.permutations(range(3))])
+            points[int(make_rng(seed).integers(len(points)))] = rng.uniform(-100.0, 100.0)
+        got = registration._farthest_point_subset(points, count, make_rng(seed))
+        want = _reference_farthest_point_subset(points, count, make_rng(seed))
+        assert got.tobytes() == want.tobytes(), (kind, seed)
+
+
+@pytest.mark.parametrize("make_mesh", [chamfered_box, cup, blade])
+def test_sample_patch_same_bits_as_the_norm_loop(make_mesh, monkeypatch):
+    mesh = make_mesh()
+    got = [sample_patch(mesh, RECOVERY_POINTS, make_rng(seed), 60.0) for seed in range(20)]
+    monkeypatch.setattr(registration, "_farthest_point_subset",
+                        _reference_farthest_point_subset)
+    for seed, patch in enumerate(got):
+        want = sample_patch(mesh, RECOVERY_POINTS, make_rng(seed), 60.0)
+        assert patch.tobytes() == want.tobytes()
