@@ -324,6 +324,10 @@ class IcpParams(_Frozen):
         _set_fields(self, **values)
 
 
+# the values of IcpResult.stop_reason, the two converged ones first
+STOP_REASONS = ("tolerance", "tolerance_after_halving", "max_iterations", "too_few_matches")
+
+
 class IcpResult:
     """The refined pose, the iterations run, and why the run stopped.
 
@@ -497,17 +501,23 @@ def _fields_equal(a, b):
 
 
 class RecoveryCase:
+    """One recovery trial: its pose error, and its ICP run's iterations, stop
+    reason and final rms point-to-surface distance (see IcpResult)."""
+
     __slots__ = ("mesh_name", "translation_error_mm", "rotation_error_deg", "iterations",
-                 "converged")
+                 "converged", "stop_reason", "rms_distance")
     __eq__ = _fields_equal
 
     def __init__(self, mesh_name: str, translation_error_mm: float,
-                 rotation_error_deg: float, iterations: int, converged: bool):
+                 rotation_error_deg: float, iterations: int, converged: bool,
+                 stop_reason: str | None = None, rms_distance: float | None = None):
         self.mesh_name = mesh_name
         self.translation_error_mm = translation_error_mm
         self.rotation_error_deg = rotation_error_deg
         self.iterations = iterations
         self.converged = converged
+        self.stop_reason = stop_reason
+        self.rms_distance = rms_distance  # mm
 
 
 class RecoveryReport:
@@ -616,8 +626,9 @@ def recovery_benchmark(rng: np.random.Generator,
             runs.append((measured, start))
         for result in _refine_in_lockstep(surface, runs, IcpParams()):
             dt, dr = pose_error(Pose.identity(), result.pose)
-            cases.append(RecoveryCase(mesh.name, dt, dr,
-                                      result.iterations, result.converged))
+            cases.append(RecoveryCase(mesh.name, dt, dr, result.iterations,
+                                      result.converged, result.stop_reason,
+                                      result.rms_distance))
     return RecoveryReport(
         cases=cases,
         mean_translation_mm=float(np.mean([c.translation_error_mm for c in cases])),

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from robocal.handeye import MarkerBoard, default_board_points, synthesize_views
 from robocal.mesh import chamfered_box, sample_surface, save_obj
 from robocal.metrics import Detection, GroundTruthBox, OrientedBox
 from robocal.pivot import synthesize_pivot_poses
-from robocal.registration import Correspondences
+from robocal.registration import STOP_REASONS, Correspondences, recovery_benchmark
 from robocal.simulate import (Camera, SceneConfig, SceneObject, Trajectory,
                               generate_scene)
 from test_metrics import load_rows, reference_ap
@@ -149,6 +150,22 @@ def test_icp_params_nan_exits_1(entry, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: IcpParams.{entry.split('=')[0]} must be positive")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["annotate", "p.txt", "m.obj", "k.txt",
+      "--icp-params", "max_iterations=1,max_iterations=50"],
+     "error: repeated --icp-params key 'max_iterations'\n"),
+    (["simulate", "--template", "phocal-like", "--seed", "1", "--handeye-rmse", "rgbd=0.5",
+      "--handeye-rmse", "rgbd=0.9"],
+     "error: repeated --handeye-rmse camera 'rgbd'\n"),
+], ids=["icp-params", "handeye-rmse"])
+def test_repeated_key_exits_1_naming_it(argv, message, tmp_path, monkeypatch, capsys):
+    # the last value once won silently: 50 ICP iterations, a 0.9 mm target
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", message)
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "0"])
@@ -375,6 +392,28 @@ def test_annotate_sidecar_records_iterations_and_stop_reason(tmp_path, monkeypat
     assert "converged=True" in line
 
 
+def test_icp_bench_report_and_stop_reason_counts(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["icp-bench", "--seed", "1"]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["icp-bench", "--seed", "1", "--out", "icp.csv"]) == 0
+    assert capsys.readouterr().out == plain + "report written to icp.csv\n"
+    header, *rows = _report_lines(tmp_path / "icp.csv")
+    assert header == "mesh,dt_mm,dr_deg,iterations,stop_reason,rms_distance_mm"
+    cases = recovery_benchmark(make_rng(1)).cases
+    assert rows == [f"{c.mesh_name},{c.translation_error_mm!r},{c.rotation_error_deg!r},"
+                    f"{c.iterations},{c.stop_reason},{c.rms_distance!r}" for c in cases]
+    sidecar = json.loads((tmp_path / "icp.csv.manifest.json").read_text())
+    reasons = [c.stop_reason for c in cases]
+    assert sidecar["counts"] == {r: reasons.count(r) for r in STOP_REASONS}
+    assert sum(sidecar["counts"].values()) == 15
+    assert sidecar["parameters"] == {"seed": 1, "patch_fraction": 0.85}
+    line = (tmp_path / "icp.csv").read_text().splitlines()[0]
+    embedded = json.loads(line.removeprefix("# manifest: "))
+    assert embedded == {k: v for k, v in sidecar.items()
+                        if k not in ("counts", "timestamp")}
+
+
 def _write_command_inputs(tmp_path):
     """Small valid inputs for every command of COMMAND_ARGVS, written with the
     fileio writers; returns the object pose the annotate inputs were made from."""
@@ -429,12 +468,12 @@ COMMAND_ARGVS = {
 }
 
 
-def _run_fresh(script, arg, cwd):
-    """`script` with `arg` as its argument, in a fresh interpreter that imports
-    robocal from this checkout."""
+def _run_fresh(cwd, *args):
+    """`python *args` in `cwd`, in a fresh interpreter that imports robocal
+    from this checkout."""
     src = os.path.dirname(os.path.dirname(robocal.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-c", script, arg], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -454,7 +493,7 @@ def test_commands_without_kd_tree_do_not_import_scipy(tmp_path):
     truth = _write_command_inputs(tmp_path)
     argvs = [COMMAND_ARGVS[name] for name in ("pivot-calib", "handeye", "eval-iou",
                                               "simulate", "icp-bench", "annotate")]
-    run = _run_fresh(SCIPY_GUARD, json.dumps(argvs), tmp_path)
+    run = _run_fresh(tmp_path, "-c", SCIPY_GUARD, json.dumps(argvs))
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "sim" / "sim_report.csv").exists()
     refined = fileio.load_pose_list(tmp_path / "pose.txt")[0]
@@ -511,10 +550,79 @@ assert not loaded, f"{argv[0]} loaded modules it does not run: {loaded}"
 @pytest.mark.parametrize("command", sorted(IMPORT_FOOTPRINT))
 def test_command_loads_only_the_modules_it_runs(command, tmp_path):
     _write_command_inputs(tmp_path)
-    run = _run_fresh(FOOTPRINT_GUARD,
-                     json.dumps([COMMAND_ARGVS[command], IMPORT_FOOTPRINT[command]]),
-                     tmp_path)
+    run = _run_fresh(tmp_path, "-c", FOOTPRINT_GUARD,
+                     json.dumps([COMMAND_ARGVS[command], IMPORT_FOOTPRINT[command]]))
     assert run.returncode == 0, run.stderr
+
+
+# COMMAND_ARGVS, and runs that leave through argparse or an error line:
+# argparse's --help exit (0), a validation error (1), a numerical one (2)
+PROCESS_ARGVS = {
+    **COMMAND_ARGVS,
+    "--help": ["--help"],
+    "unknown-flag": ["icp-bench", "--bogus"],
+    "repeated-key": [*COMMAND_ARGVS["annotate"], "--icp-params",
+                     "max_iterations=1,max_iterations=50"],
+    "degenerate": ["pivot-calib", "degenerate.txt"],
+}
+
+
+def _main_in_process(argv, capsys):
+    """(exit code, stdout, stderr) of `cli.main(argv)` in this process."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's --version and --help
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_ARGVS))
+def test_process_exits_as_main_returns(name, tmp_path, monkeypatch, capsys):
+    # `python -m robocal.cli` ends through cli.run, which freezes the heap
+    # before the exit: the same code, stdout and stderr as main in process
+    _write_command_inputs(tmp_path)
+    fileio.save_pose_list(tmp_path / "degenerate.txt",
+                          [Pose(random_rotation(make_rng(1)), [10.0, 20.0, 30.0])] * 3)
+    monkeypatch.chdir(tmp_path)
+    argv = PROCESS_ARGVS[name]
+    expected = _main_in_process(argv, capsys)
+    assert expected[0] == {"unknown-flag": 1, "repeated-key": 1, "degenerate": 2}.get(name, 0)
+    run = _run_fresh(tmp_path, "-m", "robocal.cli", *argv)
+    assert (run.returncode, run.stdout, run.stderr) == expected
+
+
+# Registered in a child that runs robocal.cli as __main__: the heap is frozen
+# by the time the interpreter runs its exit hooks.
+FREEZE_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+runpy.run_module("robocal.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("name", ["--version", "pivot-calib", "degenerate"])
+def test_command_process_exits_with_the_heap_frozen(name, tmp_path):
+    _write_command_inputs(tmp_path)
+    fileio.save_pose_list(tmp_path / "degenerate.txt",
+                          [Pose(random_rotation(make_rng(1)), [10.0, 20.0, 30.0])] * 3)
+    run = _run_fresh(tmp_path, "-c", FREEZE_AT_EXIT, *PROCESS_ARGVS[name])
+    assert run.returncode == (2 if name == "degenerate" else 0), run.stderr
+    assert run.stdout.endswith("frozen at exit: True\n")
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, monkeypatch, capsys):
+    _write_command_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = gc.get_freeze_count()
+    for argv in COMMAND_ARGVS.values():
+        _main_in_process(argv, capsys)
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_process_entry_point():
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as f:
+        assert 'robocal = "robocal.cli:run"\n' in f.read()
 
 
 @pytest.mark.parametrize("command", ["simulate", "gen-scene"])

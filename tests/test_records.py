@@ -96,7 +96,8 @@ def test_noise_spec_default_targets_are_the_papers():
 class TestRecoveryValueEquality:
     def _case(self, **changes):
         fields = dict(mesh_name="cup", translation_error_mm=0.1, rotation_error_deg=0.2,
-                      iterations=7, converged=True)
+                      iterations=7, converged=True, stop_reason="tolerance",
+                      rms_distance=0.05)
         return RecoveryCase(**{**fields, **changes})
 
     def test_cases_equal_by_value(self):
@@ -104,7 +105,8 @@ class TestRecoveryValueEquality:
         assert [self._case()] == [self._case()]
         for change in ({"mesh_name": "box"}, {"translation_error_mm": 0.3},
                        {"rotation_error_deg": 0.4}, {"iterations": 8},
-                       {"converged": False}):
+                       {"converged": False}, {"stop_reason": "max_iterations"},
+                       {"rms_distance": 0.06}):
             assert self._case() != self._case(**change)
 
     def test_reports_equal_by_value(self):
