@@ -14,18 +14,19 @@ writes the source of its generated methods and `exec`s it on every import,
 bytecode cache or not, and `import dataclasses` costs a millisecond more.
 
 A command's time, e.g. `annotate` of a small box on a 2-vCPU Xeon (Python
-3.11, numpy 2.4), ~130 ms in all: ~37 ms interpreter start and site (a bare
-`python -c pass`), ~65 ms `import numpy`, ~30 ms compiling the robocal modules
-it runs when no bytecode cache is written, ~5-25 ms of work, then the exit.
-Finalization runs full cyclic collections over the ~22k tracked objects that
-numpy and the command left, ~17 ms, although the OS is about to reclaim the
-memory anyway. So `run()`, the process entry point, freezes the heap (`gc.freeze`,
-which moves every object out of the collector's reach) after `main()`; the exit
-then takes ~5 ms, and atexit hooks, the flushes of stdout and stderr and the
-exit code are as before. `gc.disable()` does not help, since finalization
-collects regardless, and `os._exit` would skip the flushes and the hooks.
-`main(argv)`, the in-process API that tests and the benchmark's traced runs
-call many times over, never freezes: that would pin their objects for good.
+3.11, numpy 2.4): ~37 ms interpreter start and site (a bare `python -c
+pass`), ~65 ms `import numpy`, ~30 ms compiling the robocal modules it runs
+when no bytecode cache is written, ~5-20 ms of work, then the exit. Left to
+itself, finalization runs full cyclic collections over the ~22k tracked
+objects that numpy and the command leave, and the exit takes ~17-22 ms,
+although the OS is about to reclaim the memory anyway. So `run()`, the
+process entry point, freezes the heap after `main()` (`gc.freeze` moves every
+object out of the collector's reach), and the exit takes ~5 ms; atexit hooks,
+the flushes of stdout and stderr and the exit code are as before.
+`gc.disable()` does not help, since finalization collects regardless, and
+`os._exit` would skip the flushes and the hooks. `main(argv)`, the in-process
+API that tests and the benchmark's traced runs call many times over, never
+freezes: that would pin their objects for good.
 """
 
 from __future__ import annotations

@@ -510,7 +510,7 @@ class RecoveryCase:
 
     def __init__(self, mesh_name: str, translation_error_mm: float,
                  rotation_error_deg: float, iterations: int, converged: bool,
-                 stop_reason: str | None = None, rms_distance: float | None = None):
+                 stop_reason: str, rms_distance: float):
         self.mesh_name = mesh_name
         self.translation_error_mm = translation_error_mm
         self.rotation_error_deg = rotation_error_deg

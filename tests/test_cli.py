@@ -567,6 +567,14 @@ PROCESS_ARGVS = {
 }
 
 
+def _write_process_inputs(tmp_path):
+    """The inputs of PROCESS_ARGVS: COMMAND_ARGVS's and a pose set without
+    rotation diversity."""
+    _write_command_inputs(tmp_path)
+    fileio.save_pose_list(tmp_path / "degenerate.txt",
+                          [Pose(random_rotation(make_rng(1)), [10.0, 20.0, 30.0])] * 3)
+
+
 def _main_in_process(argv, capsys):
     """(exit code, stdout, stderr) of `cli.main(argv)` in this process."""
     try:
@@ -580,9 +588,7 @@ def _main_in_process(argv, capsys):
 def test_process_exits_as_main_returns(name, tmp_path, monkeypatch, capsys):
     # `python -m robocal.cli` ends through cli.run, which freezes the heap
     # before the exit: the same code, stdout and stderr as main in process
-    _write_command_inputs(tmp_path)
-    fileio.save_pose_list(tmp_path / "degenerate.txt",
-                          [Pose(random_rotation(make_rng(1)), [10.0, 20.0, 30.0])] * 3)
+    _write_process_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     argv = PROCESS_ARGVS[name]
     expected = _main_in_process(argv, capsys)
@@ -602,9 +608,7 @@ runpy.run_module("robocal.cli", run_name="__main__")
 
 @pytest.mark.parametrize("name", ["--version", "pivot-calib", "degenerate"])
 def test_command_process_exits_with_the_heap_frozen(name, tmp_path):
-    _write_command_inputs(tmp_path)
-    fileio.save_pose_list(tmp_path / "degenerate.txt",
-                          [Pose(random_rotation(make_rng(1)), [10.0, 20.0, 30.0])] * 3)
+    _write_process_inputs(tmp_path)
     run = _run_fresh(tmp_path, "-c", FREEZE_AT_EXIT, *PROCESS_ARGVS[name])
     assert run.returncode == (2 if name == "degenerate" else 0), run.stderr
     assert run.stdout.endswith("frozen at exit: True\n")

@@ -186,7 +186,7 @@ def _reference_icp_refine(measured_points, surface, initial, params=IcpParams())
 
 def _stop_reason_alone(measured, surface, start):
     """The stop reason of one ICP run, its every match answered by a plain
-    `surface.query`: no lockstep driver and no SurfaceMatches."""
+    `surface.query`: no lockstep and no SurfaceMatches."""
     steps = _icp_steps(measured, surface, start, IcpParams())
     points = next(steps)
     try:
