@@ -35,6 +35,7 @@ import argparse
 import gc
 import os
 import sys
+import warnings
 
 from . import __version__
 from .errors import RobocalError, ValidationError
@@ -301,8 +302,10 @@ def _cmd_eval_iou(args) -> int:
     from . import fileio
     from .metrics import average_precision
 
-    detections = fileio.load_detection_set(args.gt_file, args.pred_file)
-    result = average_precision(detections, args.threshold)
+    # predictions first: when both files are bad, the predictions' fault is reported
+    predictions = fileio.load_predictions_csv(args.pred_file)
+    ground_truth = fileio.load_ground_truth_csv(args.gt_file)
+    result = average_precision(predictions, ground_truth, args.threshold)
     for cat, ap in result.per_category.items():
         print(f"  {cat:<12} AP@{args.threshold:.2f} = {ap:.4f}")
     if result.undefined_categories:
@@ -411,17 +414,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as one `warning: <message>` line on stderr, in place of
+    Python's file:line: Category format and the source line after it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RobocalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # the warnings raised while the command runs are shown as the CLI's own
+    # lines; the block also resets which warnings count as already shown, so
+    # a second main() in one process warns again
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except RobocalError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def run() -> None:

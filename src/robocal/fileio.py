@@ -505,13 +505,6 @@ def load_predictions_csv(path) -> tuple:
     return _box_columns(path, PRED_HEADER, scored=True)
 
 
-def load_detection_set(gt_path, pred_path) -> DetectionSet:
-    from .metrics import DetectionSet
-
-    return DetectionSet(predictions=load_predictions_csv(pred_path),
-                        ground_truth=load_ground_truth_csv(gt_path))
-
-
 def _box_row(category, box: OrientedBox, *lead) -> str:
     return _row((*lead, *box.center, *box.half_extents, *matrix_to_quat(box.rotation)),
                 [_check_field(category, ",")], ",")

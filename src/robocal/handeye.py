@@ -20,6 +20,11 @@ DEFAULT_RIGIDITY_TOL_MM = 1.0
 # per-view rotations farther than this from the pooled fit get flagged
 ROTATION_OUTLIER_DEG = 5.0
 
+# the marker board's measurement grid: columns, rows and their spacing
+BOARD_COLS = 4
+BOARD_ROWS = 3
+BOARD_SPACING_MM = 40.0
+
 
 class MarkerBoard(_Frozen):
     """Known board geometry plus its tip-measured base-frame locations:
@@ -68,24 +73,23 @@ class HandEyeView(_Frozen):
 
 
 class HandEyeResult:
-    __slots__ = ("cam_to_ee", "per_view_rmse", "overall_rmse", "rotation_outliers",
-                 "per_view_estimates")
+    __slots__ = ("cam_to_ee", "per_view_rmse", "overall_rmse", "rotation_outliers")
 
     def __init__(self, cam_to_ee: Pose, per_view_rmse: np.ndarray, overall_rmse: float,
-                 rotation_outliers: tuple[int, ...], per_view_estimates: list[Pose]):
+                 rotation_outliers: tuple[int, ...]):
         self.cam_to_ee = cam_to_ee
         self.per_view_rmse = per_view_rmse  # mm, one entry per view
         self.overall_rmse = overall_rmse  # mm, pooled over all views and points
         self.rotation_outliers = rotation_outliers  # views > 5 deg from the pooled fit
-        self.per_view_estimates = per_view_estimates
 
 
-def default_board_points(cols: int = 4, rows: int = 3, spacing_mm: float = 40.0) -> np.ndarray:
-    """Nominal marker-frame grid of measurement points (12 by default)."""
-    xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing_mm
-    ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing_mm
+def default_board_points() -> np.ndarray:
+    """Nominal marker-frame grid of measurement points: BOARD_COLS x BOARD_ROWS
+    (12) points, BOARD_SPACING_MM apart, centred on the origin."""
+    xs = (np.arange(BOARD_COLS) - (BOARD_COLS - 1) / 2.0) * BOARD_SPACING_MM
+    ys = (np.arange(BOARD_ROWS) - (BOARD_ROWS - 1) / 2.0) * BOARD_SPACING_MM
     gx, gy = np.meshgrid(xs, ys)
-    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(cols * rows)])
+    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(BOARD_COLS * BOARD_ROWS)])
 
 
 def marker_from_base(board: MarkerBoard) -> tuple[Pose, float]:
@@ -103,9 +107,9 @@ def solve_handeye(views, marker_base: Pose, board: MarkerBoard) -> HandEyeResult
 
     The least-squares transform maps every view's camera-frame board points
     onto its end-effector-frame measured points in one absolute orientation.
-    Each view's closed form ``inv(ee_pose) * marker_base * inv(marker_in_cam)``
-    is kept in ``per_view_estimates``; views whose rotation is more than 5
-    degrees from the fit are flagged in the result but kept.
+    A view whose own closed-form rotation, that of
+    ``inv(ee_pose) * marker_base * inv(marker_in_cam)``, lies more than
+    ROTATION_OUTLIER_DEG from the fit is flagged in the result but kept.
     """
     views = list(views)
     if not views:
@@ -113,16 +117,17 @@ def solve_handeye(views, marker_base: Pose, board: MarkerBoard) -> HandEyeResult
     in_cam = np.vstack([apply(v.marker_in_cam, board.board_points) for v in views])
     in_ee = np.vstack([apply(invert(v.ee_pose), board.measured_points) for v in views])
     cam_to_ee, _ = absolute_orientation(in_cam, in_ee)
-    estimates = [compose(invert(v.ee_pose), marker_base, invert(v.marker_in_cam))
-                 for v in views]
-
-    outliers = tuple(i for i, e in enumerate(estimates)
-                     if rotation_distance(e.rotation, cam_to_ee.rotation)
-                     > ROTATION_OUTLIER_DEG)
+    # each view's rotation, the product in `compose`'s order and operand
+    # layouts, so that it has the bits of the rotation of the composed pose
+    outliers = tuple(
+        i for i, v in enumerate(views)
+        if rotation_distance(v.ee_pose.rotation.T @ marker_base.rotation
+                             @ v.marker_in_cam.rotation.T, cam_to_ee.rotation)
+        > ROTATION_OUTLIER_DEG)
     d2 = _view_sq_distances(views, cam_to_ee, board)
     return HandEyeResult(cam_to_ee=cam_to_ee, per_view_rmse=np.sqrt(d2.mean(axis=1)),
                          overall_rmse=float(np.sqrt(d2.ravel().mean())),
-                         rotation_outliers=outliers, per_view_estimates=estimates)
+                         rotation_outliers=outliers)
 
 
 def _view_sq_distances(views, cam_to_ee: Pose, board: MarkerBoard) -> np.ndarray:

@@ -20,13 +20,14 @@ each on the pairs the step before it left:
    clip widens the arrays when a plane adds a vertex.
 
 `intersection_volume` and `iou3d` are the one-pair calls of this code, on
-`OrientedBox` values. `average_precision` works on the columns of a
-`DetectionSet` (categories, scores, centres, half extents, rotations),
-with no per-row box objects. It orders each category's predictions by
-score and takes the pairs whose bounding spheres overlap, category by
-category; the separating-axis test then runs once over the pairs of every
-category, and the clip over the survivors in consecutive blocks of
-_CLIP_BLOCK pairs, which bounds its memory whatever the size of the set.
+`OrientedBox` values. `average_precision` works on the columns that the
+detection CSV readers return (categories, scores, centres, half extents,
+rotations), with no per-row box objects. It orders each category's
+predictions by score and takes the pairs whose bounding spheres overlap,
+category by category; the separating-axis test then runs once over the
+pairs of every category, and the clip over the survivors in consecutive
+blocks of _CLIP_BLOCK pairs, which bounds its memory whatever the size of
+the set.
 Each category's IoU matrix is filled from its share of the pairs and
 scored by one greedy matcher. `Detection` and `GroundTruthBox` are the row
 types the CSV writers take. Monte-Carlo estimation exists only as a test
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import _ORTHO_TOL, Pose, _as_rotation, _Frozen, _set_fields, apply
 
-# PhoCaL household categories; DetectionSet accepts user-defined labels too.
+# PhoCaL household categories; the detection CSVs accept user-defined labels too.
 DEFAULT_CATEGORIES = ("bottle", "box", "can", "cup", "remote", "teapot",
                       "cutlery", "glassware")
 
@@ -326,32 +327,16 @@ class GroundTruthBox(_Frozen):
         _set_fields(self, category=category, box=box)
 
 
-class DetectionSet:
-    """The boxes of an evaluation, as columns, one row per box.
-
-    `predictions` is (categories, scores, centres, half extents, rotations)
-    and `ground_truth` is (categories, centres, half extents, rotations):
-    the categories a tuple of str, the scores (P,), the centres and half
-    extents (N, 3) mm and the rotations (N, 3, 3). The rows hold values that
-    OrientedBox and Detection would accept.
-    """
-
-    __slots__ = ("predictions", "ground_truth")
-
-    def __init__(self, predictions: tuple, ground_truth: tuple):
-        self.predictions = predictions
-        self.ground_truth = ground_truth
-
-
 class APResult:
-    __slots__ = ("per_category", "mean_ap", "undefined_categories", "pairs_compared",
+    """The AP of each category with ground truth; `mean_ap` is read off them."""
+
+    __slots__ = ("per_category", "undefined_categories", "pairs_compared",
                  "pairs_separated", "pairs_clipped")
 
-    def __init__(self, per_category: dict[str, float], mean_ap: float,
+    def __init__(self, per_category: dict[str, float],
                  undefined_categories: list[str] | None = None, pairs_compared: int = 0,
                  pairs_separated: int = 0, pairs_clipped: int = 0):
         self.per_category = per_category
-        self.mean_ap = mean_ap
         self.undefined_categories = ([] if undefined_categories is None
                                      else undefined_categories)
         # prediction/ground-truth pairs of each category; the sphere-passing
@@ -360,6 +345,10 @@ class APResult:
         self.pairs_compared = pairs_compared
         self.pairs_separated = pairs_separated
         self.pairs_clipped = pairs_clipped
+
+    @property
+    def mean_ap(self) -> float:
+        return float(np.mean(list(self.per_category.values())))
 
 
 def _greedy_ap(similarity, threshold) -> float:
@@ -398,9 +387,16 @@ def _rows_by_category(categories) -> dict[str, list[int]]:
     return rows
 
 
-def average_precision(detections: DetectionSet, iou_threshold: float) -> APResult:
+def average_precision(predictions: tuple, ground_truth: tuple,
+                      iou_threshold: float) -> APResult:
     """Per-category AP by score-descending greedy matching, plus the mean.
 
+    `predictions` is (categories, scores, centres, half extents, rotations)
+    and `ground_truth` is (categories, centres, half extents, rotations), as
+    `fileio.load_predictions_csv` and `fileio.load_ground_truth_csv` return
+    them: the categories a tuple of str, the scores (P,), the centres and
+    half extents (N, 3) mm and the rotations (N, 3, 3), each row holding
+    values that OrientedBox and Detection would accept.
     A prediction matches at most one ground-truth box of its category and
     only when their IoU reaches the threshold; predictions of equal score
     are taken in row order. Each category's (predictions x ground truth)
@@ -415,8 +411,8 @@ def average_precision(detections: DetectionSet, iou_threshold: float) -> APResul
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValidationError(f"IoU threshold must be in (0, 1), got {iou_threshold}")
-    pred_categories, scores, *pred_boxes = detections.predictions
-    gt_categories, *gt_boxes = detections.ground_truth
+    pred_categories, scores, *pred_boxes = predictions
+    gt_categories, *gt_boxes = ground_truth
     if not len(gt_categories):
         raise ValidationError("the ground truth holds no box, so no category has an AP")
     pred_rows, gt_rows = _rows_by_category(pred_categories), _rows_by_category(gt_categories)
@@ -444,7 +440,6 @@ def average_precision(detections: DetectionSet, iou_threshold: float) -> APResul
         per_category[cat] = _greedy_ap(similarity, iou_threshold)
         start += len(pi)
     return APResult(per_category=per_category,
-                    mean_ap=float(np.mean(list(per_category.values()))),
                     undefined_categories=sorted(set(pred_rows) - set(gt_rows)),
                     pairs_compared=sum(rows * cols for (rows, cols), _, _ in local),
                     pairs_separated=int(np.count_nonzero(~kept)),

@@ -51,7 +51,7 @@ from .errors import ValidationError
 from .geometry import (Pose, _Frozen, _is_whole, _rodrigues, _set_fields, _trusted_pose,
                        absolute_orientation, axis_angle, random_unit_vector,
                        rotation_distance)
-from .mesh import Mesh, blade, chamfered_box, cup, drop_degenerate_triangles, sample_surface
+from .mesh import DEGENERATE_AREA_MM2, Mesh, blade, chamfered_box, cup, sample_surface
 
 # Largest (points x triangles) block a surface query holds at once, 8 MB an array.
 _QUERY_BLOCK = 1 << 20
@@ -106,17 +106,20 @@ class SpatialIndex:
     """
 
     def __init__(self, mesh: Mesh):
-        mesh, _ = drop_degenerate_triangles(mesh)
         corners = mesh.vertices[mesh.triangles]  # (F, 3, 3)
-        if len(corners) == 0:
-            raise ValidationError(f"cannot index mesh {mesh.name!r}: no triangles")
-        self.points = corners.mean(axis=1)  # centroids
-        self.radii = np.linalg.norm(corners - self.points[:, None], axis=2).max(axis=1)
-        self.corners = corners
         ab = corners[:, 1] - corners[:, 0]
         ac = corners[:, 2] - corners[:, 0]
         normal = np.cross(ab, ac)
-        self.normals = normal / np.linalg.norm(normal, axis=1, keepdims=True)
+        length = np.linalg.norm(normal, axis=1)
+        # the rows of the triangles that `drop_degenerate_triangles` keeps
+        keep = 0.5 * length > DEGENERATE_AREA_MM2
+        if not keep.any():
+            raise ValidationError(f"cannot index mesh {mesh.name!r}: no triangles")
+        corners, ab, ac = corners[keep], ab[keep], ac[keep]
+        self.points = corners.mean(axis=1)  # centroids
+        self.radii = np.linalg.norm(corners - self.points[:, None], axis=2).max(axis=1)
+        self.corners = corners
+        self.normals = normal[keep] / length[keep, None]
         # what `_closest` reads, one row per quantity and one column per
         # triangle, so that it gathers once and works on whole rows: the corner
         # a, the edges ab and ac, and the Gram entries ab.ab, ab.ac, ac.ac
@@ -335,20 +338,27 @@ class IcpResult:
     pose less than the thresholds), `tolerance_after_halving` (the step that
     did had been halved after raising the rms: the run stalled rather than
     settled), `max_iterations` or `too_few_matches` (fewer than 3 pairs within
-    max_correspondence_mm). `converged` is true for the first two.
+    max_correspondence_mm). `converged` is read off it: true for the first two.
     """
 
-    __slots__ = ("pose", "iterations", "converged", "rms_distance", "rms_history",
-                 "stop_reason")
+    __slots__ = ("pose", "iterations", "stop_reason", "rms_distance", "rms_history")
 
-    def __init__(self, pose: Pose, iterations: int, converged: bool, rms_distance: float,
-                 rms_history: list[float] | None = None, stop_reason: str | None = None):
+    def __init__(self, pose: Pose, iterations: int, stop_reason: str, rms_distance: float,
+                 rms_history: list[float] | None = None):
         self.pose = pose
         self.iterations = iterations
-        self.converged = converged
+        self.stop_reason = stop_reason
         self.rms_distance = rms_distance  # final rms point-to-surface distance, mm
         self.rms_history = [] if rms_history is None else rms_history
-        self.stop_reason = stop_reason
+
+    @property
+    def converged(self) -> bool:
+        return _converged(self.stop_reason)
+
+
+def _converged(stop_reason: str) -> bool:
+    """Whether an ICP run that stopped for `stop_reason` converged."""
+    return stop_reason.startswith("tolerance")
 
 
 def _small_rotation(omega: np.ndarray) -> np.ndarray:
@@ -441,12 +451,11 @@ def _icp_steps(measured: np.ndarray, surface: SpatialIndex, initial: Pose,
             continue
         R, t, (local, dist, closest, tri, rms), step = R_trial, t_trial, matches, None
 
-    converged = stop.startswith("tolerance")
-    if converged:  # the last, accepted step moved the pose past its matches
+    if _converged(stop):  # the last, accepted step moved the pose past its matches
         dist = (yield from match(R, t))[1]
-    return IcpResult(pose=_trusted_pose(R, t), iterations=iterations, converged=converged,
+    return IcpResult(pose=_trusted_pose(R, t), iterations=iterations, stop_reason=stop,
                      rms_distance=float(np.sqrt(np.mean(dist ** 2))),
-                     rms_history=rms_history, stop_reason=stop)
+                     rms_history=rms_history)
 
 
 def _refine_in_lockstep(surface: SpatialIndex, runs, params: IcpParams) -> list[IcpResult]:
@@ -505,30 +514,40 @@ class RecoveryCase:
     reason and final rms point-to-surface distance (see IcpResult)."""
 
     __slots__ = ("mesh_name", "translation_error_mm", "rotation_error_deg", "iterations",
-                 "converged", "stop_reason", "rms_distance")
+                 "stop_reason", "rms_distance")
     __eq__ = _fields_equal
 
     def __init__(self, mesh_name: str, translation_error_mm: float,
-                 rotation_error_deg: float, iterations: int, converged: bool,
-                 stop_reason: str, rms_distance: float):
+                 rotation_error_deg: float, iterations: int, stop_reason: str,
+                 rms_distance: float):
         self.mesh_name = mesh_name
         self.translation_error_mm = translation_error_mm
         self.rotation_error_deg = rotation_error_deg
         self.iterations = iterations
-        self.converged = converged
         self.stop_reason = stop_reason
         self.rms_distance = rms_distance  # mm
 
+    @property
+    def converged(self) -> bool:
+        return _converged(self.stop_reason)
+
 
 class RecoveryReport:
-    __slots__ = ("cases", "mean_translation_mm", "mean_rotation_deg")
+    """The recovery trials; their mean errors are read off the cases."""
+
+    __slots__ = ("cases",)
     __eq__ = _fields_equal
 
-    def __init__(self, cases: list[RecoveryCase], mean_translation_mm: float,
-                 mean_rotation_deg: float):
+    def __init__(self, cases: list[RecoveryCase]):
         self.cases = cases
-        self.mean_translation_mm = mean_translation_mm
-        self.mean_rotation_deg = mean_rotation_deg
+
+    @property
+    def mean_translation_mm(self) -> float:
+        return float(np.mean([c.translation_error_mm for c in self.cases]))
+
+    @property
+    def mean_rotation_deg(self) -> float:
+        return float(np.mean([c.rotation_error_deg for c in self.cases]))
 
 
 def _farthest_point_subset(points: np.ndarray, count: int,
@@ -627,10 +646,5 @@ def recovery_benchmark(rng: np.random.Generator,
         for result in _refine_in_lockstep(surface, runs, IcpParams()):
             dt, dr = pose_error(Pose.identity(), result.pose)
             cases.append(RecoveryCase(mesh.name, dt, dr, result.iterations,
-                                      result.converged, result.stop_reason,
-                                      result.rms_distance))
-    return RecoveryReport(
-        cases=cases,
-        mean_translation_mm=float(np.mean([c.translation_error_mm for c in cases])),
-        mean_rotation_deg=float(np.mean([c.rotation_error_deg for c in cases])),
-    )
+                                      result.stop_reason, result.rms_distance))
+    return RecoveryReport(cases)

@@ -39,6 +39,9 @@ from .mesh import procedural_ref, resolve_mesh, surface_moment
 # hand-eye perturbation), numbered from 1; stream 0 is left unused so that a seed
 # keeps the noise draws it gave when stream 0 sampled mesh surfaces
 
+# end-effector stops of the first trajectory at which the hand-eye rig views the board
+RIG_VIEWS_PER_CAMERA = 10
+
 
 def _draw_streams(draw: int) -> tuple[int, int]:
     return 1 + 2 * draw, 2 + 2 * draw
@@ -269,12 +272,12 @@ def calibrate_handeye_perturbation(cam_to_ee: Pose, board: MarkerBoard,
         target_rmse + g_b, len(excesses))
 
 
-def _marker_rig(scene: SceneConfig, views_per_camera: int = 10):
+def _marker_rig(scene: SceneConfig):
     """Deterministic board-and-views rig used to calibrate hand-eye noise.
 
     Derived covariantly from the scene (marker pose from the object layout,
-    views from the first trajectory) so a rigid re-basing of the scene
-    moves the rig along with it.
+    RIG_VIEWS_PER_CAMERA views spread over the first trajectory) so a rigid
+    re-basing of the scene moves the rig along with it.
     """
     anchor = scene.objects[0].pose.rotation
     center = np.mean([o.pose.translation for o in scene.objects], axis=0)
@@ -284,8 +287,8 @@ def _marker_rig(scene: SceneConfig, views_per_camera: int = 10):
 
     stops = scene.trajectories[0].poses
     # ascending already; deduplicated in Python, as np.unique imports numpy.ma
-    idx = sorted(set(np.linspace(0, len(stops) - 1, min(views_per_camera, len(stops)))
-                     .round().astype(int).tolist()))
+    views = min(RIG_VIEWS_PER_CAMERA, len(stops))
+    idx = sorted(set(np.linspace(0, len(stops) - 1, views).round().astype(int).tolist()))
     ee_poses = [stops[i] for i in idx]
     return marker_base, board, ee_poses
 

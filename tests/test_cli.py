@@ -392,6 +392,21 @@ def test_annotate_sidecar_records_iterations_and_stop_reason(tmp_path, monkeypat
     assert "converged=True" in line
 
 
+def test_warnings_are_printed_as_warning_lines(tmp_path, monkeypatch, capsys):
+    # load_obj warns of a dropped face; the CLI shows one `warning:` line, not
+    # Python's `file:line: UserWarning:` line and the source line after it
+    _write_command_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with open("box.obj", "a", encoding="utf-8") as f:
+        f.write("f 1 1 2\n")
+    want = "warning: box.obj: dropped 1 degenerate face(s)\n"
+    for _ in range(2):  # a second run in the same process warns again
+        assert cli.main(COMMAND_ARGVS["annotate"]) == 0
+        assert capsys.readouterr().err == want
+    run = _run_fresh(tmp_path, "-m", "robocal.cli", *COMMAND_ARGVS["annotate"])
+    assert (run.returncode, run.stderr) == (0, want)
+
+
 def test_icp_bench_report_and_stop_reason_counts(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["icp-bench", "--seed", "1"]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import stat
 import tempfile
@@ -50,6 +51,78 @@ def test_non_utf8_byte_cites_its_line(tmp_path):
         fileio.load_pose_list(path)
 
 
+BOM = "\ufeff".encode()
+
+
+def _bits_of(value):
+    """The bytes of every array a loader returned, and its other values."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, Pose):
+        return _bits_of(value.rotation), _bits_of(value.translation)
+    if isinstance(value, (list, tuple)):
+        return [_bits_of(v) for v in value]
+    return value
+
+
+def _write_pose_list(path):
+    poses = [Pose(random_rotation(make_rng(k)), [1.5 * k, -2.0, 3.25]) for k in range(3)]
+    fileio.save_pose_list(path, poses)
+
+
+def _write_predictions(path):
+    fileio.save_predictions_csv(path, _box_rows(["cup", "teapot"])[1])
+
+
+BOM_READERS = {"pose-list": (_write_pose_list, fileio.load_pose_list),
+               "predictions-csv": (_write_predictions, fileio.load_predictions_csv)}
+
+
+@pytest.mark.parametrize("reader", sorted(BOM_READERS))
+def test_leading_byte_order_mark_reads_as_the_plain_file(reader, tmp_path):
+    # the Unicode signature that some editors write: one U+FEFF at offset 0
+    write, load = BOM_READERS[reader]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    write(plain)
+    marked.write_bytes(BOM + plain.read_bytes())
+    assert _bits_of(load(marked)) == _bits_of(load(plain))
+
+
+@pytest.mark.parametrize("reader", sorted(BOM_READERS))
+def test_second_byte_order_mark_stays_content(reader, tmp_path):
+    # only one mark is the signature: a second one starts the first line
+    write, load = BOM_READERS[reader]
+    path = tmp_path / "marked.txt"
+    write(path)
+    path.write_bytes(BOM + BOM + path.read_bytes())
+    with pytest.raises(FileFormatError, match=r"marked\.txt:1:"):
+        load(path)
+
+
+def test_byte_order_mark_on_a_later_line_stays_content(tmp_path):
+    # the mark is part of the text it precedes: a number it precedes is
+    # malformed, a category it precedes is another category
+    path = tmp_path / "marked.txt"
+    _write_pose_list(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]) + BOM + lines[-1])
+    with pytest.raises(FileFormatError, match=rf"marked\.txt:{len(lines)}:"):
+        fileio.load_pose_list(path)
+    _write_predictions(path)
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(header + BOM + b"".join(rows))
+    assert fileio.load_predictions_csv(path)[0] == ("\ufeffcup", "teapot")
+
+
+def test_byte_order_mark_leaves_the_input_digest_raw(tmp_path):
+    path = tmp_path / "poses.txt"
+    _write_pose_list(path)
+    path.write_bytes(BOM + path.read_bytes())
+    manifest = fileio.RunManifest.create("pivot-calib", {}, [path])
+    assert manifest.input_digests == {"poses.txt": hashlib.sha256(path.read_bytes())
+                                      .hexdigest()}
+
+
 def _box_rows(categories):
     box = OrientedBox([1.0, -2.0, 3.5], [4.0, 5.0, 6.0], random_rotation(make_rng(30)))
     return ([GroundTruthBox(cat, box) for cat in categories],
@@ -77,9 +150,8 @@ def test_detection_csv_round_trip(tmp_path):
     ground_truth, predictions = _box_rows(categories)
     fileio.save_ground_truth_csv(tmp_path / "gt.csv", ground_truth)
     fileio.save_predictions_csv(tmp_path / "pred.csv", predictions)
-    loaded = fileio.load_detection_set(tmp_path / "gt.csv", tmp_path / "pred.csv")
-    gt_categories, centers, half_extents, _ = loaded.ground_truth
-    pred_categories, scores, *_ = loaded.predictions
+    gt_categories, centers, half_extents, _ = fileio.load_ground_truth_csv(tmp_path / "gt.csv")
+    pred_categories, scores, *_ = fileio.load_predictions_csv(tmp_path / "pred.csv")
     assert gt_categories == pred_categories == tuple(categories)
     assert scores.tolist() == [p.score for p in predictions]
     assert centers.tolist() == [g.box.center.tolist() for g in ground_truth]

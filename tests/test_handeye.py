@@ -3,11 +3,11 @@ import pytest
 
 from robocal.errors import (DegenerateGeometryError, InconsistentMeasurementError,
                             ValidationError)
-from robocal.geometry import (Pose, apply, axis_angle, make_rng, random_rotation,
-                              random_unit_vector)
-from robocal.handeye import (HandEyeView, MarkerBoard, default_board_points,
-                             evaluate_handeye, marker_from_base, solve_handeye,
-                             synthesize_views)
+from robocal.geometry import (Pose, apply, axis_angle, compose, invert, make_rng,
+                              random_rotation, random_unit_vector, rotation_distance)
+from robocal.handeye import (ROTATION_OUTLIER_DEG, HandEyeView, MarkerBoard,
+                             default_board_points, evaluate_handeye, marker_from_base,
+                             solve_handeye, synthesize_views)
 
 
 def make_chain(rng, n_views=10):
@@ -32,6 +32,14 @@ def add_detection_noise(views, rng, deg=0.2, mm=0.3):
         t = v.marker_in_cam.translation + rng.normal(0.0, mm, 3)
         noisy.append(HandEyeView(v.ee_pose, Pose(R, t)))
     return noisy
+
+
+def test_default_board_is_a_4_by_3_grid_40_mm_apart():
+    points = default_board_points()
+    assert points.shape == (12, 3)
+    assert sorted(set(points[:, 0])) == [-60.0, -20.0, 20.0, 60.0]
+    assert sorted(set(points[:, 1])) == [-40.0, 0.0, 40.0]
+    assert not points[:, 2].any()
 
 
 class TestMarkerFromBase:
@@ -155,7 +163,27 @@ class TestSolveHandEye:
         views[3] = HandEyeView(bad.ee_pose, twisted)
         result = solve_handeye(views, marker_base, board)
         assert 3 in result.rotation_outliers
-        assert len(result.per_view_estimates) == len(views)
+        assert len(result.per_view_rmse) == len(views)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flagged_views_as_from_one_pose_per_view(self, seed):
+        # the views flagged from each view's rotation alone are those that the
+        # closed-form Pose of each view flagged, also at the threshold
+        rng = make_rng(40 + seed)
+        _, marker_base, board, views = make_chain(rng, n_views=8)
+        views = add_detection_noise(views, rng, deg=0.5, mm=0.2)
+        for k, deg in zip((1, 4, 6), (ROTATION_OUTLIER_DEG, 4.9, 25.0)):
+            twisted = Pose(axis_angle(random_unit_vector(rng), deg)
+                           @ views[k].marker_in_cam.rotation, views[k].marker_in_cam.translation)
+            views[k] = HandEyeView(views[k].ee_pose, twisted)
+        result = solve_handeye(views, marker_base, board)
+        estimates = [compose(invert(v.ee_pose), marker_base, invert(v.marker_in_cam))
+                     for v in views]
+        assert result.rotation_outliers == tuple(
+            i for i, e in enumerate(estimates)
+            if rotation_distance(e.rotation, result.cam_to_ee.rotation)
+            > ROTATION_OUTLIER_DEG)
+        assert 6 in result.rotation_outliers
 
 
 class TestEvaluateHandEye:

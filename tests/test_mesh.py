@@ -150,6 +150,27 @@ class TestObjIO:
             mesh = load_obj(path)
         assert len(mesh.triangles) == 12
 
+    def test_leading_byte_order_mark_reads_as_the_plain_file(self, tmp_path):
+        # before, the first `v` read as an unknown tag: 4 vertices, and both
+        # faces moved by one vertex
+        text = "v 0 0 0\nv 10 0 0\nv 0 10 0\nv 0 0 10\nv 5 5 5\nf 1 2 3\nf 1 2 4\n"
+        plain, marked = tmp_path / "plain.obj", tmp_path / "marked.obj"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        want, got = load_obj(plain), load_obj(marked)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.triangles.tobytes() == want.triangles.tobytes()
+        assert got.triangles.tolist() == [[0, 1, 2], [0, 1, 3]]
+
+    def test_byte_order_mark_elsewhere_stays_content(self, tmp_path):
+        # after the first, a mark is part of the record it precedes: here an
+        # unknown tag, ignored, so that face 2 reaches past the vertices read
+        path = tmp_path / "marked.obj"
+        path.write_text("\ufeff\ufeffv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+                        encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r"marked\.obj:4: face index 3 out of range"):
+            load_obj(path)
+
     def test_save_load_round_trip(self, tmp_path):
         mesh = chamfered_box()
         path = tmp_path / "box.obj"

@@ -11,7 +11,7 @@ from robocal import fileio, metrics
 from robocal.errors import ValidationError
 from robocal.geometry import (Pose, apply, axis_angle, make_rng, quat_to_matrix,
                               random_rotation, random_unit_vector)
-from robocal.metrics import (APResult, Detection, DetectionSet, GroundTruthBox,
+from robocal.metrics import (APResult, Detection, GroundTruthBox,
                              OrientedBox, average_precision, intersection_volume, iou3d,
                              pointwise_rmse)
 from robocal.simulate import annotation_quality_table
@@ -372,11 +372,17 @@ def _columns(rows):
     return (tuple(row.category for row in rows), *metrics._stack([row.box for row in rows]))
 
 
-def detection_set(predictions, ground_truth):
-    """The DetectionSet of lists of Detection and GroundTruthBox rows."""
+def box_columns(predictions, ground_truth):
+    """(prediction columns, ground-truth columns) of lists of Detection and
+    GroundTruthBox rows, as the detection CSV readers return them."""
     categories, *boxes = _columns(predictions)
     scores = np.array([p.score for p in predictions], dtype=float)
-    return DetectionSet((categories, scores, *boxes), _columns(ground_truth))
+    return (categories, scores, *boxes), _columns(ground_truth)
+
+
+def load_box_columns(gt_path, pred_path):
+    """(prediction columns, ground-truth columns) of two detection CSVs."""
+    return fileio.load_predictions_csv(pred_path), fileio.load_ground_truth_csv(gt_path)
 
 
 def load_rows(gt_path, pred_path):
@@ -452,13 +458,13 @@ class TestAveragePrecision:
         gts = [GroundTruthBox(cat, random_box(rng))
                for cat in ("cup", "cup", "box", "bottle")]
         preds = [_perfect_prediction(g, 1.0) for g in gts]
-        result = average_precision(detection_set(preds, gts), 0.5)
+        result = average_precision(*box_columns(preds, gts), 0.5)
         assert all(ap == pytest.approx(1.0) for ap in result.per_category.values())
         assert result.mean_ap == pytest.approx(1.0)
 
     def test_no_predictions(self):
         gts = [GroundTruthBox("cup", random_box(make_rng(6)))]
-        result = average_precision(detection_set([], gts), 0.25)
+        result = average_precision(*box_columns([], gts), 0.25)
         assert result.per_category["cup"] == 0.0
         assert result.mean_ap == 0.0
 
@@ -472,7 +478,7 @@ class TestAveragePrecision:
         far = OrientedBox(g1.box.center + 1000.0, [5.0, 5.0, 5.0], np.eye(3))
         preds = [_perfect_prediction(g1, 0.9), Detection("cup", far, 0.1)]
         for threshold in (0.25, 0.5, 0.75):
-            result = average_precision(detection_set(preds, [g1, g2]), threshold)
+            result = average_precision(*box_columns(preds, [g1, g2]), threshold)
             assert result.per_category["cup"] == pytest.approx(0.5)
 
     def test_monotone_rescoring_invariance(self):
@@ -482,10 +488,10 @@ class TestAveragePrecision:
         for k, g in enumerate(gts[:4]):
             preds.append(_perfect_prediction(g, 0.9 - 0.1 * k))
         preds.append(Detection("box", random_box(rng), 0.05))
-        base = average_precision(detection_set(preds, gts), 0.25)
+        base = average_precision(*box_columns(preds, gts), 0.25)
         rescored = [Detection(p.category, p.box, 10.0 + 100.0 * p.score)
                     for p in preds]
-        again = average_precision(detection_set(rescored, gts), 0.25)
+        again = average_precision(*box_columns(rescored, gts), 0.25)
         assert base.per_category == again.per_category
 
     def test_category_without_gt_is_excluded_and_noted(self):
@@ -493,7 +499,7 @@ class TestAveragePrecision:
         gt = GroundTruthBox("cup", random_box(rng))
         preds = [_perfect_prediction(gt, 1.0),
                  Detection("teapot", random_box(rng), 0.9)]
-        result = average_precision(detection_set(preds, [gt]), 0.5)
+        result = average_precision(*box_columns(preds, [gt]), 0.5)
         assert result.undefined_categories == ["teapot"]
         assert "teapot" not in result.per_category
         assert result.mean_ap == pytest.approx(1.0)
@@ -503,7 +509,7 @@ class TestAveragePrecision:
         gt = GroundTruthBox("can", random_box(rng))
         # two identical predictions for one ground truth: second is a FP
         preds = [_perfect_prediction(gt, 0.9), _perfect_prediction(gt, 0.8)]
-        result = average_precision(detection_set(preds, [gt]), 0.5)
+        result = average_precision(*box_columns(preds, [gt]), 0.5)
         assert result.per_category["can"] == pytest.approx(1.0)  # recall hit at rank 1
 
     def test_pairs_compared_and_clipped(self):
@@ -517,20 +523,20 @@ class TestAveragePrecision:
                                                [5.0, 5.0, 5.0], np.eye(3)))
         far = OrientedBox(g1.box.center + 1000.0, [5.0, 5.0, 5.0], np.eye(3))
         preds = [_perfect_prediction(g1, 0.9), Detection("cup", far, 0.1)]
-        result = average_precision(detection_set(preds, [g1, g2]), 0.5)
+        result = average_precision(*box_columns(preds, [g1, g2]), 0.5)
         assert (result.pairs_compared, result.pairs_separated,
                 result.pairs_clipped) == (4, 0, 1)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValidationError):
-            average_precision(detection_set([], []), 1.5)
+            average_precision(*box_columns([], []), 1.5)
 
     def test_ground_truth_without_a_box_is_refused(self):
         # every category's AP would be undefined; the mean used to read 0.0
         preds, _ = pooled_rows(make_rng(33))
         for predictions in (preds, []):
             with pytest.raises(ValidationError, match="ground truth holds no box"):
-                average_precision(detection_set(predictions, []), 0.5)
+                average_precision(*box_columns(predictions, []), 0.5)
 
     @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
     def test_matches_row_reference(self, threshold):
@@ -538,7 +544,7 @@ class TestAveragePrecision:
         # scores of two decimals: ties within a category
         preds = [Detection(p.category, p.box, round(p.score, 2)) for p in preds]
         assert len({(p.category, p.score) for p in preds}) < len(preds)
-        result = average_precision(detection_set(preds, gts), threshold)
+        result = average_precision(*box_columns(preds, gts), threshold)
         per_category, mean_ap = reference_ap(preds, gts, threshold)
         assert result.per_category == per_category
         assert result.mean_ap == mean_ap
@@ -554,7 +560,7 @@ class TestAveragePrecision:
         if not first_is_hit:
             preds.reverse()
         paths = _write_csvs(tmp_path, preds, [gt])
-        result = average_precision(fileio.load_detection_set(*paths), 0.5)
+        result = average_precision(*load_box_columns(*paths), 0.5)
         assert result.per_category == {"cup": expected}
         assert reference_ap(*load_rows(*paths), 0.5) == ({"cup": expected}, expected)
 
@@ -566,7 +572,7 @@ class TestAveragePrecision:
         gts = [cup, GroundTruthBox("cup\x00", far)]
         preds = [_perfect_prediction(cup, 0.9), Detection("cup\x00", cup.box, 0.8)]
         paths = _write_csvs(tmp_path, preds, gts)
-        result = average_precision(fileio.load_detection_set(*paths), 0.5)
+        result = average_precision(*load_box_columns(*paths), 0.5)
         assert result.per_category == {"cup": 1.0, "cup\x00": 0.0}
         assert result.pairs_compared == 2
         assert reference_ap(*load_rows(*paths), 0.5) == (result.per_category, 0.5)
@@ -574,14 +580,14 @@ class TestAveragePrecision:
     @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
     def test_sphere_rejection_leaves_ap_unchanged(self, threshold, monkeypatch):
         preds, gts = pooled_rows(make_rng(17))
-        detections = detection_set(preds, gts)
-        result = average_precision(detections, threshold)
+        detections = box_columns(preds, gts)
+        result = average_precision(*detections, threshold)
         # bypass both rejection tests: every pair is clipped
         monkeypatch.setattr(metrics, "_spheres_overlap",
                             lambda ca, ha, cb, hb: np.ones((len(ca), len(cb)), bool))
         monkeypatch.setattr(metrics, "_axes_overlap",
                             lambda ca, *args: np.ones(len(ca), bool))
-        reference = average_precision(detections, threshold)
+        reference = average_precision(*detections, threshold)
         assert reference.pairs_clipped == reference.pairs_compared
         assert result.pairs_clipped < reference.pairs_compared
         assert result.per_category == reference.per_category
@@ -739,8 +745,7 @@ def oracle_category_ap(predictions, ground_truth, iou_threshold):
 
 def oracle_average_precision(detections, iou_threshold):
     """(per_category, mean_ap, pairs compared, separated, clipped)."""
-    pred_categories, scores, *pred_boxes = detections.predictions
-    gt_categories, *gt_boxes = detections.ground_truth
+    (pred_categories, scores, *pred_boxes), (gt_categories, *gt_boxes) = detections
     per_category = {}
     compared = separated = clipped = 0
     for cat in sorted(set(gt_categories)):
@@ -783,8 +788,8 @@ class TestMatchesPerCategoryOracle:
     @pytest.mark.parametrize("seed", [23, 26, 27, 28])
     @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
     def test_pooled_sets(self, seed, threshold):
-        detections = detection_set(*pooled_rows(make_rng(seed)))
-        result = average_precision(detections, threshold)
+        detections = box_columns(*pooled_rows(make_rng(seed)))
+        result = average_precision(*detections, threshold)
         assert result_bits(result) == oracle_bits(detections, threshold)
         assert result.pairs_clipped > 0
 
@@ -796,25 +801,25 @@ class TestMatchesPerCategoryOracle:
         # teapot has ground truth and no predictions; "knife" the reverse
         preds = [p for p in preds if p.category != "teapot"]
         preds += [Detection("knife", p.box, p.score) for p in preds[:5]]
-        detections = detection_set(preds, gts)
-        result = average_precision(detections, threshold)
+        detections = box_columns(preds, gts)
+        result = average_precision(*detections, threshold)
         assert result_bits(result) == oracle_bits(detections, threshold)
         assert result.per_category["teapot"] == 0.0
         assert result.undefined_categories == ["knife"]
 
     def test_empty_prediction_file(self, tmp_path):
         paths = _write_csvs(tmp_path, [], pooled_rows(make_rng(30))[1])
-        detections = fileio.load_detection_set(*paths)
-        assert len(detections.predictions[0]) == 0
-        result = average_precision(detections, 0.5)
+        detections = load_box_columns(*paths)
+        assert len(detections[0][0]) == 0
+        result = average_precision(*detections, 0.5)
         assert result_bits(result) == oracle_bits(detections, 0.5)
         assert result.mean_ap == 0.0 and result.pairs_compared == 0
 
     def test_clipped_pairs_fill_three_blocks_and_more(self):
         block = metrics._CLIP_BLOCK
         preds, gts = crowded_rows(make_rng(31), 16, 16, 12.0)
-        detections = detection_set(preds, gts)
-        result = average_precision(detections, 0.25)
+        detections = box_columns(preds, gts)
+        result = average_precision(*detections, 0.25)
         assert 3 * block < result.pairs_clipped < 4 * block
         assert result_bits(result) == oracle_bits(detections, 0.25)
 
@@ -849,7 +854,7 @@ class TestBoundedMemory:
         preds, gts = crowded_rows(make_rng(32), 32, 32, 15.0)
         pairs = [(p.box, g.box) for p in preds for g in gts]
         overlapping = np.flatnonzero(clip_volumes(pairs) > 0.0)[:metrics._CLIP_BLOCK]
-        return detection_set(preds, gts), [pairs[k] for k in overlapping]
+        return box_columns(preds, gts), [pairs[k] for k in overlapping]
 
     # the AP's peak is within this multiple of one block's clip
     PEAK_BLOCKS = 3.0
@@ -861,15 +866,15 @@ class TestBoundedMemory:
 
     def test_peak_stays_within_a_few_blocks(self, crowded):
         detections, block_pairs = crowded
-        result = average_precision(detections, 0.5)
+        result = average_precision(*detections, 0.5)
         assert result.pairs_clipped >= 4 * metrics._CLIP_BLOCK
-        assert tracemalloc_peak(average_precision, detections, 0.5) < self.bound(block_pairs)
+        assert tracemalloc_peak(average_precision, *detections, 0.5) < self.bound(block_pairs)
 
     def test_all_pairs_in_one_clip_exceed_the_bound(self, crowded, monkeypatch):
         detections, block_pairs = crowded
         bound = self.bound(block_pairs)
         monkeypatch.setattr(metrics, "_CLIP_BLOCK", 10 ** 9)
-        assert tracemalloc_peak(average_precision, detections, 0.5) > bound
+        assert tracemalloc_peak(average_precision, *detections, 0.5) > bound
 
 
 class TestPointwiseRmse:

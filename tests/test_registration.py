@@ -9,7 +9,8 @@ import robocal.registration as registration
 from robocal.errors import DegenerateGeometryError, ValidationError
 from robocal.geometry import (Pose, _trusted_pose, apply, axis_angle, compose, invert,
                               make_rng, random_rotation)
-from robocal.mesh import Mesh, blade, can, chamfered_box, cup, sample_surface
+from robocal.mesh import (Mesh, blade, bottle, can, chamfered_box, cup,
+                          drop_degenerate_triangles, sample_surface)
 from robocal.registration import (RECOVERY_MAX_ROTATION_DEG, RECOVERY_MAX_TRANSLATION_MM,
                                   RECOVERY_POINT_NOISE_MM, RECOVERY_POINTS,
                                   Correspondences, IcpParams, IcpResult, RecoveryCase,
@@ -109,6 +110,39 @@ def _reference_closest(self, p, tri):
     return a + s[:, None] * ab + t[:, None] * ac
 
 
+def _reference_index_arrays(mesh):
+    """The arrays of a `SpatialIndex`, built as it was on a second mesh that
+    `drop_degenerate_triangles` made, kept as the reference for their bits."""
+    mesh, _ = drop_degenerate_triangles(mesh)
+    corners = mesh.vertices[mesh.triangles]
+    points = corners.mean(axis=1)
+    ab = corners[:, 1] - corners[:, 0]
+    ac = corners[:, 2] - corners[:, 0]
+    normal = np.cross(ab, ac)
+    normals = normal / np.linalg.norm(normal, axis=1, keepdims=True)
+    sq_norms = _dot(points, points)
+    return {"points": points,
+            "radii": np.linalg.norm(corners - points[:, None], axis=2).max(axis=1),
+            "corners": corners, "normals": normals,
+            "_face_rows": np.vstack([corners[:, 0].T, ab.T, ac.T, _dot(ab, ab),
+                                     _dot(ab, ac), _dot(ac, ac)]),
+            "_plane_rows": np.vstack([points.T, normals.T]),
+            "_sq_norms": sq_norms, "_extent": float(np.sqrt(sq_norms.max()))}
+
+
+def _with_degenerate_faces():
+    """A box with faces of zero area, and of areas just below and above
+    DEGENERATE_AREA_MM2, among its own."""
+    box = chamfered_box()
+    tiny = len(box.vertices)
+    vertices = np.vstack([box.vertices, [[0.0, 0.0, 0.0], [1e-6, 0.0, 0.0],
+                                         [0.0, 1.9e-6, 0.0], [0.0, 2.1e-6, 0.0]]])
+    extra = [[0, 0, 1], [0, 1, 1], [tiny, tiny + 1, tiny + 2], [tiny, tiny + 1, tiny + 3],
+             [0, 3, 0]]
+    triangles = np.vstack([box.triangles[:10], extra, box.triangles[10:]])
+    return Mesh(vertices, triangles, "degenerate")
+
+
 def _reference_candidates(self, p, slack=0.0):
     """`SpatialIndex._candidates` as it was written with a fresh array per
     step, kept as the reference for its pairs."""
@@ -138,7 +172,9 @@ def _small_motion(x):
 
 def _reference_icp_refine(measured_points, surface, initial, params=IcpParams()):
     """The per-run ICP loop that the lockstep driver replaced, kept as written
-    as the reference for its bits: one `surface.query` per match, no cache."""
+    as the reference for its bits: one `surface.query` per match, no cache.
+    The loop predates stop reasons and tells only whether the run converged,
+    so its result's stop reason is `tolerance` or `max_iterations`."""
     measured = np.asarray(measured_points, dtype=float).reshape(-1, 3)
     if len(measured) < 3:
         raise ValidationError(f"ICP needs >= 3 measured points, got {len(measured)}")
@@ -179,7 +215,8 @@ def _reference_icp_refine(measured_points, surface, initial, params=IcpParams())
 
     if converged:  # the last, accepted step moved the pose past its matches
         dist = match(pose)[1]
-    return IcpResult(pose=pose, iterations=iterations, converged=converged,
+    return IcpResult(pose=pose, iterations=iterations,
+                     stop_reason="tolerance" if converged else "max_iterations",
                      rms_distance=float(np.sqrt(np.mean(dist ** 2))),
                      rms_history=rms_history)
 
@@ -217,13 +254,9 @@ def _reference_recovery(rng, meshes=None, perturbations_per_mesh=5, patch_fracti
             result = _reference_icp_refine(measured, surface, start)
             dt, dr = pose_error(Pose.identity(), result.pose)
             stop = _stop_reason_alone(measured, surface, start)
-            cases.append(RecoveryCase(mesh.name, dt, dr, result.iterations,
-                                      result.converged, stop, result.rms_distance))
-    return RecoveryReport(
-        cases=cases,
-        mean_translation_mm=float(np.mean([c.translation_error_mm for c in cases])),
-        mean_rotation_deg=float(np.mean([c.rotation_error_deg for c in cases])),
-    )
+            cases.append(RecoveryCase(mesh.name, dt, dr, result.iterations, stop,
+                                      result.rms_distance))
+    return RecoveryReport(cases)
 
 
 def _reference_farthest_point_subset(points, count, rng):
@@ -401,6 +434,29 @@ class TestSpatialIndex:
                     for got, expected in zip(answers, want, strict=True):
                         assert (got.dtype == expected.dtype
                                 and got.tobytes() == expected.tobytes())
+
+    @pytest.mark.parametrize("make_mesh", [chamfered_box, cup, blade, can, bottle,
+                                           _with_degenerate_faces])
+    def test_build_same_bits_as_on_the_mesh_without_degenerate_faces(self, make_mesh):
+        mesh = make_mesh()
+        index = SpatialIndex(mesh)
+        want = _reference_index_arrays(mesh)
+        for name, array in want.items():
+            got = getattr(index, name)
+            if name == "_extent":
+                assert got.hex() == array.hex()
+            else:
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    array.dtype, array.shape, array.tobytes()), name
+        if make_mesh is _with_degenerate_faces:  # 4 of the 5 added faces dropped
+            assert len(index.points) == len(mesh.triangles) - 4
+
+    def test_mesh_without_a_usable_triangle_is_refused(self):
+        flat = Mesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]), [[0, 1, 2]], "flat")
+        for mesh in (flat, Mesh(np.zeros((3, 3)), np.zeros((0, 3)), "empty")):
+            with pytest.raises(ValidationError,
+                               match=f"^cannot index mesh '{mesh.name}': no triangles$"):
+                SpatialIndex(mesh)
 
     @pytest.mark.parametrize("make_mesh", [chamfered_box, cup, blade, can])
     def test_closest_and_candidates_same_bits_as_the_row_formulation(self, make_mesh):
