@@ -70,6 +70,23 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _refuse_out_over_input(out, inputs) -> None:
+    """Refuse an --out whose report or manifest sidecar is the same file as
+    one of the command's inputs, under any spelling, before the command reads
+    anything: the write would replace the input, and the manifest would record
+    the digest of what replaced it."""
+    from . import fileio
+
+    if not out:
+        return
+    for written in (out, fileio._sidecar_path(out)):
+        for path in inputs:
+            if (os.path.exists(written) and os.path.exists(path)
+                    and os.path.samefile(written, path)):
+                raise ValidationError(f"--out {out} would overwrite the input file "
+                                      f"{path}; name another output file")
+
+
 def _write_report(path, manifest, header, rows, extra_comments=()):
     from . import fileio
 
@@ -89,6 +106,8 @@ def _cmd_pivot_calib(args) -> int:
     from . import fileio
     from .pivot import DEFAULT_MIN_DIVERSITY_DEG, REFERENCE_TIP_VARIANCE_MM, solve_pivot
 
+    inputs = [args.poses_file]
+    _refuse_out_over_input(args.out, inputs)
     min_diversity_deg = (DEFAULT_MIN_DIVERSITY_DEG if args.min_diversity_deg is None
                          else args.min_diversity_deg)
     poses = fileio.load_pose_list(args.poses_file)
@@ -105,7 +124,7 @@ def _cmd_pivot_calib(args) -> int:
             "pivot-calib",
             {"poses_file": args.poses_file,
              "min_diversity_deg": min_diversity_deg},
-            [args.poses_file])
+            inputs)
         header = ("tip_x_mm,tip_y_mm,tip_z_mm,pivot_x_mm,pivot_y_mm,pivot_z_mm,"
                   "residual_rms_mm,n_poses")
         row = ",".join([repr(float(v)) for v in (*tip, *pivot)]
@@ -119,6 +138,8 @@ def _cmd_handeye(args) -> int:
     from . import fileio
     from .handeye import marker_from_base, solve_handeye
 
+    inputs = [args.board_file, args.views_file]
+    _refuse_out_over_input(args.out, inputs)
     board = fileio.load_marker_board(args.board_file)
     views = fileio.load_views(args.views_file)
     marker_base, marker_rms = marker_from_base(board)
@@ -135,7 +156,7 @@ def _cmd_handeye(args) -> int:
         manifest = fileio.RunManifest.create(
             "handeye", {"board_file": args.board_file,
                         "views_file": args.views_file},
-            [args.board_file, args.views_file])
+            inputs)
         rows = [f"{i},{repr(float(v))}" for i, v in enumerate(result.per_view_rmse)]
         _write_report(args.out, manifest, "view,rmse_mm", rows,
                       extra_comments=[f"overall_rmse_mm={result.overall_rmse!r}"])
@@ -175,6 +196,8 @@ def _cmd_annotate(args) -> int:
     from .mesh import load_obj
     from .registration import SpatialIndex, icp_refine, initial_pose
 
+    inputs = [args.points_file, args.mesh_file, args.correspondences_file]
+    _refuse_out_over_input(args.out, inputs)
     params = _parse_icp_params(args.icp_params)
     points = fileio.load_point_list(args.points_file)
     mesh = load_obj(args.mesh_file)
@@ -192,16 +215,16 @@ def _cmd_annotate(args) -> int:
     print(f"icp: {result.iterations} iterations, converged={result.converged}, "
           f"rms {result.rms_distance:.4f} mm")
     if args.out:
-        fileio.save_pose_list(args.out, [result.pose],
-                              comment="refined object-to-base pose")
         manifest = fileio.RunManifest.create(
             "annotate",
             {"points_file": args.points_file, "mesh_file": args.mesh_file,
              "correspondences_file": args.correspondences_file,
              "icp_params": args.icp_params},
-            [args.points_file, args.mesh_file, args.correspondences_file])
+            inputs)
         manifest.counts.update(icp_iterations=result.iterations,
                                icp_stop_reason=result.stop_reason)
+        fileio.save_pose_list(args.out, [result.pose],
+                              comment="refined object-to-base pose")
         manifest.write_sidecar(args.out)
         print(f"pose written to {args.out}")
     return 0
@@ -302,6 +325,8 @@ def _cmd_eval_iou(args) -> int:
     from . import fileio
     from .metrics import average_precision
 
+    inputs = [args.gt_file, args.pred_file]
+    _refuse_out_over_input(args.out, inputs)
     # predictions first: when both files are bad, the predictions' fault is reported
     predictions = fileio.load_predictions_csv(args.pred_file)
     ground_truth = fileio.load_ground_truth_csv(args.gt_file)
@@ -316,7 +341,7 @@ def _cmd_eval_iou(args) -> int:
         manifest = fileio.RunManifest.create(
             "eval-iou", {"gt_file": args.gt_file, "pred_file": args.pred_file,
                          "threshold": args.threshold},
-            [args.gt_file, args.pred_file])
+            inputs)
         manifest.counts.update(pairs_compared=result.pairs_compared,
                                pairs_separated=result.pairs_separated,
                                pairs_clipped=result.pairs_clipped)

@@ -93,6 +93,11 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
+def _sidecar_path(report_path) -> str:
+    """The path of the manifest sidecar written beside a report."""
+    return str(report_path) + ".manifest.json"
+
+
 class RunManifest:
     """The command, parameters, version and input digests of one run.
 
@@ -139,7 +144,7 @@ class RunManifest:
         full = dict(self.deterministic_dict(), timestamp=self.timestamp)
         if self.counts:
             full["counts"] = self.counts
-        sidecar = str(report_path) + ".manifest.json"
+        sidecar = _sidecar_path(report_path)
         atomic_write_text(sidecar, json.dumps(full, sort_keys=True, indent=2) + "\n")
         return sidecar
 

@@ -43,10 +43,7 @@ class Mesh:
                 f"[0, {len(self.vertices) - 1}]")
 
     def triangle_areas(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        return 0.5 * _triangle_geometry(self.vertices, self.triangles)[4]
 
     def surface_area(self) -> float:
         return float(self.triangle_areas().sum())
@@ -56,14 +53,31 @@ class Mesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
 
+def _triangle_geometry(vertices: np.ndarray, triangles: np.ndarray):
+    """Per triangle (a, b, c): its corners (F, 3, 3), the edges ab and ac,
+    their cross product, whose length is twice the area, that length, and
+    whether the triangle is kept. The one degenerate-face rule: a triangle is
+    kept when its area exceeds DEGENERATE_AREA_MM2."""
+    corners = vertices[triangles]
+    ab = corners[:, 1] - corners[:, 0]
+    ac = corners[:, 2] - corners[:, 0]
+    cross = np.cross(ab, ac)
+    length = np.linalg.norm(cross, axis=1)
+    return corners, ab, ac, cross, length, 0.5 * length > DEGENERATE_AREA_MM2
+
+
+def _kept_triangles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """The rows of `triangles` that are not degenerate."""
+    return triangles[_triangle_geometry(vertices, triangles)[5]]
+
+
 def drop_degenerate_triangles(mesh: Mesh) -> tuple[Mesh, int]:
     """Remove triangles with area <= 1e-12 mm^2; returns (mesh, dropped)."""
-    areas = mesh.triangle_areas()
-    keep = areas > DEGENERATE_AREA_MM2
-    dropped = int((~keep).sum())
+    kept = _kept_triangles(mesh.vertices, mesh.triangles)
+    dropped = len(mesh.triangles) - len(kept)
     if dropped == 0:
         return mesh, 0
-    return Mesh(mesh.vertices, mesh.triangles[keep], mesh.name), dropped
+    return Mesh(mesh.vertices, kept, mesh.name), dropped
 
 
 def _area_weights(mesh: Mesh) -> np.ndarray:
@@ -162,9 +176,14 @@ def load_obj(path) -> Mesh:
         # vt / vn / vp / o / g / s / usemtl / mtllib: ignored
     if not vertices:
         raise FileFormatError(path, None, "no vertices found")
-    mesh = Mesh(np.array(vertices), np.array(faces, dtype=np.int64).reshape(-1, 3),
-                name=str(path))
-    mesh, dropped = drop_degenerate_triangles(mesh)
+    corners = np.array(vertices)
+    triangles = np.array(faces, dtype=np.int64).reshape(-1, 3)
+    # the face indices were checked above; a non-finite vertex, whose faces
+    # would warn of invalid arithmetic here, is refused by Mesh just below
+    with np.errstate(invalid="ignore"):
+        kept = _kept_triangles(corners, triangles)
+    mesh = Mesh(corners, kept, name=str(path))
+    dropped = len(triangles) - len(kept)
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} degenerate face(s)")
     return mesh
@@ -245,9 +264,9 @@ def chamfered_box(width=60.0, depth=40.0, height=30.0, chamfer=4.0) -> Mesh:
                     p = corner.copy()
                     p[axis] -= np.sign(p[axis]) * c
                     pts.append(p)
-    mesh = Mesh(_recenter(np.array(pts)), np.array(_BOX_TRIANGLES, dtype=np.int64),
-                name=f"box{width:g}x{depth:g}x{height:g}")
-    return drop_degenerate_triangles(mesh)[0]
+    vertices = _recenter(np.array(pts))
+    triangles = _kept_triangles(vertices, np.array(_BOX_TRIANGLES, dtype=np.int64))
+    return Mesh(vertices, triangles, name=f"box{width:g}x{depth:g}x{height:g}")
 
 
 def _strips(rows, closed=True) -> np.ndarray:

@@ -9,26 +9,31 @@ triangle surface of the model mesh by point-to-plane ICP (Chen & Medioni
 The caller owns the surface: it builds one `SpatialIndex` per mesh and passes
 it to every `icp_refine` against that mesh.
 
-ICP matches the same slowly moving points again and again, so each run keeps a
-`SurfaceMatches`, a neighbour list with a skin (Verlet 1967): per point, the
-anchor where its candidate triangles were last searched, with the search
-bound widened by 2 s (s = `_SKIN_MM`). While a point lies within s of its
-anchor its candidates are reused; only the points that moved farther are
-searched again. This is exact. A point's distance to the surface, and to any
-triangle, changes by at most its motion, so a winning triangle T at p has
-d(p0, T) <= d(p, T) + s = d(p) + s <= d(p0) + 2 s, where p0 is the anchor.
-The search at p0 keeps every triangle whose lower bounds (centroid sphere and
-plane) lie within an upper bound on d(p0) plus the slack 2 s. T's lower
-bounds are at most d(p0, T), so the search kept T, together with every
-triangle that ties with it. The exact evaluation of a point depends on its
-own (point, triangle) pairs only, and picks among them as `query` does, so
-the answers are `query`'s bit for bit.
+ICP matches the same slowly moving points again and again, so their candidates
+are kept in a `SurfaceMatches`, a neighbour list with a skin (Verlet 1967):
+per point, the anchor where its candidate triangles were last searched, with
+the search bound widened by 2 s (s = `_SKIN_MM`). While a point lies within s
+of its anchor its candidates are reused; only the points that moved farther
+are searched again. This is exact. A point's distance to the surface, and to
+any triangle, changes by at most its motion, so a winning triangle T at p has
+d(p0, T) <= d(p, T) + s = d(p) + s <= d(p0) + 2 s, where p0 is the anchor. The
+search at p0 keeps every triangle whose lower bounds (centroid sphere and
+plane) lie within an upper bound on d(p0) plus the slack 2 s. T's lower bounds
+are at most d(p0, T), so the search kept T, together with every triangle that
+ties with it. The exact evaluation of a point depends on its own (point,
+triangle) pairs only, and picks among them as `query` does, so the answers are
+`query`'s bit for bit.
 
 An ICP run is a step generator that yields the points it needs matched. One
-driver advances any number of runs against one surface in lockstep and
-answers each round's pending matches with one `SpatialIndex.query`:
-`icp_refine` is that driver over one run, and `recovery_benchmark` refines
-all trials of a mesh together.
+driver advances a batch of runs against one surface in lockstep. It keeps one
+`SurfaceMatches` over the points of the batch's unfinished runs, in run
+order, and answers each round's pending matches with one `SpatialIndex.query`
+on it: one candidate search over every point that left its skin, and one
+evaluation per block. When runs finish, `SurfaceMatches.retain` drops their
+points. A point's answer depends on its own pairs only, so each run gets the
+bits it would get alone, and an extra run adds points to a round but no
+numpy calls. `icp_refine` is that driver over a batch of one run, and
+`recovery_benchmark` refines all trials of a mesh as one batch.
 
 A round holds little arithmetic: in the recovery study, 25 points per run
 and about a thousand (point, triangle) pairs in all. Its time goes to numpy
@@ -51,7 +56,7 @@ from .errors import ValidationError
 from .geometry import (Pose, _Frozen, _is_whole, _rodrigues, _set_fields, _trusted_pose,
                        absolute_orientation, axis_angle, random_unit_vector,
                        rotation_distance)
-from .mesh import DEGENERATE_AREA_MM2, Mesh, blade, chamfered_box, cup, sample_surface
+from .mesh import Mesh, _triangle_geometry, blade, chamfered_box, cup, sample_surface
 
 # Largest (points x triangles) block a surface query holds at once, 8 MB an array.
 _QUERY_BLOCK = 1 << 20
@@ -106,13 +111,8 @@ class SpatialIndex:
     """
 
     def __init__(self, mesh: Mesh):
-        corners = mesh.vertices[mesh.triangles]  # (F, 3, 3)
-        ab = corners[:, 1] - corners[:, 0]
-        ac = corners[:, 2] - corners[:, 0]
-        normal = np.cross(ab, ac)
-        length = np.linalg.norm(normal, axis=1)
-        # the rows of the triangles that `drop_degenerate_triangles` keeps
-        keep = 0.5 * length > DEGENERATE_AREA_MM2
+        corners, ab, ac, normal, length, keep = _triangle_geometry(
+            mesh.vertices, mesh.triangles)
         if not keep.any():
             raise ValidationError(f"cannot index mesh {mesh.name!r}: no triangles")
         corners, ab, ac = corners[keep], ab[keep], ac[keep]
@@ -228,23 +228,18 @@ class SpatialIndex:
         closest point, and the closest point is computed exactly on every
         (point, triangle) pair left. Ties go to the lowest id. Without
         `matches`, each block of points is searched and evaluated in turn.
-        With `matches`, a sequence of `SurfaceMatches` whose sizes split the
-        queries into consecutive runs, each run's candidates come from its
-        cache, and each block of points is evaluated in turn over them; the
-        answers are the same.
+        With `matches`, a `SurfaceMatches` with one point per query, the
+        candidates come from that cache, and each block of points is evaluated
+        in turn over its slice of the cached pairs; the answers are the same.
         """
         p = np.asarray(queries, dtype=float).reshape(-1, 3)
         if not np.isfinite(p).all():  # a finite point keeps at least one pair
             raise ValidationError("surface query points must be finite")
         if matches is not None:
-            covered = sum(run.size for run in matches)
-            if covered != len(p):
-                raise ValidationError(f"surface matches cover {covered} points, "
+            if matches.size != len(p):
+                raise ValidationError(f"surface matches cover {matches.size} points, "
                                       f"the query has {len(p)}")
-            runs, lo = [], 0  # (first point, rows, cols) of each run's pairs
-            for run in matches:
-                runs.append((lo, *run.pairs(self, p[lo:lo + run.size])))
-                lo += run.size
+            rows, cols = matches.pairs(self, p)
         block = max(1, _QUERY_BLOCK // len(self.points))  # points per block
         # no points, no answers
         dist, closest, tri = [np.empty(0)], [np.empty((0, 3))], [np.empty(0, np.int64)]
@@ -252,8 +247,9 @@ class SpatialIndex:
             q = p[lo:lo + block]
             if matches is None:
                 r, c = self._candidates(q)
-            else:
-                r, c = _block_pairs(runs, lo, lo + len(q))
+            else:  # the rows ascend: the block's pairs are one slice
+                start, stop = np.searchsorted(rows, (lo, lo + len(q)))
+                r, c = rows[start:stop] - lo, cols[start:stop]
             d, near, c = self._evaluate(q, r, c)
             dist.append(d)
             closest.append(near)
@@ -261,26 +257,15 @@ class SpatialIndex:
         return np.concatenate(dist), np.concatenate(closest), np.concatenate(tri)
 
 
-def _block_pairs(runs, lo: int, hi: int):
-    """The pairs of query points lo..hi-1, rows counted from lo, out of runs
-    of (first point, rows, cols); a run's rows ascend, so its pairs in the
-    block are one slice, and no run's pairs are copied whole."""
-    rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for first, r, c in runs:
-        start, stop = np.searchsorted(r, (lo - first, hi - first))
-        rows.append(r[start:stop] + (first - lo))
-        cols.append(c[start:stop])
-    return np.concatenate(rows), np.concatenate(cols)
-
-
 class SurfaceMatches:
-    """Candidate triangles of one moving point set, kept between queries.
+    """Candidate triangles of a moving point set, kept between queries.
 
     Per point: the anchor where its candidates were last searched, with slack
     2 * _SKIN_MM, and the candidates as (point, triangle) pairs in (point,
     triangle) order. A point within _SKIN_MM of its anchor reuses them; one
     that moved farther is searched again (see the module docstring). The
-    cache belongs to one surface and one ICP run.
+    cache belongs to one surface; its points may be any that are queried
+    together, such as those of all the runs of an ICP batch.
     """
 
     def __init__(self, size: int):
@@ -303,6 +288,15 @@ class SurfaceMatches:
             self._rows, self._cols = rows[order], cols[order]
             self._anchors[stale] = points[stale]
         return self._rows, self._cols
+
+    def retain(self, keep: np.ndarray) -> None:
+        """Keep the points where the boolean mask `keep` is true, in order,
+        with their anchors and candidates; their rows are renumbered."""
+        kept = keep[self._rows]
+        self._rows = (np.cumsum(keep) - 1)[self._rows[kept]]
+        self._cols = self._cols[kept]
+        self._anchors = self._anchors[keep]
+        self.size = len(self._anchors)
 
 
 class IcpParams(_Frozen):
@@ -461,20 +455,19 @@ def _icp_steps(measured: np.ndarray, surface: SpatialIndex, initial: Pose,
 def _refine_in_lockstep(surface: SpatialIndex, runs, params: IcpParams) -> list[IcpResult]:
     """ICP for each (measured, initial) of `runs` on one surface, in lockstep.
 
-    Each round matches the points of every unfinished run with one
-    `surface.query`, each run's candidates kept in its own SurfaceMatches,
-    and advances every run by one match. Runs do not interact: each result
-    is what the run would give alone.
+    Each round matches the points of every unfinished run, in run order, with
+    one `surface.query` on one SurfaceMatches over those points, and advances
+    every run by one match; the points of the runs that finish leave the
+    cache. Runs do not interact: each result is what the run would give alone.
     """
     steps = [_icp_steps(measured, surface, initial, params) for measured, initial in runs]
-    caches = [SurfaceMatches(len(measured)) for measured, _ in runs]
+    cache = SurfaceMatches(sum(len(measured) for measured, _ in runs))
     results: list[IcpResult] = [None] * len(runs)
     pending = [(k, next(step)) for k, step in enumerate(steps)]
     while pending:
         dist, closest, tri = surface.query(
-            np.concatenate([points for _, points in pending]),
-            [caches[k] for k, _ in pending])
-        waiting, lo = [], 0
+            np.concatenate([points for _, points in pending]), cache)
+        waiting, keep, lo = [], np.ones(cache.size, bool), 0
         for k, points in pending:
             hi = lo + len(points)
             answer = dist[lo:hi], closest[lo:hi], tri[lo:hi]
@@ -482,7 +475,10 @@ def _refine_in_lockstep(surface: SpatialIndex, runs, params: IcpParams) -> list[
                 waiting.append((k, steps[k].send(answer)))
             except StopIteration as done:
                 results[k] = done.value
+                keep[lo:hi] = False
             lo = hi
+        if len(waiting) < len(pending):
+            cache.retain(keep)
         pending = waiting
     return results
 

@@ -483,6 +483,46 @@ COMMAND_ARGVS = {
 }
 
 
+# the commands that read input files and write --out, each with the input
+# that its --out names below
+OUT_OVER_INPUT = {"pivot-calib": "poses.txt", "handeye": "views.txt",
+                  "annotate": "keypoints.txt", "eval-iou": "gt.csv"}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_OVER_INPUT))
+def test_out_naming_an_input_exits_1_and_writes_nothing(command, tmp_path, monkeypatch,
+                                                       capsys):
+    # each once replaced its input with its report and exited 0; annotate's
+    # sidecar then held the report's digest under the input's name. --out
+    # names the input by its full path, the input argument by its file name
+    _write_command_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    name = OUT_OVER_INPUT[command]
+    argv = COMMAND_ARGVS[command]
+    assert argv[-2] == "--out" and name in argv
+    assert cli.main([*argv[:-1], str(tmp_path / name)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --out {tmp_path / name} would overwrite the input "
+                            f"file {name}; name another output file\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_out_whose_sidecar_is_an_input_exits_1_and_writes_nothing(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the report was new, but its sidecar replaced the input
+    _write_command_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    os.rename("poses.txt", "pivot.csv.manifest.json")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert cli.main(["pivot-calib", "pivot.csv.manifest.json", "--out", "pivot.csv"]) == 1
+    assert capsys.readouterr() == ("", "error: --out pivot.csv would overwrite the input "
+                                       "file pivot.csv.manifest.json; name another "
+                                       "output file\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def _run_fresh(cwd, *args):
     """`python *args` in `cwd`, in a fresh interpreter that imports robocal
     from this checkout."""

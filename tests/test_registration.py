@@ -410,15 +410,16 @@ class TestSpatialIndex:
             if block is not None:
                 monkeypatch.setattr("robocal.registration._QUERY_BLOCK",
                                     block * len(index.points))
-            for matches in (None, [SurfaceMatches(len(queries))]):
+            for matches in (None, SurfaceMatches(len(queries))):
                 calls.clear()
                 index.query(queries, matches)
                 assert len(calls) == passes
 
     def test_block_size_does_not_change_the_bits(self, monkeypatch):
         # each point's answer depends only on its own (point, triangle) pairs;
-        # so too on the cached path, here over two runs whose points straddle
-        # block ends, searched at the queries and reused after a small move
+        # so too on the cached path: a cache searched at the queries, reused
+        # after a small move, and split by `retain` into its first 150 and
+        # last 210 points, whose renumbered rows straddle block ends
         rng = make_rng(19)
         mesh = cup()
         index = SpatialIndex(mesh)
@@ -426,14 +427,23 @@ class TestSpatialIndex:
                              rng.uniform(-150, 150, (60, 3))])
         moved = queries + rng.uniform(-0.2, 0.2, queries.shape)
         default = [index.query(points) for points in (queries, moved)]
+        first = np.arange(len(queries)) < 150
         for block in (1, 7, 100):
             monkeypatch.setattr("robocal.registration._QUERY_BLOCK", block * len(index.points))
-            runs = [SurfaceMatches(150), SurfaceMatches(210)]
+            matches = SurfaceMatches(len(queries))
             for points, want in zip((queries, moved), default):
-                for answers in (index.query(points), index.query(points, runs)):
+                for answers in (index.query(points), index.query(points, matches)):
                     for got, expected in zip(answers, want, strict=True):
                         assert (got.dtype == expected.dtype
                                 and got.tobytes() == expected.tobytes())
+            for part in (first, ~first):
+                matches = SurfaceMatches(len(queries))
+                index.query(queries, matches)
+                matches.retain(part)
+                answers = index.query(moved[part], matches)
+                for got, expected in zip(answers, default[1], strict=True):
+                    assert (got.dtype == expected.dtype
+                            and got.tobytes() == expected[part].tobytes())
 
     @pytest.mark.parametrize("make_mesh", [chamfered_box, cup, blade, can, bottle,
                                            _with_degenerate_faces])
@@ -533,7 +543,7 @@ class TestSurfaceMatches:
     def _cached(index, *point_sets):
         """Answers of one SurfaceMatches queried at each point set in turn."""
         matches = SurfaceMatches(len(point_sets[0]))
-        return [index.query(points, [matches]) for points in point_sets]
+        return [index.query(points, matches) for points in point_sets]
 
     @staticmethod
     def _count_searches(index):
@@ -655,23 +665,52 @@ class TestSurfaceMatches:
                 tracemalloc.stop()
 
         uncached = peak(points)
-        searched = peak(points, [matches])  # builds the cache
-        reused = peak(points + 0.1, [matches])  # within the skin: no search
+        searched = peak(points, matches)  # builds the cache
+        reused = peak(points + 0.1, matches)  # within the skin: no search
         cache = matches._rows.nbytes + matches._cols.nbytes
         assert searched <= uncached + 3 * cache
         block_pairs = np.bincount(matches._rows // block).max()
         assert reused <= cache + block_multiple * 16 * block_pairs
 
-    @pytest.mark.parametrize("sizes", [[3], [3, 2]])
-    def test_matches_must_cover_the_query(self, sizes):
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_matches_must_cover_the_query(self, size):
         index = SpatialIndex(blade())
-        with pytest.raises(ValidationError, match=f"cover {sum(sizes)} points"):
-            index.query(np.zeros((4, 3)), [SurfaceMatches(n) for n in sizes])
+        with pytest.raises(ValidationError, match=f"cover {size} points"):
+            index.query(np.zeros((4, 3)), SurfaceMatches(size))
 
     def test_non_finite_points_rejected(self):
         index = SpatialIndex(blade())
         with pytest.raises(ValidationError, match="finite"):
-            index.query([[0.0, 0.0, 0.0], [1.0, np.nan, 2.0]], [SurfaceMatches(2)])
+            index.query([[0.0, 0.0, 0.0], [1.0, np.nan, 2.0]], SurfaceMatches(2))
+
+    @pytest.mark.parametrize("make_mesh", [chamfered_box, cup, blade])
+    def test_retained_points_get_query_answers(self, make_mesh):
+        # a cache searched at 120 anchors keeps a random 70 of them, in order,
+        # with their rows renumbered; moved within the skin they reuse their
+        # candidates, and with every other one moved past it, only those are
+        # searched again; each time the answers are the uncached query's
+        rng = make_rng(32)
+        mesh = make_mesh()
+        index = SpatialIndex(mesh)
+        anchors = sample_surface(mesh, 120, rng) + rng.uniform(-0.5, 0.5, (120, 3))
+        keep = rng.permutation(120) < 70
+        step = rng.standard_normal((70, 3))
+        step *= 0.8 * _SKIN_MM / np.linalg.norm(step, axis=1, keepdims=True)
+        within = anchors[keep] + step
+        mixed = within.copy()
+        mixed[1::2] += 2.0 * step[1::2]  # 2.4 skins from the anchor
+        want = [index.query(points) for points in (within, mixed)]
+        matches = SurfaceMatches(120)
+        index.query(anchors, matches)
+        matches.retain(keep)
+        assert matches.size == 70
+        searched = self._count_searches(index)
+        for points, expected, searches in ((within, want[0], []), (mixed, want[1], [35])):
+            searched.clear()
+            got = index.query(points, matches)
+            assert searched == searches
+            for a, b in zip(got, expected, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 class TestIcp:
     def test_fixed_point(self, box_surface):
@@ -834,6 +873,37 @@ class TestIcp:
         assert result.rms_history == []
         np.testing.assert_array_equal(result.pose.as_matrix(), start.as_matrix())
 
+    def test_batch_gives_each_run_its_bits_alone(self, box_surface, monkeypatch):
+        # runs of 3, 25, 40 and 40 points share one cache and stop for each of
+        # the four reasons, the second in the first round and the first last,
+        # so that finished runs leave the middle and the end of the cache.
+        # The points that stay keep their candidates: the batch searches as
+        # many points as the runs do alone
+        mesh, surface = box_surface
+        searched = []
+        search = SpatialIndex._candidates
+        monkeypatch.setattr(SpatialIndex, "_candidates",
+                            lambda self, p, slack=0.0: searched.append(len(p))
+                            or search(self, p, slack))
+        params = IcpParams(max_iterations=12, max_correspondence_mm=10.0)
+        rng = make_rng(31)
+        runs = []
+        for count, noise in ((3, 0.2), (25, 0.2), (40, 0.2), (40, 0.0)):
+            patch = sample_patch(mesh, count, rng, 60.0)
+            measured = patch + rng.uniform(-noise, noise, patch.shape)
+            runs.append((measured, random_pose_perturbation(rng, 2.0, 4.0)))
+        runs[1] = (runs[1][0], Pose(np.eye(3), [0.0, 0.0, 500.0]))  # beyond the cap
+        results = registration._refine_in_lockstep(surface, runs, params)
+        in_batch = sum(searched)
+        assert [r.stop_reason for r in results] == [
+            "max_iterations", "too_few_matches", "tolerance_after_halving", "tolerance"]
+        searched.clear()
+        for got, (measured, start) in zip(results, runs, strict=True):
+            want = icp_refine(measured, surface, start, params)
+            _same_bits(got, want)
+            assert got.stop_reason == want.stop_reason
+        assert in_batch == sum(searched)
+
     def test_nan_measured_point_rejected(self, box_surface):
         mesh, surface = box_surface
         measured = sample_patch(mesh, 25, make_rng(23), 60.0)
@@ -887,15 +957,19 @@ def test_recovery_benchmark_same_cases_as_three_pass_query(seed, monkeypatch):
 
 
 def test_recovery_benchmark_one_evaluation_per_round(monkeypatch):
-    # each round evaluates every pending run's points at once; a candidate
-    # search never holds more than one run's points
-    rounds, evaluated, searched = [], [], []
+    # each round evaluates every pending run's points at once, and searches
+    # candidates at most once, for the points of all its runs that left
+    # their skin: at most the whole batch of a mesh's five trials
+    rounds, evaluated, searched, searches = [], [], [], []
     query, evaluate, search = (SpatialIndex.query, SpatialIndex._evaluate,
                                SpatialIndex._candidates)
 
     def counting_query(self, points, matches=None):
         rounds.append(len(points))
-        return query(self, points, matches)
+        before = len(searched)
+        answers = query(self, points, matches)
+        searches.append(len(searched) - before)
+        return answers
 
     def counting_evaluate(self, p, r, c):
         evaluated.append(len(p))
@@ -911,7 +985,9 @@ def test_recovery_benchmark_one_evaluation_per_round(monkeypatch):
     report = recovery_benchmark(make_rng(24))
     assert evaluated == rounds
     assert rounds[0] == 5 * RECOVERY_POINTS  # all five trials of the first mesh
-    assert max(searched) <= RECOVERY_POINTS
+    assert max(searches) == 1
+    assert searched[0] == 5 * RECOVERY_POINTS  # the first round searches every point
+    assert max(searched) <= 5 * RECOVERY_POINTS
     # a run matches once per iteration plus once at the start and end at most
     assert len(rounds) <= sum(case.iterations + 2 for case in report.cases)
 
