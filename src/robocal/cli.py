@@ -70,21 +70,26 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _refuse_overwrite(option, written, inputs, other) -> None:
+    """Refuse an output `option` (flag and value) one of whose files `written`
+    is the same file as one of the command's inputs, under any spelling,
+    before the command reads anything: the write would replace the input, and
+    the manifest would record the digest of what replaced it. `other` names
+    what to give instead."""
+    for out in written:
+        for path in inputs:
+            if os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+                raise ValidationError(f"{option} would overwrite the input file {path}; "
+                                      f"name another {other}")
+
+
 def _refuse_out_over_input(out, inputs) -> None:
-    """Refuse an --out whose report or manifest sidecar is the same file as
-    one of the command's inputs, under any spelling, before the command reads
-    anything: the write would replace the input, and the manifest would record
-    the digest of what replaced it."""
+    """_refuse_overwrite for an --out report and its manifest sidecar."""
     from . import fileio
 
-    if not out:
-        return
-    for written in (out, fileio._sidecar_path(out)):
-        for path in inputs:
-            if (os.path.exists(written) and os.path.exists(path)
-                    and os.path.samefile(written, path)):
-                raise ValidationError(f"--out {out} would overwrite the input file "
-                                      f"{path}; name another output file")
+    if out:
+        _refuse_overwrite(f"--out {out}", (out, fileio._sidecar_path(out)), inputs,
+                          "output file")
 
 
 def _write_report(path, manifest, header, rows, extra_comments=()):
@@ -249,11 +254,14 @@ def _parse_handeye_targets(items) -> dict:
 def _cmd_simulate(args) -> int:
     from . import fileio
     from .simulate import (NoiseSpec, check_out_dir, generate_scene, save_sim_report,
-                           sim_report_text, simulate_annotation_error)
+                           sim_report_paths, sim_report_text, simulate_annotation_error)
 
     if (args.scene_file is None) == (args.template is None):
         raise ValidationError("give exactly one of <scene-file> or --template")
     check_out_dir(args.out_dir)
+    if args.scene_file:
+        _refuse_overwrite(f"--out-dir {args.out_dir}", sim_report_paths(args.out_dir),
+                          [args.scene_file], "output directory")
     seed = _resolve_seed(args)
     user_targets = _parse_handeye_targets(args.handeye_rmse)
     targets = {**NoiseSpec().handeye_target_rmse, **user_targets}
@@ -344,6 +352,7 @@ def _cmd_eval_iou(args) -> int:
             inputs)
         manifest.counts.update(pairs_compared=result.pairs_compared,
                                pairs_separated=result.pairs_separated,
+                               pairs_bounded=result.pairs_bounded,
                                pairs_clipped=result.pairs_clipped)
         rows = [f"{cat},{repr(float(ap))}"
                 for cat, ap in result.per_category.items()]

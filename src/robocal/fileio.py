@@ -102,11 +102,12 @@ class RunManifest:
     """The command, parameters, version and input digests of one run.
 
     `input_digests` maps each input's file name to the SHA-256 of its bytes,
-    as hex, as `sha256sum` prints it. The hash is CPython's built-in SHA-256,
-    not hashlib's: hashlib maps OpenSSL's libcrypto (~3.4 MB resident), and
-    pivot-calib, handeye, annotate and eval-iou would load it for nothing
-    else. The built-in is ~5x slower per byte: ~5 ms per MB of input on a
-    2-vCPU Xeon, against ~1 ms."""
+    as hex, as `sha256sum` prints it; inputs that share a file name are keyed
+    by their paths as given, so that each keeps its digest. The hash is
+    CPython's built-in SHA-256, not hashlib's: hashlib maps OpenSSL's
+    libcrypto (~3.4 MB resident), and pivot-calib, handeye, annotate and
+    eval-iou would load it for nothing else. The built-in is ~5x slower per
+    byte: ~5 ms per MB of input on a 2-vCPU Xeon, against ~1 ms."""
 
     __slots__ = ("command", "parameters", "version", "input_digests", "timestamp",
                  "counts")
@@ -123,9 +124,11 @@ class RunManifest:
 
     @classmethod
     def create(cls, command: str, parameters: dict, input_paths=()) -> "RunManifest":
+        paths = [str(p) for p in input_paths]
+        names = [os.path.basename(p) for p in paths]
         digests = {}
-        for p in input_paths:
-            digests[os.path.basename(str(p))] = _sha256_hex(read_bytes(p))
+        for path, name in zip(paths, names):
+            digests[name if names.count(name) == 1 else path] = _sha256_hex(read_bytes(path))
         return cls(command=command, parameters=dict(parameters),
                    input_digests=digests,
                    timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"))

@@ -1,6 +1,6 @@
 """Benchmark metrics: oriented 3D IoU, average precision, pointwise RMSE.
 
-Oriented-box IoU is computed for many pairs at once, in three array steps,
+Oriented-box IoU is computed for many pairs at once, in four array steps,
 each on the pairs the step before it left:
 
 1. Bounding spheres. Every corner lies |half_extents| from its centre, so a
@@ -12,7 +12,18 @@ each on the pairs the step before it left:
    rounding, so a pair is rejected only when it is surely disjoint. The
    test may keep a touching pair of volume 0, never drop one of positive
    volume.
-3. Exact volume. Each box's faces are clipped against the other box's six
+3. An IoU bound. In a's frame, b lies inside the box of half widths |C| h_b
+   about the centre offset t (C = R_a^T R_b), so the intersection lies
+   inside that box clipped to a's [-h_a, h_a]; from b's side likewise. The
+   smaller of the two volumes bounds the intersection, and so the IoU, and
+   a pair whose bound stays below the caller's threshold is not clipped and
+   gets IoU 0; a threshold of 0 clips every pair. The bound is widened by
+   the separating-axis slack, so it is never below the IoU of the boxes'
+   half-spaces, even for rotations orthonormal only to _ORTHO_TOL, nor below
+   the clip's IoU where the clip is exact. (Where two faces lie near one
+   plane but further from it than _CLIP_EPS, the clip can count both and
+   exceed the bound, which is then the nearer of the two to the boxes' IoU.)
+4. Exact volume. Each box's faces are clipped against the other box's six
    half-spaces (Sutherland-Hodgman, on padded arrays of polygons), and the
    clipped faces, wound outward, bound the intersection, whose volume
    follows from the divergence theorem as a sum of signed tetrahedron
@@ -25,13 +36,18 @@ detection CSV readers return (categories, scores, centres, half extents,
 rotations), with no per-row box objects. It orders each category's
 predictions by score and takes the pairs whose bounding spheres overlap,
 category by category; the separating-axis test then runs once over the
-pairs of every category, and the clip over the survivors in consecutive
-blocks of _CLIP_BLOCK pairs, which bounds its memory whatever the size of
-the set.
+pairs of every category, the bound at the AP's threshold over the pairs
+it keeps, and the clip over the pairs whose bound reaches the threshold, in
+consecutive blocks of _CLIP_BLOCK pairs, which bounds its memory whatever
+the size of the set.
 Each category's IoU matrix is filled from its share of the pairs and
-scored by one greedy matcher. `Detection` and `GroundTruthBox` are the row
-types the CSV writers take. Monte-Carlo estimation exists only as a test
-oracle.
+scored by one greedy matcher. The pairs left out by the bound leave the AP
+as an exact clip alone gives it: a prediction takes its best unmatched
+ground truth only if that IoU reaches the threshold, so a value below it
+counts only when no value of its row reaches the threshold, and then the
+prediction is a false positive whether that value is its IoU or 0.
+`Detection` and `GroundTruthBox` are the row types the CSV writers take.
+Monte-Carlo estimation exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -68,9 +84,12 @@ _CLIP_EPS = 1e-12
 # more than one category's clip on the iou-pooled sets, and make the fixed
 # cost of a call small next to its work.
 _CLIP_BLOCK = 64
-# Slack of the separating-axis test, added to |R| entries and, relative to
-# the pair's size, to the projected radii: far above rounding, and covering
-# rotations that are orthonormal only to within _ORTHO_TOL.
+# Slack of the separating-axis test and of the IoU bound, added to |R|
+# entries and, relative to the pair's size, to the projected radii, and the
+# bound's relative slack on its volume: far above rounding, and covering
+# rotations that are orthonormal only to within _ORTHO_TOL, whose boxes are
+# sheared by up to 3 _ORTHO_TOL of their size and whose volume is off by up
+# to _ORTHO_TOL.
 _AXIS_SLACK = 4.0 * _ORTHO_TOL
 
 
@@ -267,33 +286,77 @@ def _covered_faces(poly, count, normals_a, offsets_a, normals_b):
     return pair[shared], 6 + face[shared]
 
 
-def _pair_overlaps(a, b, i, j):
-    """The pairs (a[i[k]], b[j[k]]) of the stacked boxes a and b, whose
-    bounding spheres overlap, through the separating-axis test and the clip:
-    (mask of the pairs that no axis separates, and each pair's exact
-    intersection volume and IoU, 0 for a separated pair). The clip runs on
-    _CLIP_BLOCK pairs at a time; a pair's volume does not depend on the
-    others of its block."""
-    (ca, ha, Ra), (cb, hb, Rb) = a, b
-    kept = _axes_overlap(ca[i], ha[i], Ra[i], cb[j], hb[j], Rb[j])
-    inter = np.zeros(len(kept))
-    clipped = np.flatnonzero(kept)
-    for start in range(0, len(clipped), _CLIP_BLOCK):
-        block = clipped[start:start + _CLIP_BLOCK]
-        k, m = i[block], j[block]
-        inter[block] = _clip_volumes(ca[k], ha[k], Ra[k], cb[m], hb[m], Rb[m])
-    # as OrientedBox.volume()
-    va, vb = 8.0 * np.prod(ha[i], axis=1), 8.0 * np.prod(hb[j], axis=1)
+def _iou_bounds(ca, ha, Ra, cb, hb, Rb, va, vb) -> np.ndarray:
+    """An upper bound on the IoU of each pair (a[k], b[k]) of volumes va[k]
+    and vb[k], as step 3 of this module's docstring states it.
+
+    With C and t as in _axes_overlap, b lies inside the box of half widths
+    |C| hb about t in a's frame, and a inside the box of half widths |C|^T ha
+    about Rb^T (ca - cb) in b's frame; the smaller volume of these boxes
+    clipped to a's and to b's own bounds the intersection volume, and _iou
+    grows with it. The half widths get the separating-axis slack, plus
+    _CLIP_EPS, which the clip's vertices may lie outside a plane, and the
+    volume a relative _AXIS_SLACK, for the determinant of a rotation.
+    """
+    C = np.swapaxes(Ra, 1, 2) @ Rb
+    t = (np.swapaxes(Ra, 1, 2) @ (cb - ca)[:, :, None])[:, :, 0]
+    tb = (np.swapaxes(Rb, 1, 2) @ (ca - cb)[:, :, None])[:, :, 0]
+    A = np.abs(C) + _AXIS_SLACK
+    slack = (_AXIS_SLACK * (np.linalg.norm(ha, axis=1) + np.linalg.norm(hb, axis=1))
+             + _CLIP_EPS)[:, None]
+    reach_b = (A @ hb[:, :, None])[:, :, 0] + slack
+    reach_a = (np.swapaxes(A, 1, 2) @ ha[:, :, None])[:, :, 0] + slack
+    inter = np.minimum(_overlap_volume(ha + slack, t, reach_b),
+                       _overlap_volume(hb + slack, tb, reach_a))
+    return _iou(inter * (1.0 + _AXIS_SLACK), va, vb)
+
+
+def _overlap_volume(half, centre, reach) -> np.ndarray:
+    """Volume of each box [-half, half] clipped to [centre - reach, centre + reach]."""
+    width = np.minimum(half, centre + reach) - np.maximum(-half, centre - reach)
+    return np.prod(np.maximum(width, 0.0), axis=1)
+
+
+def _iou(inter, va, vb) -> np.ndarray:
+    """IoU of each pair of boxes of volumes va and vb from its intersection
+    volume, which grows with it; 0 for no volume."""
     # the rounded clip volume can exceed a box's own
     clamped = np.minimum(inter, np.minimum(va, vb))
-    return kept, inter, np.where(clamped > 0.0, clamped / (va + vb - clamped), 0.0)
+    return np.where(clamped > 0.0, clamped / (va + vb - clamped), 0.0)
+
+
+def _pair_overlaps(a, b, i, j, threshold):
+    """The pairs (a[i[k]], b[j[k]]) of the stacked boxes a and b, whose
+    bounding spheres overlap, through the separating-axis test, the IoU bound
+    and the clip: (mask of the pairs that no axis separates, mask of those
+    whose bounded IoU reaches `threshold` and so were clipped, and each
+    pair's exact intersection volume and IoU, 0 for a pair not clipped). The
+    clip runs on _CLIP_BLOCK pairs at a time; a pair's volume does not depend
+    on the others of its block."""
+    (ca, ha, Ra), (cb, hb, Rb) = a, b
+    kept = _axes_overlap(ca[i], ha[i], Ra[i], cb[j], hb[j], Rb[j])
+    # as OrientedBox.volume()
+    va, vb = 8.0 * np.prod(ha[i], axis=1), 8.0 * np.prod(hb[j], axis=1)
+    candidates = np.flatnonzero(kept)
+    k, m = i[candidates], j[candidates]
+    bound = _iou_bounds(ca[k], ha[k], Ra[k], cb[m], hb[m], Rb[m],
+                        va[candidates], vb[candidates])
+    clip_at = candidates[bound >= threshold]
+    clipped = np.zeros_like(kept)
+    clipped[clip_at] = True
+    inter = np.zeros(len(kept))
+    for start in range(0, len(clip_at), _CLIP_BLOCK):
+        block = clip_at[start:start + _CLIP_BLOCK]
+        k, m = i[block], j[block]
+        inter[block] = _clip_volumes(ca[k], ha[k], Ra[k], cb[m], hb[m], Rb[m])
+    return kept, clipped, inter, _iou(inter, va, vb)
 
 
 def _one_pair(a: OrientedBox, b: OrientedBox) -> tuple[float, float]:
     """(intersection volume, IoU) of two boxes, by the path of many pairs."""
     a, b = _stack([a]), _stack([b])
     i, j = np.nonzero(_spheres_overlap(a[0], a[1], b[0], b[1]))
-    _, inter, iou = _pair_overlaps(a, b, i, j)
+    _, _, inter, iou = _pair_overlaps(a, b, i, j, 0.0)
     return (float(inter[0]), float(iou[0])) if len(i) else (0.0, 0.0)
 
 
@@ -328,22 +391,26 @@ class GroundTruthBox(_Frozen):
 
 
 class APResult:
-    """The AP of each category with ground truth; `mean_ap` is read off them."""
+    """The AP of each category with ground truth; `mean_ap` is read off them.
+    The pair counts are those of `average_precision`: compared, separated,
+    bounded (`pairs_bounded`, left unclipped by the IoU bound) and clipped."""
 
     __slots__ = ("per_category", "undefined_categories", "pairs_compared",
-                 "pairs_separated", "pairs_clipped")
+                 "pairs_separated", "pairs_bounded", "pairs_clipped")
 
     def __init__(self, per_category: dict[str, float],
                  undefined_categories: list[str] | None = None, pairs_compared: int = 0,
-                 pairs_separated: int = 0, pairs_clipped: int = 0):
+                 pairs_separated: int = 0, pairs_bounded: int = 0, pairs_clipped: int = 0):
         self.per_category = per_category
         self.undefined_categories = ([] if undefined_categories is None
                                      else undefined_categories)
         # prediction/ground-truth pairs of each category; the sphere-passing
-        # pairs a separating axis rejected; the pairs whose exact volume was
+        # pairs a separating axis rejected; the pairs it kept whose IoU bound
+        # stayed below the threshold; the pairs whose exact volume was
         # computed
         self.pairs_compared = pairs_compared
         self.pairs_separated = pairs_separated
+        self.pairs_bounded = pairs_bounded
         self.pairs_clipped = pairs_clipped
 
     @property
@@ -406,8 +473,10 @@ def average_precision(predictions: tuple, ground_truth: tuple,
     Ground truth without a single box is a ValidationError, since no AP is
     defined then. The result also counts the prediction/ground truth pairs
     of each category, the pairs whose bounding spheres overlap but that a
-    separating axis rejected, and the pairs whose exact intersection volume
-    was computed.
+    separating axis rejected (`pairs_separated`), the pairs it kept whose
+    IoU bound stays below the threshold, which get IoU 0 and leave the AP as
+    it is (`pairs_bounded`), and the pairs whose exact intersection volume
+    was computed (`pairs_clipped`).
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValidationError(f"IoU threshold must be in (0, 1), got {iou_threshold}")
@@ -431,7 +500,8 @@ def average_precision(predictions: tuple, ground_truth: tuple,
         local.append(((len(pred), len(gt)), pi, pj))
         i.append(pred[pi])
         j.append(gt[pj])
-    kept, _, iou = _pair_overlaps(pred_boxes, gt_boxes, np.concatenate(i), np.concatenate(j))
+    kept, clipped, _, iou = _pair_overlaps(pred_boxes, gt_boxes, np.concatenate(i),
+                                           np.concatenate(j), iou_threshold)
 
     per_category, start = {}, 0
     for cat, (shape, pi, pj) in zip(categories, local):
@@ -443,7 +513,8 @@ def average_precision(predictions: tuple, ground_truth: tuple,
                     undefined_categories=sorted(set(pred_rows) - set(gt_rows)),
                     pairs_compared=sum(rows * cols for (rows, cols), _, _ in local),
                     pairs_separated=int(np.count_nonzero(~kept)),
-                    pairs_clipped=int(np.count_nonzero(kept)))
+                    pairs_bounded=int(np.count_nonzero(kept & ~clipped)),
+                    pairs_clipped=int(np.count_nonzero(clipped)))
 
 
 def pointwise_rmse(points, gt: Pose, est: Pose) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import SearchFailureError, ValidationError
 from .geometry import (Pose, _as_unit_vec3, _Frozen, _set_fields, _trusted_pose, apply,
                        axis_angle, compose, invert, make_rng, random_unit_vector)
-from .fileio import RunManifest, _fmt, atomic_write_text
+from .fileio import RunManifest, _fmt, _sidecar_path, atomic_write_text
 from .handeye import MarkerBoard, default_board_points, synthesize_views
 from .mesh import procedural_ref, resolve_mesh, surface_moment
 
@@ -433,6 +433,13 @@ def check_out_dir(out_dir) -> None:
         raise ValidationError(f"cannot create directory {out_dir}: {os.strerror(error)}")
 
 
+def sim_report_paths(out_dir) -> tuple[str, str, str]:
+    """The CSV, the text report and the manifest sidecar that
+    `save_sim_report` writes into `out_dir`."""
+    stem = os.path.join(out_dir, "sim_report")
+    return stem + ".csv", stem + ".txt", _sidecar_path(stem)
+
+
 def save_sim_report(out_dir, report: SimReport, manifest: RunManifest, text: str):
     """Write the report's CSV, its `text` (from sim_report_text) and the
     manifest sidecar into `out_dir`."""
@@ -441,8 +448,7 @@ def save_sim_report(out_dir, report: SimReport, manifest: RunManifest, text: str
     except OSError as exc:
         raise ValidationError(f"cannot create directory {out_dir}: "
                               f"{exc.strerror or exc}") from exc
-    csv_path = os.path.join(out_dir, "sim_report.csv")
-    txt_path = os.path.join(out_dir, "sim_report.txt")
+    csv_path, txt_path, _ = sim_report_paths(out_dir)
     atomic_write_text(csv_path, sim_report_csv(report, manifest))
     atomic_write_text(txt_path, text)
     manifest.write_sidecar(os.path.join(out_dir, "sim_report"))

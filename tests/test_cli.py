@@ -361,10 +361,12 @@ def test_eval_iou_sidecar_counts_pairs(tmp_path, capsys):
     # 6 x 6 pairs compared. The bounding spheres of distinct ground-truth
     # boxes miss each other by at least 27 mm and each prediction lies within
     # 6 mm of its own box, so only the 6 own pairs reach the separating-axis
-    # test; they overlap, pass it and are clipped.
+    # test; they overlap and pass it. Each prediction is its box moved, for
+    # which the IoU bound is exact, and the IoU of the first, 0.40, is below
+    # the threshold, so 5 are clipped.
     sidecar = json.loads((tmp_path / "ap.csv.manifest.json").read_text())
     assert sidecar["counts"] == {"pairs_compared": 36, "pairs_separated": 0,
-                                 "pairs_clipped": 6}
+                                 "pairs_bounded": 1, "pairs_clipped": 5}
     embedded = json.loads(out.read_text().splitlines()[0][len("# manifest: "):])
     assert embedded == {k: v for k, v in sidecar.items()
                         if k not in ("counts", "timestamp")}
@@ -520,6 +522,43 @@ def test_out_whose_sidecar_is_an_input_exits_1_and_writes_nothing(tmp_path, monk
     assert capsys.readouterr() == ("", "error: --out pivot.csv would overwrite the input "
                                        "file pivot.csv.manifest.json; name another "
                                        "output file\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_same_named_inputs_keep_both_digests(tmp_path, monkeypatch, capsys):
+    # eval-iou a/boxes.csv b/boxes.csv recorded one "boxes.csv" digest, the
+    # predictions'; the ground truth's was lost
+    _write_command_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("a")
+    os.mkdir("b")
+    os.rename("gt.csv", os.path.join("a", "boxes.csv"))
+    os.rename("pred.csv", os.path.join("b", "boxes.csv"))
+    gt, pred = os.path.join("a", "boxes.csv"), os.path.join("b", "boxes.csv")
+    assert cli.main(["eval-iou", gt, pred, "--threshold", "0.5", "--out", "ap.csv"]) == 0
+    capsys.readouterr()
+    expected = {path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+                for path in (gt, pred)}
+    assert len(set(expected.values())) == 2
+    embedded = json.loads(open("ap.csv").readline()[len("# manifest: "):])
+    sidecar = json.loads(open("ap.csv.manifest.json").read())
+    assert embedded["inputs"] == sidecar["inputs"] == expected
+    assert embedded["parameters"] == {"gt_file": gt, "pred_file": pred, "threshold": 0.5}
+
+
+@pytest.mark.parametrize("output", ["sim_report.csv", "sim_report.txt",
+                                    "sim_report.manifest.json"])
+def test_simulate_refuses_to_overwrite_its_scene(output, tmp_path, monkeypatch, capsys):
+    # a scene named sim_report.txt in --out-dir was replaced by the text
+    # report, and the next run could not read it
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-scene", "--template", "phocal-like", "--seed", "1",
+                     "--out", output]) == 0
+    capsys.readouterr()
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert cli.main(["simulate", output, "--seed", "1", "--out-dir", "."]) == 1
+    assert capsys.readouterr() == ("", f"error: --out-dir . would overwrite the input "
+                                       f"file {output}; name another output directory\n")
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 

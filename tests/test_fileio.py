@@ -123,6 +123,36 @@ def test_byte_order_mark_leaves_the_input_digest_raw(tmp_path):
                                       .hexdigest()}
 
 
+def test_inputs_that_share_a_file_name_keep_both_digests(tmp_path):
+    # keyed by file name alone, the second file's digest replaced the first's
+    paths = [tmp_path / "a" / "poses.txt", tmp_path / "b" / "poses.txt",
+             tmp_path / "a" / "views.txt"]
+    for k, path in enumerate(paths):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(f"input {k}\n")
+    manifest = fileio.RunManifest.create("handeye", {}, [str(p) for p in paths])
+    assert manifest.input_digests == {
+        str(paths[0]): hashlib.sha256(b"input 0\n").hexdigest(),
+        str(paths[1]): hashlib.sha256(b"input 1\n").hexdigest(),
+        "views.txt": hashlib.sha256(b"input 2\n").hexdigest()}
+
+
+def test_unique_file_names_key_the_digests(tmp_path):
+    # the manifest of unique names, in every report written before inputs
+    # that share a name were told apart
+    paths = [tmp_path / "a" / "gt.csv", tmp_path / "b" / "pred.csv"]
+    digests = []
+    for k, path in enumerate(paths):
+        path.parent.mkdir()
+        path.write_bytes(b"input %d\n" % k)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    manifest = fileio.RunManifest.create("eval-iou", {"threshold": 0.5}, paths)
+    assert manifest.embed_line() == (
+        '# manifest: {"command": "eval-iou", '
+        f'"inputs": {{"gt.csv": "{digests[0]}", "pred.csv": "{digests[1]}"}}, '
+        f'"parameters": {{"threshold": 0.5}}, "version": "{fileio.__version__}"}}')
+
+
 def _box_rows(categories):
     box = OrientedBox([1.0, -2.0, 3.5], [4.0, 5.0, 6.0], random_rotation(make_rng(30)))
     return ([GroundTruthBox(cat, box) for cat in categories],

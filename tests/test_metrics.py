@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
@@ -48,10 +48,11 @@ def clip_volume(a, b):
 
 def iou_matrix(a_boxes, b_boxes):
     """(IoU of every pair of boxes a x b, pairs the separating-axis test
-    rejected, pairs clipped), by the pair path of average_precision."""
+    rejected, pairs clipped), by the pair path of average_precision at
+    threshold 0, where the IoU bound leaves every kept pair to the clip."""
     a, b = metrics._stack(a_boxes), metrics._stack(b_boxes)
     i, j = np.nonzero(metrics._spheres_overlap(a[0], a[1], b[0], b[1]))
-    kept, _, iou = metrics._pair_overlaps(a, b, i, j)
+    kept, _, _, iou = metrics._pair_overlaps(a, b, i, j, 0.0)
     matrix = np.zeros((len(a_boxes), len(b_boxes)))
     matrix[i, j] = iou
     return matrix, int(np.sum(~kept)), int(np.sum(kept))
@@ -582,11 +583,12 @@ class TestAveragePrecision:
         preds, gts = pooled_rows(make_rng(17))
         detections = box_columns(preds, gts)
         result = average_precision(*detections, threshold)
-        # bypass both rejection tests: every pair is clipped
+        # bypass both rejection tests and the IoU bound: every pair is clipped
         monkeypatch.setattr(metrics, "_spheres_overlap",
                             lambda ca, ha, cb, hb: np.ones((len(ca), len(cb)), bool))
         monkeypatch.setattr(metrics, "_axes_overlap",
                             lambda ca, *args: np.ones(len(ca), bool))
+        monkeypatch.setattr(metrics, "_iou_bounds", lambda ca, *args: np.ones(len(ca)))
         reference = average_precision(*detections, threshold)
         assert reference.pairs_clipped == reference.pairs_compared
         assert result.pairs_clipped < reference.pairs_compared
@@ -763,10 +765,12 @@ def oracle_average_precision(detections, iou_threshold):
 
 
 def result_bits(result):
-    """An APResult's AP values as hex, and its pair counts."""
+    """An APResult's AP values as hex, and its pair counts, with the pairs
+    that the IoU bound left out and those clipped counted together: the
+    oracle has no bound and clips every pair the separating axes keep."""
     return ({cat: ap.hex() for cat, ap in result.per_category.items()},
             result.mean_ap.hex(), result.pairs_compared, result.pairs_separated,
-            result.pairs_clipped)
+            result.pairs_bounded + result.pairs_clipped)
 
 
 def oracle_bits(detections, threshold):
@@ -816,18 +820,20 @@ class TestMatchesPerCategoryOracle:
         assert result.mean_ap == 0.0 and result.pairs_compared == 0
 
     def test_clipped_pairs_fill_three_blocks_and_more(self):
+        # at a threshold this low the IoU bound leaves out too few pairs to
+        # empty a block
         block = metrics._CLIP_BLOCK
         preds, gts = crowded_rows(make_rng(31), 16, 16, 12.0)
         detections = box_columns(preds, gts)
-        result = average_precision(*detections, 0.25)
+        result = average_precision(*detections, 0.05)
         assert 3 * block < result.pairs_clipped < 4 * block
-        assert result_bits(result) == oracle_bits(detections, 0.25)
+        assert result_bits(result) == oracle_bits(detections, 0.05)
 
     def test_blocked_volumes_equal_one_clip_call(self):
         preds, gts = crowded_rows(make_rng(31), 16, 16, 12.0)
         a, b = metrics._stack([p.box for p in preds]), metrics._stack([g.box for g in gts])
         i, j = np.nonzero(metrics._spheres_overlap(a[0], a[1], b[0], b[1]))
-        kept, blocked, _ = metrics._pair_overlaps(a, b, i, j)
+        kept, _, blocked, _ = metrics._pair_overlaps(a, b, i, j, 0.0)
         i, j = i[kept], j[kept]
         assert 3 * metrics._CLIP_BLOCK < len(i) < 4 * metrics._CLIP_BLOCK
         whole = metrics._clip_volumes(*(column[i] for column in a),
@@ -835,6 +841,147 @@ class TestMatchesPerCategoryOracle:
         assert np.array_equal(blocked[kept], whole)
         assert not blocked[~kept].any()
         assert np.count_nonzero(whole) > 3 * metrics._CLIP_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# The IoU bound between the separating-axis test and the clip
+
+
+def bound_and_clip_iou(a, b):
+    """(_iou_bounds, the IoU of the clip with no rejection test) of a pair."""
+    (ca, ha, Ra), (cb, hb, Rb) = metrics._stack([a]), metrics._stack([b])
+    va, vb = np.array([a.volume()]), np.array([b.volume()])
+    bound = metrics._iou_bounds(ca, ha, Ra, cb, hb, Rb, va, vb)
+    exact = metrics._iou(metrics._clip_volumes(ca, ha, Ra, cb, hb, Rb), va, vb)
+    return float(bound[0]), float(exact[0])
+
+
+def near_rotation(rotation, noise, fill):
+    """`rotation` plus `noise` (3, 3), scaled so that the larger of its
+    deviation from orthonormality and its determinant's from 1 is `fill` x
+    _ORTHO_TOL, as far from a rotation as OrientedBox accepts for fill < 1."""
+    def deviation(R):
+        return max(np.abs(R @ R.T - np.eye(3)).max(), abs(np.linalg.det(R) - 1.0))
+
+    step = 1e-7
+    d = deviation(rotation + step * noise)
+    if d < 1e-3 * step:  # noise along the rotations themselves
+        return rotation
+    return rotation + step * (fill * metrics._ORTHO_TOL / d) * noise
+
+
+noises = st.tuples(*[st.floats(-1.0, 1.0)] * 9).map(lambda v: np.reshape(v, (3, 3)))
+centres = st.tuples(*[st.floats(-40.0, 40.0)] * 3).map(np.array)
+
+
+@st.composite
+def bounded_pairs(draw, perturbed):
+    """Random, moved, nested, identical and face-touching pairs of boxes; if
+    `perturbed`, each rotation is moved to just inside _ORTHO_TOL. A box
+    moved along its own axes has its IoU as its bound, but for the slack."""
+    kind = draw(st.sampled_from(["random", "moved", "nested", "identical", "touching"]))
+    if kind == "touching":
+        a, b = draw(near_touching_pairs())
+    else:
+        a = OrientedBox(draw(centres), draw(extents), draw(rotations))
+        if kind == "random":
+            b = OrientedBox(draw(centres), draw(extents), draw(rotations))
+        elif kind == "moved":
+            shift = a.half_extents * np.array(draw(st.tuples(*[st.floats(-1.5, 1.5)] * 3)))
+            b = OrientedBox(a.center + a.rotation @ shift, a.half_extents, a.rotation)
+        elif kind == "nested":
+            half = a.half_extents * draw(st.floats(0.1, 1.0))
+            room = (a.half_extents - half) * np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+            b = OrientedBox(a.center + a.rotation @ room, half, a.rotation)
+        else:
+            b = a
+    if not perturbed:
+        return a, b
+    return tuple(OrientedBox(box.center, box.half_extents,
+                             near_rotation(box.rotation, draw(noises), draw(st.floats(0.5, 0.95))))
+                 for box in (a, b))
+
+
+# no explain phase: on a failure it reruns the test on variations of the
+# shrunk pair until it holds gigabytes, and it adds nothing to the report
+FAILURE_PHASES = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink]
+
+
+@settings(max_examples=300, phases=FAILURE_PHASES)
+@given(pair=bounded_pairs(perturbed=False))
+def test_iou_bound_is_never_below_the_clip(pair):
+    bound, exact = bound_and_clip_iou(*pair)
+    assert bound >= exact
+
+
+@settings(max_examples=150, phases=FAILURE_PHASES)
+@given(pair=bounded_pairs(perturbed=True))
+def test_iou_bound_of_rotations_off_by_the_tolerance(pair):
+    # against the IoU of the boxes' half-spaces, |R^T (x - c)| <= h, by
+    # scipy: with these rotations the clip counts near-coplanar faces twice
+    a, b = pair
+    iou = metrics._iou(halfspace_volume(a, b), a.volume(), b.volume())
+    assert bound_and_clip_iou(a, b)[0] >= iou
+
+
+@pytest.mark.parametrize("offset", [[0.0, 0, 0], [3.0, -1.0, 2.0], [7.5, 0, 0]])
+def test_iou_bound_of_a_moved_copy_is_its_iou(offset):
+    # b's frame is a's, so the box of b in a's frame is b itself
+    a = OrientedBox([10.0, -20.0, 5.0], [4.0, 5.0, 6.0], random_rotation(make_rng(40)))
+    b = OrientedBox(a.center + a.rotation @ offset, a.half_extents, a.rotation)
+    bound, exact = bound_and_clip_iou(a, b)
+    assert bound >= exact
+    # the slack widens each side by ~1e-4 mm
+    assert bound == pytest.approx(exact, rel=1e-3)
+
+
+def bound_sets():
+    """Pooled detections of three seeds, and one crowded category whose
+    pairs mostly overlap below any threshold."""
+    sets = {f"pooled-{seed}": box_columns(*pooled_rows(make_rng(seed))) for seed in (41, 42, 43)}
+    sets["crowded"] = box_columns(*crowded_rows(make_rng(44), 16, 16, 12.0))
+    return sets
+
+
+BOUND_SETS = bound_sets()
+
+
+class TestIouBound:
+    @pytest.mark.parametrize("name", sorted(BOUND_SETS))
+    @pytest.mark.parametrize("threshold", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_ap_equals_the_unbounded_ap_bit_for_bit(self, name, threshold, monkeypatch):
+        detections = BOUND_SETS[name]
+        result = average_precision(*detections, threshold)
+        # a bound of 1 reaches every threshold: every kept pair is clipped
+        monkeypatch.setattr(metrics, "_iou_bounds", lambda ca, *args: np.ones(len(ca)))
+        reference = average_precision(*detections, threshold)
+        assert reference.pairs_bounded == 0
+        assert ({cat: ap.hex() for cat, ap in result.per_category.items()}
+                == {cat: ap.hex() for cat, ap in reference.per_category.items()})
+        assert result.mean_ap.hex() == reference.mean_ap.hex()
+        assert (result.pairs_compared, result.pairs_separated) == (
+            reference.pairs_compared, reference.pairs_separated)
+        assert result.pairs_bounded + result.pairs_clipped == reference.pairs_clipped
+        # the pooled true positives' IoUs are 0.5-0.8, and few false
+        # positives overlap a box
+        if name == "crowded" or threshold >= 0.75:
+            assert result.pairs_bounded > 0
+
+    @pytest.mark.parametrize("name", sorted(BOUND_SETS))
+    @pytest.mark.parametrize("threshold", [0.05, 0.5, 0.95])
+    def test_separated_bounded_and_clipped_are_the_sphere_passing_pairs(self, name,
+                                                                        threshold):
+        (pred_categories, scores, *pred), (gt_categories, *gt) = BOUND_SETS[name]
+        sphere_passing = 0
+        for cat in set(gt_categories):
+            p = np.array([c == cat for c in pred_categories], dtype=bool)
+            g = np.array([c == cat for c in gt_categories], dtype=bool)
+            sphere_passing += np.count_nonzero(metrics._spheres_overlap(
+                pred[0][p], pred[1][p], gt[0][g], gt[1][g]))
+        result = average_precision(*BOUND_SETS[name], threshold)
+        assert (result.pairs_separated + result.pairs_bounded + result.pairs_clipped
+                == sphere_passing)
+        assert result.pairs_clipped > 0 or threshold == 0.95
 
 
 def tracemalloc_peak(fn, *args):
@@ -848,7 +995,11 @@ def tracemalloc_peak(fn, *args):
 
 
 class TestBoundedMemory:
-    # 32 x 32 boxes in a 15 mm cube: about 14 blocks of overlapping pairs
+    # 32 x 32 boxes in a 15 mm cube: about 14 blocks of overlapping pairs;
+    # the AP runs at a threshold low enough for the IoU bound to leave nearly
+    # all of them to the clip
+    THRESHOLD = 0.05
+
     @pytest.fixture(scope="class")
     def crowded(self):
         preds, gts = crowded_rows(make_rng(32), 32, 32, 15.0)
@@ -866,15 +1017,16 @@ class TestBoundedMemory:
 
     def test_peak_stays_within_a_few_blocks(self, crowded):
         detections, block_pairs = crowded
-        result = average_precision(*detections, 0.5)
+        result = average_precision(*detections, self.THRESHOLD)
         assert result.pairs_clipped >= 4 * metrics._CLIP_BLOCK
-        assert tracemalloc_peak(average_precision, *detections, 0.5) < self.bound(block_pairs)
+        assert (tracemalloc_peak(average_precision, *detections, self.THRESHOLD)
+                < self.bound(block_pairs))
 
     def test_all_pairs_in_one_clip_exceed_the_bound(self, crowded, monkeypatch):
         detections, block_pairs = crowded
         bound = self.bound(block_pairs)
         monkeypatch.setattr(metrics, "_CLIP_BLOCK", 10 ** 9)
-        assert tracemalloc_peak(average_precision, *detections, 0.5) > bound
+        assert tracemalloc_peak(average_precision, *detections, self.THRESHOLD) > bound
 
 
 class TestPointwiseRmse:

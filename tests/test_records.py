@@ -136,7 +136,7 @@ DERIVED = {
                        ("mean_translation_mm", "mean_rotation_deg")),
     "APResult": (APResult({"cup": 0.5, "box": 0.25}),
                  ("per_category", "undefined_categories", "pairs_compared",
-                  "pairs_separated", "pairs_clipped"),
+                  "pairs_separated", "pairs_bounded", "pairs_clipped"),
                  ("mean_ap",)),
     "HandEyeResult": (HandEyeResult(_I, np.zeros(2), 0.0, ()),
                       ("cam_to_ee", "per_view_rmse", "overall_rmse", "rotation_outliers"),
