@@ -20,15 +20,17 @@ each on the pairs the step before it left:
    gets IoU 0; a threshold of 0 clips every pair. The bound is widened by
    the separating-axis slack, so it is never below the IoU of the boxes'
    half-spaces, even for rotations orthonormal only to _ORTHO_TOL, nor below
-   the clip's IoU where the clip is exact. (Where two faces lie near one
-   plane but further from it than _CLIP_EPS, the clip can count both and
-   exceed the bound, which is then the nearer of the two to the boxes' IoU.)
+   the clip's IoU, whose coplanar faces lie within that slack of both boxes.
 4. Exact volume. Each box's faces are clipped against the other box's six
    half-spaces (Sutherland-Hodgman, on padded arrays of polygons), and the
    clipped faces, wound outward, bound the intersection, whose volume
    follows from the divergence theorem as a sum of signed tetrahedron
-   volumes. The polygons start as the boxes' quads, 4 slots wide, and the
-   clip widens the arrays when a plane adds a vertex.
+   volumes. A face of a and a face of b that lie in one plane, to within
+   the separating-axis slack, are found once, before the clip, and counted
+   once (see _clip_volumes); every other vertex is inside or outside a
+   plane by the exact sign of its distance. The polygons start as the
+   boxes' quads, 4 slots wide, and the clip widens the arrays when a plane
+   adds a vertex.
 
 `intersection_volume` and `iou3d` are the one-pair calls of this code, on
 `OrientedBox` values. `average_precision` works on the columns that the
@@ -78,7 +80,6 @@ _FACES = np.array([
     (1, 5, 7, 3),  # +z
 ])
 
-_CLIP_EPS = 1e-12
 # Pairs per _clip_volumes call. A call's arrays peak at ~15 KB per pair, so
 # blocks keep average_precision's memory bounded on any set; 64 pairs cost no
 # more than one category's clip on the iou-pooled sets, and make the fixed
@@ -86,10 +87,11 @@ _CLIP_EPS = 1e-12
 _CLIP_BLOCK = 64
 # Slack of the separating-axis test and of the IoU bound, added to |R|
 # entries and, relative to the pair's size, to the projected radii, and the
-# bound's relative slack on its volume: far above rounding, and covering
-# rotations that are orthonormal only to within _ORTHO_TOL, whose boxes are
-# sheared by up to 3 _ORTHO_TOL of their size and whose volume is off by up
-# to _ORTHO_TOL.
+# bound's relative slack on its volume; relative to the pair's size, also
+# how far a face may lie from another's plane and still be coplanar with it
+# in the clip. Far above rounding, and covering rotations that are
+# orthonormal only to within _ORTHO_TOL, whose boxes are sheared by up to
+# 3 _ORTHO_TOL of their size and whose volume is off by up to _ORTHO_TOL.
 _AXIS_SLACK = 4.0 * _ORTHO_TOL
 
 
@@ -156,6 +158,12 @@ def _spheres_overlap(ca, ha, cb, hb) -> np.ndarray:
     return np.linalg.norm(ca[:, None] - cb, axis=2) < reach
 
 
+def _pair_slack(ha, hb) -> np.ndarray:
+    """(n,) slack of each pair (a[k], b[k]) of half extents ha and hb:
+    _AXIS_SLACK (|h_a| + |h_b|)."""
+    return _AXIS_SLACK * (np.linalg.norm(ha, axis=1) + np.linalg.norm(hb, axis=1))
+
+
 def _axes_overlap(ca, ha, Ra, cb, hb, Rb) -> np.ndarray:
     """Mask of the pairs (a[k], b[k]) that none of the 15 axes separates.
 
@@ -168,7 +176,7 @@ def _axes_overlap(ca, ha, Ra, cb, hb, Rb) -> np.ndarray:
     C = np.swapaxes(Ra, 1, 2) @ Rb
     t = (np.swapaxes(Ra, 1, 2) @ (cb - ca)[:, :, None])[:, :, 0]
     A = np.abs(C) + _AXIS_SLACK
-    slack = _AXIS_SLACK * (np.linalg.norm(ha, axis=1) + np.linalg.norm(hb, axis=1))[:, None]
+    slack = _pair_slack(ha, hb)[:, None]
     # a's face normals, then b's
     apart = np.any(np.abs(t) > ha + (A @ hb[:, :, None])[:, :, 0] + slack, axis=1)
     tb = (np.swapaxes(C, 1, 2) @ t[:, :, None])[:, :, 0]
@@ -186,9 +194,10 @@ def _axes_overlap(ca, ha, Ra, cb, hb, Rb) -> np.ndarray:
 
 def _clip_step(poly, count, normal, offset):
     """Sutherland-Hodgman clip of each polygon, poly[r, :count[r]], against
-    normal[r] . x <= offset[r]. Only the polygons that the plane cuts are
-    rewritten; a polygon wholly outside gets count 0. Returns poly, which is
-    widened if a polygon outgrows it."""
+    normal[r] . x <= offset[r], a vertex being outside where its distance
+    is above 0. Only the polygons that the plane cuts are rewritten; a
+    polygon wholly outside gets count 0. Returns poly, which is widened if a
+    polygon outgrows it."""
     rows = np.flatnonzero(count)
     p, c = poly[rows], count[rows]
     nx, ny, nz = normal[rows].T
@@ -197,7 +206,7 @@ def _clip_step(poly, count, normal, offset):
     width = poly.shape[1]
     slot = np.arange(width)
     valid = slot < c[:, None]
-    n_out = np.sum(valid & (dist > _CLIP_EPS), axis=1)
+    n_out = np.sum(valid & (dist > 0.0), axis=1)
     count[rows[n_out == c]] = 0
     cut = (n_out > 0) & (n_out < c)
     rows, p, c, dist, valid = rows[cut], p[cut], c[cut], dist[cut], valid[cut]
@@ -205,9 +214,8 @@ def _clip_step(poly, count, normal, offset):
     last = (np.arange(len(rows)), c - 1)
     dq = np.concatenate([dist[last][:, None], dist[:, :-1]], axis=1)
     q = np.concatenate([p[last][:, None], p[:, :-1]], axis=1)
-    inside = valid & (dist <= _CLIP_EPS)
-    crossing = valid & (((dq > _CLIP_EPS) & inside)
-                        | ((dq < -_CLIP_EPS) & (dist > _CLIP_EPS)))
+    inside = valid & (dist <= 0.0)
+    crossing = valid & (((dq > 0.0) & inside) | ((dq < 0.0) & (dist > 0.0)))
     # each edge emits its crossing point, then p if inside; place[r, k] holds
     # the slots of the two in the clipped polygon
     emit = np.stack([crossing, inside], axis=2).reshape(len(rows), 2 * width)
@@ -234,29 +242,38 @@ def _clip_volumes(ca, ha, Ra, cb, hb, Rb) -> np.ndarray:
     The faces of a clipped to b and the faces of b clipped to a bound the
     intersection and keep the boxes' outward winding, so the volume is the
     sum of det(p0 - r, pi - r, pi+1 - r) / 6 over each polygon's fan. A face
-    of b lying in a face plane of a with the same outward normal covers the
-    same polygon as a's face there and is left out.
+    of a and a face of b are coplanar when their outward normals agree and
+    every corner of each lies within the separating-axis slack of the
+    other's plane, _AXIS_SLACK (|h_a| + |h_b|). Both cover one polygon of
+    the intersection's surface, so it is counted once: b's face is left out,
+    and b's plane does not cut a's face. Every other vertex is kept or cut
+    by the exact sign of its distance to the plane.
     """
     n = len(ca)
-    # relative to a's centre, so that rounding stays far below _CLIP_EPS
+    # relative to a's centre, so that rounding stays far below the slack
     # wherever the boxes are
     zero, cb = np.zeros_like(ca), cb - ca
     normals_a, offsets_a = _half_spaces(zero, ha, Ra)
     normals_b, offsets_b = _half_spaces(cb, hb, Rb)
-    # 12 polygons per pair: a's faces, clipped to b, then b's, clipped to a
-    faces = np.concatenate([_corners(zero, ha, Ra)[:, _FACES],
-                            _corners(cb, hb, Rb)[:, _FACES]], axis=1)
-    poly = faces.reshape(-1, 4, 3)
-    count = np.full(n * 12, 4)
+    corners_a, corners_b = _corners(zero, ha, Ra), _corners(cb, hb, Rb)
+    coplanar = _coplanar_faces(corners_a, normals_a, offsets_a, corners_b, normals_b,
+                               offsets_b, _pair_slack(ha, hb))
+    # 12 polygons per pair: a's faces, clipped to b but for the planes they
+    # are coplanar with, then b's faces but for the coplanar ones, clipped
+    # to a; the offsets of the planes each polygon meets, (n, 12, 6)
+    poly = np.concatenate([corners_a[:, _FACES], corners_b[:, _FACES]],
+                          axis=1).reshape(-1, 4, 3)
+    count = np.full((n, 12), 4)
+    count[:, 6:][coplanar.any(axis=1)] = 0
+    count = count.reshape(-1)
+    offsets = np.concatenate([np.where(coplanar, np.inf, offsets_b[:, None]),
+                              offsets_a[:, None].repeat(6, axis=1)], axis=1)
     for k in range(6):
         # a's faces meet b's k-th plane, b's faces a's
         normal = np.stack([normals_b[:, k], normals_a[:, k]], axis=1).repeat(6, axis=1)
-        offset = np.stack([offsets_b[:, k], offsets_a[:, k]], axis=1).repeat(6, axis=1)
-        poly = _clip_step(poly, count, normal.reshape(-1, 3), offset.reshape(-1))
+        poly = _clip_step(poly, count, normal.reshape(-1, 3), offsets[:, :, k].reshape(-1))
     width = poly.shape[1]
     poly, count = poly.reshape(n, 12, width, 3), count.reshape(n, 12)
-    # a function of its own, so that its arrays are freed before the sums
-    count[_covered_faces(poly, count, normals_a, offsets_a, normals_b)] = 0
 
     # sequential sums, so that a pair's rounding depends neither on the
     # padding nor on the other pairs
@@ -272,18 +289,19 @@ def _clip_volumes(ca, ha, Ra, cb, hb, Rb) -> np.ndarray:
     return np.where(volume > 0.0, volume, 0.0)  # flat contact can round below 0
 
 
-def _covered_faces(poly, count, normals_a, offsets_a, normals_b):
-    """(pair, face) indices of the clipped faces of b, poly[:, 6:] in
-    _clip_volumes, that lie in a face plane of a with the same outward
-    normal."""
-    pair, face = np.nonzero(count[:, 6:])
-    gap = np.abs(poly[pair, 6 + face] @ np.swapaxes(normals_a[pair], 1, 2)
-                 - offsets_a[pair, None])
-    valid = np.arange(poly.shape[2]) < count[pair, 6 + face, None]
-    on_plane = np.all((gap <= _CLIP_EPS) | ~valid[..., None], axis=1)
-    same_normal = np.einsum("kij,kj->ki", normals_a[pair], normals_b[pair, face]) > 0.0
-    shared = np.any(on_plane & same_normal, axis=1)
-    return pair[shared], 6 + face[shared]
+def _coplanar_faces(corners_a, normals_a, offsets_a, corners_b, normals_b, offsets_b,
+                    slack):
+    """(n, 6, 6) mask of the coplanar faces (face i of a, face k of b) of each
+    pair, as _clip_volumes defines them, from each box's corners (n, 8, 3),
+    outward normals (n, 6, 3) and offsets (n, 6), and each pair's slack (n,)."""
+    def near(corners, normals, offsets):
+        # (n, 6, 6): every corner of each own face within the slack of each plane
+        dist = np.abs(corners @ np.swapaxes(normals, 1, 2) - offsets[:, None])
+        return dist[:, _FACES].max(axis=2) <= slack[:, None, None]
+
+    return ((normals_a @ np.swapaxes(normals_b, 1, 2) > 0.0)
+            & near(corners_a, normals_b, offsets_b)
+            & np.swapaxes(near(corners_b, normals_a, offsets_a), 1, 2))
 
 
 def _iou_bounds(ca, ha, Ra, cb, hb, Rb, va, vb) -> np.ndarray:
@@ -294,16 +312,16 @@ def _iou_bounds(ca, ha, Ra, cb, hb, Rb, va, vb) -> np.ndarray:
     |C| hb about t in a's frame, and a inside the box of half widths |C|^T ha
     about Rb^T (ca - cb) in b's frame; the smaller volume of these boxes
     clipped to a's and to b's own bounds the intersection volume, and _iou
-    grows with it. The half widths get the separating-axis slack, plus
-    _CLIP_EPS, which the clip's vertices may lie outside a plane, and the
-    volume a relative _AXIS_SLACK, for the determinant of a rotation.
+    grows with it. The half widths get the separating-axis slack, which
+    also bounds how far outside b a face of a that the clip keeps as
+    coplanar with b's may lie, and the volume a relative _AXIS_SLACK, for
+    the determinant of a rotation.
     """
     C = np.swapaxes(Ra, 1, 2) @ Rb
     t = (np.swapaxes(Ra, 1, 2) @ (cb - ca)[:, :, None])[:, :, 0]
     tb = (np.swapaxes(Rb, 1, 2) @ (ca - cb)[:, :, None])[:, :, 0]
     A = np.abs(C) + _AXIS_SLACK
-    slack = (_AXIS_SLACK * (np.linalg.norm(ha, axis=1) + np.linalg.norm(hb, axis=1))
-             + _CLIP_EPS)[:, None]
+    slack = _pair_slack(ha, hb)[:, None]
     reach_b = (A @ hb[:, :, None])[:, :, 0] + slack
     reach_a = (np.swapaxes(A, 1, 2) @ ha[:, :, None])[:, :, 0] + slack
     inter = np.minimum(_overlap_volume(ha + slack, t, reach_b),

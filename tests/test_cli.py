@@ -10,7 +10,8 @@ import pytest
 
 import robocal
 from robocal import cli, fileio
-from robocal.geometry import Pose, apply, axis_angle, compose, make_rng, random_rotation
+from robocal.geometry import (Pose, apply, axis_angle, compose, make_rng, matrix_to_quat,
+                              random_rotation)
 from robocal.handeye import MarkerBoard, default_board_points, synthesize_views
 from robocal.mesh import chamfered_box, sample_surface, save_obj
 from robocal.metrics import Detection, GroundTruthBox, OrientedBox
@@ -298,6 +299,31 @@ def test_eval_iou_report(tmp_path, capsys):
     assert _report_lines(out) == [f"# mean_ap={mean_ap!r}", "# iou_threshold=0.5",
                                   "category,ap",
                                   *[f"{cat},{ap!r}" for cat, ap in per_category.items()]]
+
+
+@pytest.mark.parametrize("threshold", ["0.5", "0.75"])
+def test_eval_iou_of_quaternions_written_to_13_digits(threshold, tmp_path, capsys):
+    # each prediction is its box moved 15% of a half extent along one of its
+    # axes, IoU 1.85 / 2.15 = 0.86, but with its quaternion written to 13
+    # significant digits, so that its faces lie ~1e-13 rad off the box's
+    # planes; such faces were counted twice or not at all, and the mean AP
+    # read 0.7903 at 0.5 and 0.6817 at 0.75
+    rng = make_rng(7)
+    gt_rows, pred_rows = [fileio.GT_HEADER], [fileio.PRED_HEADER]
+    for k in range(20):
+        center = rng.uniform(-500.0, 500.0, 3)
+        half, rotation = rng.uniform(5.0, 30.0, 3), random_rotation(rng)
+        q = matrix_to_quat(rotation).tolist()
+        moved = center + rotation[:, k % 3] * 0.15 * half[k % 3]
+        gt_rows.append(",".join(["cup", *map(repr, [*center.tolist(), *half.tolist(), *q])]))
+        pred_rows.append(",".join(["cup", repr(float(rng.uniform(0.0, 1.0))),
+                                   *map(repr, [*moved.tolist(), *half.tolist()]),
+                                   *(f"{v:.13g}" for v in q)]))
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    gt_path.write_text("\n".join(gt_rows) + "\n")
+    pred_path.write_text("\n".join(pred_rows) + "\n")
+    assert cli.main(["eval-iou", str(gt_path), str(pred_path), "--threshold", threshold]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"mean AP@{float(threshold):.2f} = 1.0000"
 
 
 def test_eval_iou_header_only_ground_truth_exits_1(tmp_path, capsys):

@@ -9,8 +9,8 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from robocal import fileio, metrics
 from robocal.errors import ValidationError
-from robocal.geometry import (Pose, apply, axis_angle, make_rng, quat_to_matrix,
-                              random_rotation, random_unit_vector)
+from robocal.geometry import (Pose, apply, axis_angle, make_rng, matrix_to_quat,
+                              quat_to_matrix, random_rotation, random_unit_vector)
 from robocal.metrics import (APResult, Detection, GroundTruthBox,
                              OrientedBox, average_precision, intersection_volume, iou3d,
                              pointwise_rmse)
@@ -18,9 +18,9 @@ from robocal.simulate import annotation_quality_table
 
 
 def contains(box, points):
-    """Mask of the points inside the box, up to the clip's tolerance."""
+    """Mask of the points inside the box."""
     local = (np.asarray(points, dtype=float) - box.center) @ box.rotation
-    return np.all(np.abs(local) <= box.half_extents + metrics._CLIP_EPS, axis=-1)
+    return np.all(np.abs(local) <= box.half_extents, axis=-1)
 
 
 def mc_iou(a, b, n, rng):
@@ -64,11 +64,14 @@ class TestIou3d:
         assert iou3d(box, box) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_offset_box_is_at_most_one(self):
-        # far from the origin the rounded clip volume exceeds the box volume
-        box = OrientedBox([100.0, 200.0, 300.0], [5.0, 6.0, 7.0],
-                          random_rotation(make_rng(3)))
-        assert intersection_volume(box, box) > box.volume()
-        assert iou3d(box, box) == 1.0
+        # far from the origin the rounded clip volume of nested boxes exceeds
+        # the inner box's volume; the IoU is clamped to the volume ratio
+        rotation = random_rotation(make_rng(3))
+        outer = OrientedBox([100.0, 200.0, 300.0], [5.0, 6.0, 7.0], rotation)
+        inner = OrientedBox(outer.center, [4.0, 5.0, 6.0], rotation)
+        assert intersection_volume(outer, inner) > inner.volume()
+        assert iou3d(outer, inner) == inner.volume() / outer.volume()
+        assert iou3d(outer, outer) == 1.0
 
     def test_disjoint_boxes(self):
         a = OrientedBox([0.0, 0, 0], [1.0, 1, 1], np.eye(3))
@@ -272,18 +275,18 @@ def test_volume_does_not_depend_on_the_batch():
 
 def polygon_loop_clip(polygon, normal, offset):
     """Sutherland-Hodgman clip of one polygon, a list of (x, y, z), against
-    normal . x <= offset, vertex by vertex: the reference for _clip_step."""
-    eps = metrics._CLIP_EPS
+    normal . x <= offset, vertex by vertex, a vertex being outside where its
+    distance is above 0: the reference for _clip_step."""
     nx, ny, nz = normal
     dist = [nx * x + ny * y + nz * z - offset for x, y, z in polygon]
     out = []
     for i, (p, dp) in enumerate(zip(polygon, dist)):
         q, dq = polygon[i - 1], dist[i - 1]  # edge q -> p
-        if (dq > eps and dp <= eps) or (dq < -eps and dp > eps):
+        if (dq > 0.0 and dp <= 0.0) or (dq < 0.0 and dp > 0.0):
             s = dq / (dq - dp)
             out.append((q[0] + s * (p[0] - q[0]), q[1] + s * (p[1] - q[1]),
                         q[2] + s * (p[2] - q[2])))
-        if dp <= eps:
+        if dp <= 0.0:
             out.append(p)
     return out
 
@@ -602,11 +605,14 @@ class TestAveragePrecision:
 # bit-for-bit oracle: one sphere test, separating-axis test and clip per
 # category, on polygons padded to 10 slots, with the clip step that wrote
 # each clipped polygon through a (polygons, width, 2, 3) array of candidate
-# vertices. It shares only _half_spaces and _corners with the program.
+# vertices. It shares only _half_spaces and _corners with the program. It
+# classes each vertex as inside a plane up to 1e-12 mm, and drops a clipped
+# face of b that lies within 1e-12 mm of a face plane of a with its normal,
+# as the clip did before it decided coplanar faces once, ahead of the clip.
 
 
 def oracle_clip_step(poly, count, normal, offset):
-    eps = metrics._CLIP_EPS
+    eps = 1e-12
     rows = np.flatnonzero(count)
     p, c = poly[rows], count[rows]
     nx, ny, nz = normal[rows].T
@@ -671,7 +677,7 @@ def oracle_axes_overlap(ca, ha, Ra, cb, hb, Rb):
 
 
 def oracle_clip_volumes(ca, ha, Ra, cb, hb, Rb):
-    eps, n = metrics._CLIP_EPS, len(ca)
+    eps, n = 1e-12, len(ca)
     zero, cb = np.zeros_like(ca), cb - ca
     normals_a, offsets_a = metrics._half_spaces(zero, ha, Ra)
     normals_b, offsets_b = metrics._half_spaces(cb, hb, Rb)
@@ -918,10 +924,23 @@ def test_iou_bound_is_never_below_the_clip(pair):
 @given(pair=bounded_pairs(perturbed=True))
 def test_iou_bound_of_rotations_off_by_the_tolerance(pair):
     # against the IoU of the boxes' half-spaces, |R^T (x - c)| <= h, by
-    # scipy: with these rotations the clip counts near-coplanar faces twice
+    # scipy, and against the clip's IoU, which differs from it by the
+    # shear of the boxes (see sheared_faces)
     a, b = pair
     iou = metrics._iou(halfspace_volume(a, b), a.volume(), b.volume())
-    assert bound_and_clip_iou(a, b)[0] >= iou
+    bound, clip = bound_and_clip_iou(a, b)
+    assert bound >= iou
+    assert bound >= clip
+    assert abs(clip - iou) <= 2.0 * (sheared_faces(a) + sheared_faces(b)) + 1e-9
+
+
+def sheared_faces(box):
+    """How far the box's faces, through its corners R (+-h), may lie off its
+    half-spaces |R^T x| <= h, relative to its half extents, summed over its
+    axes, to first order: the two differ by S = R^T R - I, and S moves the
+    point y of the box by S y, so face j by up to (|S| h)_j."""
+    shear = np.abs(box.rotation.T @ box.rotation - np.eye(3))
+    return float(np.sum(shear @ box.half_extents / box.half_extents))
 
 
 @pytest.mark.parametrize("offset", [[0.0, 0, 0], [3.0, -1.0, 2.0], [7.5, 0, 0]])
@@ -933,6 +952,50 @@ def test_iou_bound_of_a_moved_copy_is_its_iou(offset):
     assert bound >= exact
     # the slack widens each side by ~1e-4 mm
     assert bound == pytest.approx(exact, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Moved copies whose faces lie near the planes of the box's faces
+
+
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+
+@st.composite
+def near_moved_copies(draw):
+    """(a, b, IoU of b moved but not turned): b is a, moved by d, 10-90% of
+    a half extent h, along one of its axes, then turned by 0 or 1e-15 to
+    1e-6 rad about a random axis, or rebuilt from a's quaternion rounded to
+    7-17 significant digits and divided by its norm, so that b stays a
+    rotated copy of a. The IoU of the move is (2 h - d) / (2 h + d)."""
+    a = OrientedBox(draw(centres), draw(extents), draw(rotations))
+    k, fraction = draw(st.integers(0, 2)), draw(st.floats(0.1, 0.9))
+    shift = draw(st.sampled_from([-1.0, 1.0])) * fraction * a.half_extents[k]
+    if draw(st.booleans()):
+        angle = draw(st.one_of(st.just(0.0), st.floats(-15.0, -6.0).map(lambda e: 10.0 ** e)))
+        rotation = axis_angle(draw(unit_axes), np.degrees(angle)) @ a.rotation
+    else:
+        digits = draw(st.integers(7, 17))
+        q = np.array([float(f"{v:.{digits}g}") for v in matrix_to_quat(a.rotation)])
+        rotation = quat_to_matrix(q / np.linalg.norm(q))
+    b = OrientedBox(a.center + a.rotation[:, k] * shift, a.half_extents, rotation)
+    d = abs(shift)
+    return a, b, (2.0 * a.half_extents[k] - d) / (2.0 * a.half_extents[k] + d)
+
+
+@settings(max_examples=300, phases=FAILURE_PHASES)
+@given(case=near_moved_copies())
+def test_slightly_turned_moved_copy_keeps_the_iou_of_its_move(case):
+    # stated before measuring: turning b by theta moves its faces by at most
+    # theta max(h) against faces min(h) apart, so the IoU may move off the
+    # closed form by ~theta max(h) / min(h); twice that, plus rounding.
+    # theta is |Ra^T Rb - I|, the angle of the turn for a rotation
+    a, b, closed_form = case
+    theta = np.linalg.norm(a.rotation.T @ b.rotation - np.eye(3), 2)
+    tolerance = 2.0 * theta * a.half_extents.max() / a.half_extents.min() + 1e-12
+    assert abs(iou3d(a, b) - closed_form) <= tolerance
+    assert abs(iou3d(b, a) - closed_form) <= tolerance
 
 
 def bound_sets():
