@@ -22,7 +22,6 @@ from urllib.parse import parse_qsl, urlencode
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .textio import read_lines
 
 DEGENERATE_AREA_MM2 = 1e-12
 
@@ -136,8 +135,12 @@ def load_obj(path) -> Mesh:
     """Parse an OBJ file (v and f records; polygons fan-triangulated).
 
     Texture and normal records are ignored. Degenerate faces are dropped
-    with a warning; malformed records raise FileFormatError with the line.
+    with a warning; malformed records, a non-finite coordinate among them,
+    raise FileFormatError with the line.
     """
+    # imported here, as fileio is in save_obj: icp-bench reads no file
+    from .textio import read_lines
+
     vertices: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
     for lineno, line in read_lines(path):
@@ -147,10 +150,14 @@ def load_obj(path) -> Mesh:
             if len(parts) < 4:
                 raise FileFormatError(path, lineno, "vertex needs 3 coordinates")
             try:
-                vertices.append([float(x) for x in parts[1:4]])
+                x, y, z = map(float, parts[1:4])
             except ValueError:
                 raise FileFormatError(path, lineno,
                                       f"bad vertex coordinates {parts[1:4]}")
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                bad = next(v for v in parts[1:4] if not math.isfinite(float(v)))
+                raise FileFormatError(path, lineno, f"non-finite value {bad!r}")
+            vertices.append([x, y, z])
         elif tag == "f":
             idx = []
             for token in parts[1:]:
@@ -178,8 +185,9 @@ def load_obj(path) -> Mesh:
         raise FileFormatError(path, None, "no vertices found")
     corners = np.array(vertices)
     triangles = np.array(faces, dtype=np.int64).reshape(-1, 3)
-    # the face indices were checked above; a non-finite vertex, whose faces
-    # would warn of invalid arithmetic here, is refused by Mesh just below
+    # the face indices and coordinates were checked above, but coordinates
+    # near the float limit can overflow a cross product to inf - inf: such a
+    # face's area is NaN, and it is dropped as degenerate
     with np.errstate(invalid="ignore"):
         kept = _kept_triangles(corners, triangles)
     mesh = Mesh(corners, kept, name=str(path))

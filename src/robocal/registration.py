@@ -226,31 +226,30 @@ class SpatialIndex:
 
         Exact: the candidate search drops only triangles that cannot hold the
         closest point, and the closest point is computed exactly on every
-        (point, triangle) pair left. Ties go to the lowest id. Without
-        `matches`, each block of points is searched and evaluated in turn.
-        With `matches`, a `SurfaceMatches` with one point per query, the
-        candidates come from that cache, and each block of points is evaluated
-        in turn over its slice of the cached pairs; the answers are the same.
+        (point, triangle) pair left. Ties go to the lowest id. The candidate
+        pairs come from one search, or with `matches`, a `SurfaceMatches` with
+        one point per query, from that cache; each block of points is then
+        evaluated in turn over its slice of the pairs. A point's candidates
+        depend on that point alone, so the answers are the same either way.
         """
         p = np.asarray(queries, dtype=float).reshape(-1, 3)
         if not np.isfinite(p).all():  # a finite point keeps at least one pair
             raise ValidationError("surface query points must be finite")
-        if matches is not None:
-            if matches.size != len(p):
-                raise ValidationError(f"surface matches cover {matches.size} points, "
-                                      f"the query has {len(p)}")
+        if matches is None:
+            rows, cols = self._candidates(p)
+        elif matches.size != len(p):
+            raise ValidationError(f"surface matches cover {matches.size} points, "
+                                  f"the query has {len(p)}")
+        else:
             rows, cols = matches.pairs(self, p)
         block = max(1, _QUERY_BLOCK // len(self.points))  # points per block
         # no points, no answers
         dist, closest, tri = [np.empty(0)], [np.empty((0, 3))], [np.empty(0, np.int64)]
         for lo in range(0, len(p), block):
             q = p[lo:lo + block]
-            if matches is None:
-                r, c = self._candidates(q)
-            else:  # the rows ascend: the block's pairs are one slice
-                start, stop = np.searchsorted(rows, (lo, lo + len(q)))
-                r, c = rows[start:stop] - lo, cols[start:stop]
-            d, near, c = self._evaluate(q, r, c)
+            # the rows ascend: the block's pairs are one slice
+            start, stop = np.searchsorted(rows, (lo, lo + len(q)))
+            d, near, c = self._evaluate(q, rows[start:stop] - lo, cols[start:stop])
             dist.append(d)
             closest.append(near)
             tri.append(c)

@@ -508,6 +508,8 @@ COMMAND_ARGVS = {
     "simulate": ["simulate", "scene.txt", "--seed", "1", "--out-dir", "sim"],
     "icp-bench": ["icp-bench", "--seed", "1"],
     "annotate": ["annotate", "points.txt", "box.obj", "keypoints.txt", "--out", "pose.txt"],
+    "gen-scene": ["gen-scene", "--template", "phocal-like", "--seed", "1",
+                  "--out", "generated.txt"],
 }
 
 
@@ -649,7 +651,8 @@ IMPORT_FOOTPRINT = {
     "simulate": ("robocal.metrics", "robocal.registration", "numpy.ma",
                  "robocal.pivot", "dataclasses"),
     "icp-bench": ("robocal.simulate", "robocal.metrics", "robocal.handeye",
-                  "robocal.pivot", "robocal.fileio", "json", "numpy.ma", "dataclasses"),
+                  "robocal.pivot", "robocal.fileio", "robocal.textio", "json", "numpy.ma",
+                  "dataclasses"),
 }
 
 # reads its arguments with ast, not json, which is on the unused lists
@@ -675,24 +678,38 @@ def test_command_loads_only_the_modules_it_runs(command, tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-# COMMAND_ARGVS, and runs that leave through argparse or an error line:
-# argparse's --help exit (0), a validation error (1), a numerical one (2)
+# (exit code, argv) of COMMAND_ARGVS, and of runs that leave through argparse
+# or an error line: argparse's --help exit (0), a validation error (1), a
+# numerical one (2)
 PROCESS_ARGVS = {
-    **COMMAND_ARGVS,
-    "--help": ["--help"],
-    "unknown-flag": ["icp-bench", "--bogus"],
-    "repeated-key": [*COMMAND_ARGVS["annotate"], "--icp-params",
-                     "max_iterations=1,max_iterations=50"],
-    "degenerate": ["pivot-calib", "degenerate.txt"],
+    **{name: (0, argv) for name, argv in COMMAND_ARGVS.items()},
+    "--help": (0, ["--help"]),
+    "unknown-flag": (1, ["icp-bench", "--bogus"]),
+    "repeated-key": (1, [*COMMAND_ARGVS["annotate"], "--icp-params",
+                         "max_iterations=1,max_iterations=50"]),
+    "out-over-input": (1, [*COMMAND_ARGVS["annotate"][:-1], "keypoints.txt"]),
+    "simulate-over-scene": (1, ["simulate", "sim_report.txt", "--seed", "1",
+                                "--out-dir", "."]),
+    "patch-fraction-nan": (1, ["icp-bench", "--seed", "1", "--patch-fraction", "nan"]),
+    "unwritable-out": (1, ["gen-scene", "--template", "phocal-like", "--seed", "1",
+                           "--out", "nodir/x.txt"]),
+    "fractional-segments": (1, ["simulate", "bottle-2.5.txt", "--seed", "1",
+                                "--out-dir", "sim-2.5"]),
+    "degenerate": (2, ["pivot-calib", "degenerate.txt"]),
 }
 
 
 def _write_process_inputs(tmp_path):
-    """The inputs of PROCESS_ARGVS: COMMAND_ARGVS's and a pose set without
-    rotation diversity."""
+    """The inputs of PROCESS_ARGVS: COMMAND_ARGVS's, a pose set without
+    rotation diversity, a phocal-like scene named as a simulate report, and
+    that scene with a fractional bottle segment count."""
     _write_command_inputs(tmp_path)
     fileio.save_pose_list(tmp_path / "degenerate.txt",
                           [Pose(random_rotation(make_rng(1)), [10.0, 20.0, 30.0])] * 3)
+    fileio.save_scene(tmp_path / "sim_report.txt", generate_scene("phocal-like", 1))
+    text = (tmp_path / "sim_report.txt").read_text()
+    (tmp_path / "bottle-2.5.txt").write_text(
+        text.replace("proc:bottle?", "proc:bottle?segments=2.5&"))
 
 
 def _main_in_process(argv, capsys):
@@ -710,11 +727,40 @@ def test_process_exits_as_main_returns(name, tmp_path, monkeypatch, capsys):
     # before the exit: the same code, stdout and stderr as main in process
     _write_process_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
-    argv = PROCESS_ARGVS[name]
+    code, argv = PROCESS_ARGVS[name]
     expected = _main_in_process(argv, capsys)
-    assert expected[0] == {"unknown-flag": 1, "repeated-key": 1, "degenerate": 2}.get(name, 0)
+    assert expected[0] == code
     run = _run_fresh(tmp_path, "-m", "robocal.cli", *argv)
     assert (run.returncode, run.stdout, run.stderr) == expected
+
+
+def _stdout_fresh(cwd, *argv):
+    """stdout of `python -m robocal.cli *argv` in a fresh interpreter, which
+    must exit 0 with nothing on stderr."""
+    run = _run_fresh(cwd, "-m", "robocal.cli", *argv)
+    assert (run.returncode, run.stderr) == (0, "")
+    return run.stdout
+
+
+def test_simulate_reruns_write_the_same_reports(tmp_path):
+    for out_dir in ("a", "b"):
+        _stdout_fresh(tmp_path, "simulate", "--template", "phocal-like", "--seed", "1",
+                      "--out-dir", out_dir)
+    for name in ("sim_report.csv", "sim_report.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_icp_bench_reruns_print_the_same_stdout(tmp_path):
+    first = _stdout_fresh(tmp_path, "icp-bench", "--seed", "1")
+    assert first and _stdout_fresh(tmp_path, "icp-bench", "--seed", "1") == first
+
+
+def test_annotate_of_an_obj_with_a_byte_order_mark_prints_as_the_plain_one(tmp_path):
+    _write_command_inputs(tmp_path)
+    (tmp_path / "box-bom.obj").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "box.obj").read_bytes())
+    plain, marked = (_stdout_fresh(tmp_path, "annotate", "points.txt", obj, "keypoints.txt")
+                     for obj in ("box.obj", "box-bom.obj"))
+    assert plain and marked == plain
 
 
 # Registered in a child that runs robocal.cli as __main__: the heap is frozen
@@ -729,8 +775,9 @@ runpy.run_module("robocal.cli", run_name="__main__")
 @pytest.mark.parametrize("name", ["--version", "pivot-calib", "degenerate"])
 def test_command_process_exits_with_the_heap_frozen(name, tmp_path):
     _write_process_inputs(tmp_path)
-    run = _run_fresh(tmp_path, "-c", FREEZE_AT_EXIT, *PROCESS_ARGVS[name])
-    assert run.returncode == (2 if name == "degenerate" else 0), run.stderr
+    code, argv = PROCESS_ARGVS[name]
+    run = _run_fresh(tmp_path, "-c", FREEZE_AT_EXIT, *argv)
+    assert run.returncode == code, run.stderr
     assert run.stdout.endswith("frozen at exit: True\n")
 
 

@@ -143,6 +143,15 @@ class TestObjIO:
         with pytest.raises(FileFormatError, match=r"bad\.obj:1"):
             load_obj(path)
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-Infinity", "1e400"])
+    def test_non_finite_coordinate_cites_line(self, value, tmp_path):
+        # it once parsed, and Mesh refused the whole mesh with no line
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 {value} 0\nv 0 1 0\nf 1 2 3\n")
+        with pytest.raises(FileFormatError) as raised:
+            load_obj(path)
+        assert str(raised.value) == f"{path}:2: non-finite value {value!r}"
+
     def test_degenerate_faces_dropped_with_warning(self, tmp_path):
         path = tmp_path / "degen.obj"
         path.write_text(CUBE_OBJ + "f 1 1 2\n")

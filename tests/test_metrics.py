@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
@@ -189,21 +189,29 @@ def placed_box(lo, hi, rotation=np.eye(3), origin=(0.0, 0.0, 0.0)):
 
 
 def halfspace_volume(a, b):
-    """Intersection volume by scipy's half-space intersection and hull."""
+    """Intersection volume by scipy's half-space intersection and hull.
+
+    The half-spaces are taken about a's centre, so that their offsets, and
+    the solver's rounding with them, scale with the pair and not with its
+    distance from the origin. An intersection thinner than 1e-7 of the
+    pair's largest half extent reads as no volume: Qhull needs a point
+    clearly inside every half-space, and the solver's centre may not be one.
+    """
     rows, limits = [], []
     for box in (a, b):
-        # |R^T (x - c)| <= h, one row per face
-        local_center = box.rotation.T @ box.center
+        # |R^T (x - c)| <= h, one row per face, x taken from a's centre
+        local_center = box.rotation.T @ (box.center - a.center)
         rows += [box.rotation.T, -box.rotation.T]
         limits += [box.half_extents + local_center, box.half_extents - local_center]
     A, limit = np.vstack(rows), np.concatenate(limits)
     # Chebyshev centre: the point deepest inside all 12 unit-normal half-spaces
     lp = linprog(np.r_[0.0, 0.0, 0.0, -1.0], A_ub=np.c_[A, np.ones(12)], b_ub=limit,
                  bounds=[(None, None)] * 3 + [(None, None)])
-    depth = -lp.fun
-    if depth <= 1e-6:
+    centre = lp.x[:3]
+    depth = np.min(limit - A @ centre)  # how deep the centre found lies
+    if depth <= 1e-7 * max(a.half_extents.max(), b.half_extents.max()):
         return 0.0
-    hs = HalfspaceIntersection(np.c_[A, -limit], lp.x[:3])
+    hs = HalfspaceIntersection(np.c_[A, -limit], centre)
     return ConvexHull(hs.intersections).volume
 
 
@@ -920,8 +928,22 @@ def test_iou_bound_is_never_below_the_clip(pair):
     assert bound >= exact
 
 
+# a pair touching along b's face, its intersection 1e-6 mm thin, whose
+# solver centre lay 4e-8 mm inside one half-space: Qhull refused it (QH6023)
+TOUCHING_THIN_PAIR = (
+    OrientedBox([0.0, 339.0, 0.0], [1.0, 1.0, 16.0],
+                [[-0.5013934598926213, 0.7159482052122603, -0.48582190706114453],
+                 [0.715948249878705, 0.02802819209965568, -0.6975909162563234],
+                 [-0.4858219963940338, -0.6975905589247665, -0.526634620540923]]),
+    OrientedBox([8.595967874333553, 324.6249795122995, 11.1116210445468], [19.0, 1.0, 7.0],
+                [[-0.501393214227176, 0.7159482052122603, -0.4858219963940338],
+                 [0.7159482052122603, 0.02802819209965568, -0.6975902005483332],
+                 [-0.48582179543709836, -0.6975904089920529, -0.5266349778724799]]))
+
+
 @settings(max_examples=150, phases=FAILURE_PHASES)
 @given(pair=bounded_pairs(perturbed=True))
+@example(pair=TOUCHING_THIN_PAIR)
 def test_iou_bound_of_rotations_off_by_the_tolerance(pair):
     # against the IoU of the boxes' half-spaces, |R^T (x - c)| <= h, by
     # scipy, and against the clip's IoU, which differs from it by the
